@@ -62,15 +62,13 @@ from .harness import (
 )
 from .patterns import (
     PatternTooLargeError,
-    classical_avoiders,
+    avoiders,
     classical_contains,
+    count_avoiders,
     count_global_occurrences,
-    gav,
-    gav_count,
     global_basis,
     global_contains,
     rc_reduce,
-    symmetry_class_counts,
     unsigned_contains,
 )
 from .tableaux import (

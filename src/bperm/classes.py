@@ -19,12 +19,7 @@ from typing import Sequence
 
 from . import fixtures
 from .core import Permutation, SignedPermutation
-from .patterns import (
-    classical_contains,
-    global_contains,
-    unsigned_contains,
-    word_contains,
-)
+from .patterns import _avoidance_test, global_contains, unsigned_contains
 
 
 class Method(str, Enum):
@@ -47,15 +42,12 @@ class Not132AvoidingError(ValueError):
     """Palindromic compositions are only defined on the global 132-avoiders."""
 
 
-def _avoids_globally(w: SignedPermutation, patterns: Sequence[Permutation]) -> bool:
-    mirror = w.mirror_word()
-    return not any(word_contains(mirror, p.oneline) for p in patterns)
-
-
-def _avoids_classically(
-    w: SignedPermutation, patterns: Sequence[SignedPermutation]
+def _avoids(
+    w: SignedPermutation,
+    patterns: Sequence[Permutation] | Sequence[SignedPermutation],
 ) -> bool:
-    return not any(classical_contains(w, q) for q in patterns)
+    """Avoidance of every pattern, globally or classically by the pattern type."""
+    return _avoidance_test(patterns)(w.window)
 
 
 def is_vexillary(w: SignedPermutation, method: Method = Method.GLOBAL) -> bool:
@@ -63,7 +55,7 @@ def is_vexillary(w: SignedPermutation, method: Method = Method.GLOBAL) -> bool:
     if method is Method.GLOBAL:
         return not global_contains(w, fixtures.PATTERN_2143)
     if method is Method.CLASSICAL:
-        return _avoids_classically(w, fixtures.VEXILLARY_CLASSICAL)
+        return _avoids(w, fixtures.VEXILLARY_CLASSICAL)
     raise UnsupportedMethodError("vexillarity has no structural criterion here")
 
 
@@ -73,9 +65,9 @@ def is_boolean(w: SignedPermutation, method: Method = Method.GLOBAL) -> bool:
     no repeated generator in any reduced word; globally, avoiding 321 and 3412.
     """
     if method is Method.GLOBAL:
-        return _avoids_globally(w, fixtures.BOOLEAN_GLOBAL)
+        return _avoids(w, fixtures.BOOLEAN_GLOBAL)
     if method is Method.CLASSICAL:
-        return _avoids_classically(w, fixtures.BOOLEAN_CLASSICAL)
+        return _avoids(w, fixtures.BOOLEAN_CLASSICAL)
     if method is Method.STRUCTURAL:
         # Only n distinct generators exist, so length above n forces a repeat.
         if w.length() > w.size:
@@ -90,9 +82,9 @@ def is_free(w: SignedPermutation, method: Method = Method.GLOBAL) -> bool:
     support without consecutive indices; globally, avoiding 231, 312, 321.
     """
     if method is Method.GLOBAL:
-        return _avoids_globally(w, fixtures.FREE_GLOBAL)
+        return _avoids(w, fixtures.FREE_GLOBAL)
     if method is Method.CLASSICAL:
-        return _avoids_classically(w, fixtures.FREE_CLASSICAL)
+        return _avoids(w, fixtures.FREE_CLASSICAL)
     if method is Method.STRUCTURAL:
         support = w.support()
         if any(i + 1 in support for i in support):
@@ -103,12 +95,12 @@ def is_free(w: SignedPermutation, method: Method = Method.GLOBAL) -> bool:
 
 def is_smooth_B(w: SignedPermutation) -> bool:
     """Indexes a smooth Schubert variety of type B (classical 17-pattern list)."""
-    return _avoids_classically(w, fixtures.SMOOTH_B_CLASSICAL)
+    return _avoids(w, fixtures.SMOOTH_B_CLASSICAL)
 
 
 def is_smooth_C(w: SignedPermutation) -> bool:
     """Indexes a smooth Schubert variety of type C (classical 17-pattern list)."""
-    return _avoids_classically(w, fixtures.SMOOTH_C_CLASSICAL)
+    return _avoids(w, fixtures.SMOOTH_C_CLASSICAL)
 
 
 def is_smooth_BC(w: SignedPermutation, method: Method = Method.GLOBAL) -> bool:
@@ -117,9 +109,9 @@ def is_smooth_BC(w: SignedPermutation, method: Method = Method.GLOBAL) -> bool:
     globally, avoiding 3412 and 4231.
     """
     if method is Method.GLOBAL:
-        return _avoids_globally(w, fixtures.SMOOTH_BC_GLOBAL)
+        return _avoids(w, fixtures.SMOOTH_BC_GLOBAL)
     if method is Method.CLASSICAL:
-        return _avoids_classically(w, fixtures.SMOOTH_BC_CLASSICAL)
+        return _avoids(w, fixtures.SMOOTH_BC_CLASSICAL)
     if method is Method.STRUCTURAL:
         return is_smooth_B(w) and is_smooth_C(w)
     raise UnsupportedMethodError(f"unknown method {method!r}")
@@ -142,12 +134,12 @@ def is_bigrassmannian(w: SignedPermutation, strict: bool = False) -> bool:
 
 def is_grassmannian_conjectured(w: SignedPermutation) -> bool:
     """Global avoidance of the conjectured Grassmannian pattern list."""
-    return _avoids_globally(w, fixtures.GRASSMANNIAN_GLOBAL)
+    return _avoids(w, fixtures.GRASSMANNIAN_GLOBAL)
 
 
 def is_bigrassmannian_conjectured(w: SignedPermutation) -> bool:
     """Global avoidance of the conjectured list together with its inverses."""
-    return _avoids_globally(w, fixtures.BIGRASSMANNIAN_GLOBAL)
+    return _avoids(w, fixtures.BIGRASSMANNIAN_GLOBAL)
 
 
 def increasing_runs(v: Permutation) -> tuple[tuple[int, ...], ...]:

@@ -68,21 +68,17 @@ def parse_size_range(text: str) -> range:
 
 
 def _cmd_count(args: argparse.Namespace, table_output: bool) -> int:
-    if args.mode == "global":
-        patterns = parse_unsigned_patterns(args.patterns)
-    else:
-        patterns = parse_signed_patterns(args.patterns)
+    parse = parse_unsigned_patterns if args.mode == "global" else parse_signed_patterns
     table = count_sequence(
-        patterns,
+        parse(args.patterns),
         parse_size_range(args.n),
-        mode=args.mode,
         jobs=args.jobs,
         cache_path=os.environ.get("BPERM_CACHE"),
         label=args.patterns,
     )
     if table_output and args.format == "csv":
         width = max(len(str(n)) for n, _ in table.rows)
-        print(f"# {table.label} ({args.mode}, {table.provenance})")
+        print(f"# {table.label} ({args.mode}, brute-force)")
         for n, count in table.rows:
             print(f"{n:>{width}}  {count}")
     elif args.format == "json":
@@ -208,6 +204,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
         if args.command == "count":
             return _cmd_count(args, table_output=False)
         if args.command == "sequence":

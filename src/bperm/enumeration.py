@@ -1,17 +1,19 @@
 """
 Closed-form counting formulas and the exhaustive counting engine.
 
-The engine enumerates whole groups of signed permutations and counts
-avoiders; work is partitioned over the 2n possible first window entries, so
-it can fan out to a process pool and still merge deterministically (the
+`sequence` counts avoiders size by size with `patterns.count_avoiders`, so
+the pattern type picks the containment order (unsigned: global, signed:
+classical).  Work is partitioned over the 2n possible first window entries,
+so it can fan out to a process pool and still merge deterministically (the
 merge is an integer sum).  An optional on-disk memo keyed by normalized
-pattern set, mode, and size caches counts between runs.
+pattern set, order, and size caches counts between runs.
 
 All counts are exact arbitrary-precision integers.
 """
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from math import comb
@@ -19,7 +21,7 @@ from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
 from .core import Permutation, SignedPermutation
-from .patterns import count_avoiders, word_contains
+from .patterns import _containment_order, count_avoiders, word_contains
 from .tableaux import domino_count, syt_count
 
 MAX_SIGNED_SIZE = 8
@@ -129,28 +131,28 @@ def es_extremal_count(k: int, j: int, signed: bool) -> int:
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """One exact count per size, with a label and a provenance tag."""
+    """One exact count per size, with a label."""
 
     label: str
     rows: tuple[tuple[int, int], ...]
-    provenance: str  # "formula" or "brute-force"
 
     def counts(self) -> tuple[int, ...]:
         return tuple(count for _, count in self.rows)
 
 
 def _branch_count(args: tuple) -> int:
-    n, pattern_words, mode, first = args
-    return count_avoiders(n, pattern_words, mode=mode, first=first)
+    n, patterns, first = args
+    return count_avoiders(n, patterns, first=first)
 
 
 def _count_exhaustive(
-    n: int, pattern_words: tuple[tuple[int, ...], ...], mode: str, jobs: int
+    n: int,
+    patterns: Sequence[Permutation] | Sequence[SignedPermutation],
+    jobs: int = 1,
 ) -> int:
     if n == 0:
-        return count_avoiders(0, pattern_words, mode=mode)
-    firsts = [v for v in range(-n, n + 1) if v != 0]
-    tasks = [(n, pattern_words, mode, first) for first in firsts]
+        return count_avoiders(0, patterns)
+    tasks = [(n, patterns, first) for first in range(-n, n + 1) if first != 0]
     if jobs <= 1:
         return sum(_branch_count(task) for task in tasks)
     with Pool(processes=min(jobs, len(tasks))) as pool:
@@ -165,18 +167,28 @@ def normalized_pattern_key(pattern_words: Iterable[Sequence[int]]) -> str:
 
 
 def load_cache(path: str) -> dict[str, int]:
-    """Read a memo file of "patterns|mode|n|count" lines."""
+    """
+    Read a memo file of "patterns|order|n|count" lines.  Malformed lines are
+    skipped with one warning on stderr, so their counts are recomputed and
+    the next write drops them.
+    """
     cache: dict[str, int] = {}
+    skipped = 0
     try:
         with open(path, encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
-                patterns, mode, n, count = line.rsplit("|", 3)
-                cache[f"{patterns}|{mode}|{n}"] = int(count)
+                try:
+                    patterns, order, n, count = line.rsplit("|", 3)
+                    cache[f"{patterns}|{order}|{int(n)}"] = int(count)
+                except ValueError:
+                    skipped += 1
     except FileNotFoundError:
         pass
+    if skipped:
+        print(f"bperm: memo {path}: skipped {skipped} malformed line(s)", file=sys.stderr)
     return cache
 
 
@@ -199,15 +211,14 @@ def store_cache(path: str, cache: dict[str, int]) -> None:
 def sequence(
     patterns: Iterable[Permutation] | Iterable[SignedPermutation],
     n_range: Iterable[int],
-    mode: str = "global",
     jobs: int = 1,
     cache_path: str | None = None,
     label: str | None = None,
 ) -> SequenceTable:
     """
-    Exact avoider counts per size, by exhaustive enumeration.  Unsigned
-    patterns go with mode "global", signed ones with mode "classical".  The
-    result is independent of `jobs`; sizes above the hard cap are rejected.
+    Exact avoider counts per size, by exhaustive enumeration: global
+    avoidance for unsigned patterns, classical for signed ones.  The result
+    is independent of `jobs`; sizes above the hard cap are rejected.
     """
     pattern_objects = tuple(patterns)
     pattern_words = tuple(p.oneline if isinstance(p, Permutation) else p.window
@@ -217,7 +228,8 @@ def sequence(
         raise ValueError("sizes must be nonnegative")
     if any(n > MAX_SIGNED_SIZE for n in sizes):
         raise SizeCapExceededError(f"sizes beyond {MAX_SIGNED_SIZE} are not supported")
-    key_base = f"{normalized_pattern_key(pattern_words)}|{mode}"
+    order = _containment_order(pattern_objects)
+    key_base = f"{normalized_pattern_key(pattern_words)}|{order}"
     cache = load_cache(cache_path) if cache_path else {}
     dirty = False
     rows = []
@@ -226,14 +238,14 @@ def sequence(
         if key in cache:
             count = cache[key]
         else:
-            count = _count_exhaustive(n, pattern_words, mode, jobs)
+            count = _count_exhaustive(n, pattern_objects, jobs=jobs)
             cache[key] = count
             dirty = True
         rows.append((n, count))
     if cache_path and dirty:
         store_cache(cache_path, cache)
     text = label if label is not None else normalized_pattern_key(pattern_words)
-    return SequenceTable(label=text, rows=tuple(rows), provenance="brute-force")
+    return SequenceTable(label=text, rows=tuple(rows))
 
 
 def unsigned_avoider_count(n: int, patterns: Iterable[Permutation]) -> int:

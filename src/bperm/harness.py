@@ -53,11 +53,10 @@ from .enumeration import (
 )
 from .patterns import (
     apply_symmetry_to_set,
-    classical_avoiders,
+    avoiders,
     classical_contains,
+    count_avoiders,
     format_pattern_set,
-    gav,
-    gav_count,
     global_basis,
     global_contains,
     rc_reduce,
@@ -121,10 +120,6 @@ class Check:
         return "conjecture" if self.id.startswith(("conj-", "oq-")) else "theorem"
 
 
-def _windows(elements: Iterable[SignedPermutation]) -> set[tuple[int, ...]]:
-    return {w.window for w in elements}
-
-
 def _compare_sets(
     reference: set, alternates: dict[str, set]
 ) -> tuple[str, str]:
@@ -155,26 +150,28 @@ def _three_way_rows(
     classical_patterns: Sequence[SignedPermutation],
     structural: Callable[[SignedPermutation], bool] | None,
     structural_name: str = "structural",
-) -> list[CheckRow]:
+) -> tuple[list[CheckRow], list[set[tuple[int, ...]]]]:
+    """The rows, and the global class of each size 1..max_n they compared."""
     rows = [_basis_row(classical_patterns, global_basis(global_patterns))]
+    references = []
     for n in range(1, max_n + 1):
-        reference = _windows(gav(n, global_patterns))
-        alternates = {"classical": _windows(classical_avoiders(n, classical_patterns))}
+        reference = set(avoiders(n, global_patterns))
+        alternates = {"classical": set(avoiders(n, classical_patterns))}
         if structural is not None:
             alternates[structural_name] = {
                 w.window for w in signed_permutations(n) if structural(w)
             }
         expected, observed = _compare_sets(reference, alternates)
         rows.append(CheckRow(n, expected, observed))
-    return rows
+        references.append(reference)
+    return rows, references
 
 
 def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
-    rows = _three_way_rows(
+    rows, references = _three_way_rows(
         max_n, fixtures.VEXILLARY_GLOBAL, fixtures.VEXILLARY_CLASSICAL, None
     )
-    for n in range(1, max_n + 1):
-        reference = _windows(gav(n, fixtures.VEXILLARY_GLOBAL))
+    for n, reference in enumerate(references, start=1):
         via_predicates = {
             "predicate-global": {
                 w.window for w in signed_permutations(n) if is_vexillary(w)
@@ -191,27 +188,29 @@ def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
 
 
 def _check_boolean(max_n: int, jobs: int) -> list[CheckRow]:
-    return _three_way_rows(
+    rows, _ = _three_way_rows(
         max_n,
         fixtures.BOOLEAN_GLOBAL,
         fixtures.BOOLEAN_CLASSICAL,
         lambda w: is_boolean(w, Method.STRUCTURAL),
         structural_name="reduced-words",
     )
+    return rows
 
 
 def _check_free(max_n: int, jobs: int) -> list[CheckRow]:
-    return _three_way_rows(
+    rows, _ = _three_way_rows(
         max_n,
         fixtures.FREE_GLOBAL,
         fixtures.FREE_CLASSICAL,
         lambda w: is_free(w, Method.STRUCTURAL),
         structural_name="support",
     )
+    return rows
 
 
 def _check_smooth_bc(max_n: int, jobs: int) -> list[CheckRow]:
-    rows = _three_way_rows(
+    rows, _ = _three_way_rows(
         max_n,
         fixtures.SMOOTH_BC_GLOBAL,
         fixtures.SMOOTH_BC_CLASSICAL,
@@ -236,19 +235,14 @@ def _check_smooth_bc(max_n: int, jobs: int) -> list[CheckRow]:
     return rows
 
 
-def _gav_count_parallel(n: int, patterns: Sequence[Permutation], jobs: int) -> int:
-    words = tuple(p.oneline for p in patterns)
-    return _count_exhaustive(n, words, "global", jobs)
-
-
 def _check_central_binomial(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     increasing = Permutation((1, 2, 3))
     decreasing = Permutation((3, 2, 1))
     for n in range(1, max_n + 1):
         expected = str(comb(2 * n, n))
-        c_dec = _gav_count_parallel(n, [decreasing], jobs)
-        c_inc = _gav_count_parallel(n, [increasing], jobs)
+        c_dec = _count_exhaustive(n, [decreasing], jobs=jobs)
+        c_inc = _count_exhaustive(n, [increasing], jobs=jobs)
         observed = str(c_dec) if c_dec == c_inc else f"321:{c_dec},123:{c_inc}"
         rows.append(CheckRow(n, expected, observed))
     for n in range(1, min(max_n, 5) + 1):
@@ -273,7 +267,7 @@ def _check_greene_counts(max_n: int, jobs: int) -> list[CheckRow]:
         row_sums = []
         for k in range(1, 2 * n + 1):
             pattern = Permutation(tuple(range(1, k + 2)))
-            row_counts.append(gav_count(n, [pattern]))
+            row_counts.append(count_avoiders(n, [pattern]))
             row_sums.append(
                 sum(c * c for shape, c in by_shape.items() if shape[0] <= k)
             )
@@ -281,7 +275,7 @@ def _check_greene_counts(max_n: int, jobs: int) -> list[CheckRow]:
         col_sums = []
         for j in range(1, 2 * n + 1):
             pattern = Permutation(tuple(range(j + 1, 0, -1)))
-            col_counts.append(gav_count(n, [pattern]))
+            col_counts.append(count_avoiders(n, [pattern]))
             col_sums.append(
                 sum(c * c for shape, c in by_shape.items() if len(shape) <= j)
             )
@@ -321,7 +315,7 @@ def _check_fib_like(max_n: int, jobs: int) -> list[CheckRow]:
         for k in range(1, 5):
             monotone = Permutation(tuple(range(1, k + 2)))
             formulas.append(count_gav_132_and_increasing(n, k))
-            brutes.append(gav_count(n, [pattern_132, monotone]))
+            brutes.append(count_avoiders(n, [pattern_132, monotone]))
         rows.append(
             CheckRow(
                 n,
@@ -344,7 +338,7 @@ def _check_binomial_sum(max_n: int, jobs: int) -> list[CheckRow]:
         for k in range(1, 6):
             monotone = Permutation(tuple(range(k + 1, 0, -1)))
             formulas.append(count_gav_132_and_decreasing(n, k))
-            brutes.append(gav_count(n, [pattern_132, monotone]))
+            brutes.append(count_avoiders(n, [pattern_132, monotone]))
         rows.append(
             CheckRow(
                 n,
@@ -353,16 +347,16 @@ def _check_binomial_sum(max_n: int, jobs: int) -> list[CheckRow]:
             )
         )
         pal = palindromic_composition_count(2 * n)
-        avoiders = list(gav(n, [pattern_132]))
-        compositions = {signed_composition(w) for w in avoiders}
-        bijective = len(compositions) == len(avoiders) and all(
+        members = [SignedPermutation(window) for window in avoiders(n, [pattern_132])]
+        compositions = {signed_composition(w) for w in members}
+        bijective = len(compositions) == len(members) and all(
             comp == tuple(reversed(comp)) for comp in compositions
         )
         expected = f"2^{n}={2**n}"
         observed = (
             f"2^{n}={pal}"
-            if pal == len(avoiders) and bijective
-            else f"pal:{pal},gav:{len(avoiders)},bijective:{bijective}"
+            if pal == len(members) and bijective
+            else f"pal:{pal},gav:{len(members)},bijective:{bijective}"
         )
         rows.append(CheckRow(n, expected, observed))
     return rows
@@ -403,8 +397,8 @@ def _check_es_signed(max_kj: int, jobs: int) -> list[CheckRow]:
                 continue
             inc, dec = _monotone_pair(k, j)
             bound = es_bound(k, j, signed=True)
-            extremal = gav_count(bound, [inc, dec])
-            above = gav_count(bound + 1, [inc, dec])
+            extremal = count_avoiders(bound, [inc, dec])
+            above = count_avoiders(bound + 1, [inc, dec])
             rows.append(
                 CheckRow(
                     bound,
@@ -431,12 +425,12 @@ def _check_symmetry(max_n: int, jobs: int) -> list[CheckRow]:
         symmetric_total = 0
         rc_ok = 0
         for patterns in subsets:
-            base = gav_count(n, patterns)
+            base = count_avoiders(n, patterns)
             for symmetry in DihedralSymmetry:
                 symmetric_total += 1
-                if gav_count(n, apply_symmetry_to_set(patterns, symmetry)) == base:
+                if count_avoiders(n, apply_symmetry_to_set(patterns, symmetry)) == base:
                     symmetric_ok += 1
-            if _windows(gav(n, rc_reduce(patterns))) == _windows(gav(n, patterns)):
+            if set(avoiders(n, rc_reduce(patterns))) == set(avoiders(n, patterns)):
                 rc_ok += 1
         expected = f"symmetric:{symmetric_total};rc-stable:{len(subsets)}"
         observed = f"symmetric:{symmetric_ok};rc-stable:{rc_ok}"
@@ -496,8 +490,8 @@ def _check_gl_basis(max_n: int, jobs: int) -> list[CheckRow]:
         names_bad = []
         sizes = []
         for name, patterns in _FEATURED_SETS.items():
-            reference = _windows(gav(n, patterns))
-            via_basis = _windows(classical_avoiders(n, bases[name]))
+            reference = set(avoiders(n, patterns))
+            via_basis = set(avoiders(n, bases[name]))
             sizes.append(len(reference))
             if reference != via_basis:
                 names_bad.append(name)
@@ -510,16 +504,11 @@ def _check_gl_basis(max_n: int, jobs: int) -> list[CheckRow]:
 def _check_grassmannian(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     for n in range(1, max_n + 1):
-        descents = {w.window for w in signed_permutations(n) if is_grassmannian(w)}
-        patterns = {
-            w.window for w in signed_permutations(n) if is_grassmannian_conjectured(w)
-        }
-        bidescents = {w.window for w in signed_permutations(n) if is_bigrassmannian(w)}
-        bipatterns = {
-            w.window
-            for w in signed_permutations(n)
-            if is_bigrassmannian_conjectured(w)
-        }
+        group = list(signed_permutations(n))
+        descents = {w.window for w in group if is_grassmannian(w)}
+        patterns = {w.window for w in group if is_grassmannian_conjectured(w)}
+        bidescents = {w.window for w in group if is_bigrassmannian(w)}
+        bipatterns = {w.window for w in group if is_bigrassmannian_conjectured(w)}
         expected, observed = _compare_sets(
             descents, {"global-patterns": patterns}
         )
@@ -534,7 +523,7 @@ def _check_smooth_count(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     for n in range(1, max_n + 1):
         expected = unsigned_avoider_count(n + 1, fixtures.SMOOTH_A_UNSIGNED)
-        observed = _gav_count_parallel(n, fixtures.SMOOTH_BC_GLOBAL, jobs)
+        observed = _count_exhaustive(n, fixtures.SMOOTH_BC_GLOBAL, jobs=jobs)
         rows.append(CheckRow(n, str(expected), str(observed)))
     return rows
 
@@ -542,8 +531,8 @@ def _check_smooth_count(max_n: int, jobs: int) -> list[CheckRow]:
 def _check_gao_hanni(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     for n in range(1, max_n + 1):
-        left = _gav_count_parallel(n, fixtures.GAO_HANNI_LEFT, jobs)
-        right = _gav_count_parallel(n, fixtures.GAO_HANNI_RIGHT, jobs)
+        left = _count_exhaustive(n, fixtures.GAO_HANNI_LEFT, jobs=jobs)
+        right = _count_exhaustive(n, fixtures.GAO_HANNI_RIGHT, jobs=jobs)
         rows.append(CheckRow(n, str(left), str(right)))
     return rows
 
@@ -553,7 +542,7 @@ def _check_a115197(max_n: int, jobs: int) -> list[CheckRow]:
     cap = min(max_n, len(fixtures.A115197_PREFIX) - 1)
     for n in range(1, cap + 1):
         expected = fixtures.A115197_PREFIX[n]
-        observed = _gav_count_parallel(n, fixtures.SEPARABLE_GLOBAL, jobs)
+        observed = _count_exhaustive(n, fixtures.SEPARABLE_GLOBAL, jobs=jobs)
         rows.append(CheckRow(n, str(expected), str(observed)))
     return rows
 
@@ -570,7 +559,7 @@ def _uses_each_generator_at_most_twice(w: SignedPermutation) -> bool:
 def _check_two_boolean(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     for n in range(1, max_n + 1):
-        pattern_side = _windows(gav(n, fixtures.TWO_BOOLEAN_GLOBAL))
+        pattern_side = set(avoiders(n, fixtures.TWO_BOOLEAN_GLOBAL))
         word_side = {
             w.window
             for w in signed_permutations(n)
@@ -707,6 +696,8 @@ def run_check(check_id: str, max_n: int | None = None, jobs: int = 1) -> CheckRe
     except KeyError:
         raise UnknownCheckError(check_id) from None
     cap = check.max_n if max_n is None else max_n
+    if cap < 0:
+        raise ValueError(f"max_n {cap} is negative")
     if cap > MAX_SIGNED_SIZE:
         raise SizeCapExceededError(f"max_n {cap} exceeds cap {MAX_SIGNED_SIZE}")
     start = time.perf_counter()

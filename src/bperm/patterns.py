@@ -1,5 +1,5 @@
 """
-Pattern containment for signed permutations, and avoidance-class machinery.
+Pattern containment for signed permutations, and avoidance classes.
 
 Two notions of containment are implemented:
 
@@ -9,6 +9,11 @@ Two notions of containment are implemented:
 
 * *global* containment of an unsigned pattern p in w: an occurrence of p
   anywhere in the 2n-letter mirror word of w.
+
+The pattern type names the order: a set of `Permutation` patterns is avoided
+globally, a set of `SignedPermutation` patterns classically.  `avoiders` and
+`count_avoiders` answer "which (how many) windows of size n avoid P?" for
+either kind; a set mixing the two kinds is rejected.
 
 Global avoidance classes can always be rewritten as classical avoidance
 classes: `global_basis` computes, for a set P of unsigned patterns, the
@@ -24,7 +29,7 @@ entries by ",", e.g. "3,4,1,2;4,2,3,1" (unsigned) or "-2,1;-1,-2" (signed).
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     DihedralSymmetry,
@@ -150,68 +155,66 @@ def count_global_occurrences(w: SignedPermutation, p: Permutation) -> int:
     return count_word_occurrences(w.mirror_word(), p.oneline)
 
 
-def _unsigned_words(patterns: Iterable[Permutation]) -> tuple[tuple[int, ...], ...]:
-    return tuple(p.oneline for p in patterns)
-
-
-def _signed_words(patterns: Iterable[SignedPermutation]) -> tuple[tuple[int, ...], ...]:
-    return tuple(q.window for q in patterns)
-
-
-def gav(n: int, patterns: Iterable[Permutation]) -> Iterator[SignedPermutation]:
+def _containment_order(
+    patterns: Iterable[Permutation] | Iterable[SignedPermutation],
+) -> str:
     """
-    The signed permutations of size n globally avoiding every pattern,
-    streamed in lexicographic window order.
+    "global" for unsigned patterns (and the empty set), "classical" for
+    signed ones; a set mixing the two has no order.
     """
-    words = _unsigned_words(patterns)
-    for window in iter_windows(n):
-        mirror = mirror_of_window(window)
-        if not any(word_contains(mirror, p) for p in words):
-            yield SignedPermutation(window)
+    kinds = {type(p) for p in patterns}
+    if kinds <= {Permutation}:
+        return "global"
+    if kinds == {SignedPermutation}:
+        return "classical"
+    raise ValueError("a pattern set must be all unsigned or all signed patterns")
 
 
-def classical_avoiders(
-    n: int, patterns: Iterable[SignedPermutation]
-) -> Iterator[SignedPermutation]:
-    """The signed permutations of size n classically avoiding every pattern."""
-    words = _signed_words(patterns)
-    for window in iter_windows(n):
-        if not any(signed_word_contains(window, q) for q in words):
-            yield SignedPermutation(window)
+def _avoidance_test(
+    patterns: Iterable[Permutation] | Iterable[SignedPermutation],
+) -> Callable[[Sequence[int]], bool]:
+    """
+    A test telling whether a window avoids every pattern.  The pattern type
+    picks the order once per call, never per window: unsigned patterns are
+    sought in the window's mirror word, signed ones in the window itself.
+    """
+    patterns = tuple(patterns)
+    if _containment_order(patterns) == "global":
+        words = tuple(p.oneline for p in patterns)
+
+        def avoids_globally(window: Sequence[int]) -> bool:
+            mirror = mirror_of_window(window)
+            return not any(word_contains(mirror, p) for p in words)
+
+        return avoids_globally
+    signed_words = tuple(q.window for q in patterns)
+
+    def avoids_classically(window: Sequence[int]) -> bool:
+        return not any(signed_word_contains(window, q) for q in signed_words)
+
+    return avoids_classically
+
+
+def avoiders(
+    n: int,
+    patterns: Iterable[Permutation] | Iterable[SignedPermutation],
+    first: int | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """
+    Windows of size n avoiding every pattern, in lexicographic order:
+    globally for unsigned patterns, classically for signed ones.  With
+    `first`, only windows starting with that entry (one parallel branch).
+    """
+    return filter(_avoidance_test(patterns), iter_windows(n, first=first))
 
 
 def count_avoiders(
     n: int,
-    pattern_words: Sequence[Sequence[int]],
-    mode: str = "global",
+    patterns: Iterable[Permutation] | Iterable[SignedPermutation],
     first: int | None = None,
 ) -> int:
-    """
-    Count avoiders among windows of size n, optionally restricted to a fixed
-    first window entry (the branch used to partition parallel counting).
-    """
-    if mode == "global":
-        count = 0
-        for window in iter_windows(n, first=first):
-            mirror = mirror_of_window(window)
-            if not any(word_contains(mirror, p) for p in pattern_words):
-                count += 1
-        return count
-    if mode == "classical":
-        count = 0
-        for window in iter_windows(n, first=first):
-            if not any(signed_word_contains(window, q) for q in pattern_words):
-                count += 1
-        return count
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def gav_count(n: int, patterns: Iterable[Permutation]) -> int:
-    return count_avoiders(n, _unsigned_words(patterns), mode="global")
-
-
-def classical_avoider_count(n: int, patterns: Iterable[SignedPermutation]) -> int:
-    return count_avoiders(n, _signed_words(patterns), mode="classical")
+    """Number of windows that `avoiders` yields for the same arguments."""
+    return sum(map(_avoidance_test(patterns), iter_windows(n, first=first)))
 
 
 def delete_window_entry(window: Sequence[int], index: int) -> tuple[int, ...]:
@@ -236,20 +239,21 @@ def global_basis(patterns: Iterable[Permutation]) -> tuple[SignedPermutation, ..
     decided by single-entry deletion, which is exactly one-step classical
     containment.  Output is ordered by size, then lexicographically.
     """
-    words = _unsigned_words(patterns)
-    if not words:
+    patterns = tuple(patterns)
+    if not patterns:
         raise ValueError("pattern set must be nonempty")
-    m = max(len(p) for p in words)
+    m = max(len(p.oneline) for p in patterns)
     if m > MAX_BASIS_PATTERN_SIZE:
         raise PatternTooLargeError(
             f"pattern size {m} exceeds basis cap {MAX_BASIS_PATTERN_SIZE}"
         )
-    members: set[tuple[int, ...]] = set()
-    for size in range(1, m + 1):
-        for window in iter_windows(size):
-            mirror = mirror_of_window(window)
-            if any(word_contains(mirror, p) for p in words):
-                members.add(window)
+    avoids = _avoidance_test(patterns)
+    members = {
+        window
+        for size in range(1, m + 1)
+        for window in iter_windows(size)
+        if not avoids(window)
+    }
     basis = []
     for window in sorted(members, key=lambda win: (len(win), win)):
         if all(
@@ -263,15 +267,6 @@ def apply_symmetry_to_set(
     patterns: Iterable[Permutation], symmetry: DihedralSymmetry
 ) -> frozenset[Permutation]:
     return frozenset(p.apply_symmetry(symmetry) for p in patterns)
-
-
-def symmetry_class_counts(
-    patterns: Iterable[Permutation], symmetry: DihedralSymmetry, n: int
-) -> tuple[int, int]:
-    """|GAV_n(P)| and |GAV_n(P^s)|; the dihedral action preserves the count."""
-    pats = tuple(patterns)
-    transformed = apply_symmetry_to_set(pats, symmetry)
-    return gav_count(n, pats), gav_count(n, transformed)
 
 
 def rc_reduce(patterns: Iterable[Permutation]) -> frozenset[Permutation]:

@@ -12,7 +12,7 @@ from bperm.classes import (
 from bperm.core import Permutation, SignedPermutation, signed_permutations
 from bperm.enumeration import palindromic_composition_count
 from bperm.harness import run_check
-from bperm.patterns import gav_count, global_contains
+from bperm.patterns import count_avoiders, global_contains
 
 JOBS = 2
 
@@ -126,7 +126,7 @@ def test_criterion_08_binomial_sums_and_palindromic_bijection():
         "pass",
     )
     ok = all(
-        gav_count(n, [Permutation((1, 3, 2))])
+        count_avoiders(n, [Permutation((1, 3, 2))])
         == palindromic_composition_count(2 * n)
         == 2**n
         for n in range(1, 7)

@@ -63,7 +63,7 @@ class TestCount:
         code, out = run_cli(capsys, "sequence", "--patterns", "3,2,1", "--n", "1..3")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0].startswith("# 3,2,1")
+        assert lines[0] == "# 3,2,1 (global, brute-force)"
         assert [line.split() for line in lines[1:]] == [
             ["1", "2"],
             ["2", "6"],
@@ -80,6 +80,19 @@ class TestCount:
         assert "3,2,1|global|3|20" in text
         code, second = run_cli(capsys, "count", "--patterns", "3,2,1", "--n", "1..3")
         assert second == first
+
+    def test_malformed_memo_lines_are_skipped_and_recomputed(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "memo.txt"
+        cache.write_text("garbage\n3,2,1|global|1|2\n3,2,1|global|2|notanint\n")
+        monkeypatch.setenv("BPERM_CACHE", str(cache))
+        code = main(["count", "--patterns", "3,2,1", "--n", "1..3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "n,count\n1,2\n2,6\n3,20\n"
+        assert captured.err.count("\n") == 1 and "skipped 2 malformed line(s)" in captured.err
+        assert cache.read_text() == "3,2,1|global|1|2\n3,2,1|global|2|6\n3,2,1|global|3|20\n"
 
 
 class TestListBasisTableaux:
@@ -177,6 +190,31 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             main(["count", "--patterns", "3,2,1"])  # missing --n
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--patterns", "3,2,1", "--n", "1..3"],
+            ["sequence", "--patterns", "3,2,1", "--n", "1..3"],
+            ["verify", "--check", "thm-free", "--max-n", "2"],
+        ],
+    )
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, argv, jobs):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--jobs", jobs])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err == f"bperm: --jobs must be at least 1, not {jobs}\n"
+
+    def test_negative_max_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--check", "thm-free", "--max-n", "-3"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err == "bperm: max_n -3 is negative\n"
 
     def test_bad_range_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -17,7 +17,7 @@ from bperm.enumeration import (
     store_cache,
     unsigned_avoider_count,
 )
-from bperm.patterns import gav, gav_count, parse_unsigned_patterns
+from bperm.patterns import avoiders, count_avoiders, parse_unsigned_patterns
 from bperm.tableaux import domino_count, syt_count
 
 
@@ -57,8 +57,8 @@ class TestFibLike:
 class TestCountFormulas:
     def test_increasing_example(self):
         assert count_gav_132_and_increasing(2, 2) == 3
-        avoiders = {w.window for w in gav(2, parse_unsigned_patterns("1,3,2;1,2,3"))}
-        assert avoiders == {(1, -2), (-1, -2), (-2, -1)}
+        members = set(avoiders(2, parse_unsigned_patterns("1,3,2;1,2,3")))
+        assert members == {(1, -2), (-1, -2), (-2, -1)}
 
     def test_increasing_small_n_powers_of_two(self):
         for k in range(1, 8):
@@ -80,10 +80,10 @@ class TestCountFormulas:
         p132 = Permutation((1, 3, 2))
         for n in range(1, 6):
             for k in range(1, 5):
-                brute_inc = gav_count(n, [p132, monotone_up(k + 1)])
+                brute_inc = count_avoiders(n, [p132, monotone_up(k + 1)])
                 assert count_gav_132_and_increasing(n, k) == brute_inc
             for k in range(1, 6):
-                brute_dec = gav_count(n, [p132, monotone_down(k + 1)])
+                brute_dec = count_avoiders(n, [p132, monotone_down(k + 1)])
                 assert count_gav_132_and_decreasing(n, k) == brute_dec
 
 
@@ -144,13 +144,13 @@ class TestErdosSzekeres:
         for k, j in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (3, 2), (2, 3)]:
             patterns = [monotone_up(k + 1), monotone_down(j + 1)]
             bound = es_bound(k, j, signed=True)
-            count = gav_count(bound, patterns)
+            count = count_avoiders(bound, patterns)
             assert count == es_extremal_count(k, j, signed=True)
-            assert gav_count(bound + 1, patterns) == 0
+            assert count_avoiders(bound + 1, patterns) == 0
 
     def test_signed_two_by_two_avoiders(self):
-        avoiders = {w.window for w in gav(2, [monotone_up(3), monotone_down(3)])}
-        assert avoiders == {(2, 1), (2, -1), (-2, 1), (-2, -1)}
+        members = set(avoiders(2, [monotone_up(3), monotone_down(3)]))
+        assert members == {(2, 1), (2, -1), (-2, 1), (-2, -1)}
         assert domino_count((2, 2)) == 2
 
 
@@ -158,7 +158,6 @@ class TestSequenceEngine:
     def test_central_binomial_values(self):
         table = sequence([Permutation((3, 2, 1))], range(1, 5))
         assert table.counts() == (2, 6, 20, 70)
-        assert table.provenance == "brute-force"
 
     def test_trivial_decreasing_mirror(self):
         table = sequence([Permutation((1, 2))], range(1, 4))
@@ -178,7 +177,7 @@ class TestSequenceEngine:
     def test_classical_mode(self):
         from bperm import fixtures
 
-        table = sequence(fixtures.VEXILLARY_CLASSICAL, range(1, 5), mode="classical")
+        table = sequence(fixtures.VEXILLARY_CLASSICAL, range(1, 5))
         global_table = sequence(fixtures.VEXILLARY_GLOBAL, range(1, 5))
         assert table.counts() == global_table.counts()
 

@@ -96,6 +96,8 @@ class TestRunCheck:
     def test_size_cap(self):
         with pytest.raises(SizeCapExceededError):
             run_check("thm-vexillary", 9)
+        with pytest.raises(ValueError):
+            run_check("thm-vexillary", -1)
 
     def test_max_n_zero_is_vacuous_pass(self):
         report = run_check("thm-vexillary", 0)

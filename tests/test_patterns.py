@@ -1,4 +1,5 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,21 +12,21 @@ from bperm.core import (
     rank_word,
     signed_permutations,
 )
+from bperm.enumeration import sequence
 from bperm.patterns import (
     PatternTooLargeError,
-    classical_avoiders,
+    apply_symmetry_to_set,
+    avoiders,
     classical_contains,
+    count_avoiders,
     count_global_occurrences,
     delete_window_entry,
     format_pattern_set,
-    gav,
-    gav_count,
     global_basis,
     global_contains,
     parse_signed_patterns,
     parse_unsigned_patterns,
     rc_reduce,
-    symmetry_class_counts,
     unsigned_contains,
     word_contains,
 )
@@ -149,7 +150,7 @@ class TestGlobalContains:
         # If p is contained in q, avoiding p is harder than avoiding q.
         smaller = [Permutation(w) for k in (2, 3) for w in permutations(range(1, k + 1))]
         larger = [Permutation(w) for k in (3, 4) for w in permutations(range(1, k + 1))]
-        classes = {q: set(gav(3, [q])) for q in smaller + larger}
+        classes = {q: set(avoiders(3, [q])) for q in smaller + larger}
         for p in smaller:
             for q in larger:
                 if p.size < q.size and unsigned_contains(q, p):
@@ -172,36 +173,109 @@ class TestOccurrenceCounting:
 
 class TestGav:
     def test_gav_132_at_size_two(self):
-        avoiders = list(gav(2, [Permutation((1, 3, 2))]))
-        assert {w.window for w in avoiders} == {(1, 2), (1, -2), (-1, -2), (-2, -1)}
-        assert gav_count(2, [Permutation((1, 3, 2))]) == 4
+        members = set(avoiders(2, [Permutation((1, 3, 2))]))
+        assert members == {(1, 2), (1, -2), (-1, -2), (-2, -1)}
+        assert count_avoiders(2, [Permutation((1, 3, 2))]) == 4
 
     def test_gav_321_count(self):
-        assert gav_count(3, [Permutation((3, 2, 1))]) == 20
+        assert count_avoiders(3, [Permutation((3, 2, 1))]) == 20
 
     def test_gav_monotone_empty(self):
-        assert list(gav(1, parse_unsigned_patterns("1,2;2,1"))) == []
+        assert list(avoiders(1, parse_unsigned_patterns("1,2;2,1"))) == []
 
     def test_streams_in_lexicographic_order(self):
-        windows = [w.window for w in gav(3, [Permutation((3, 2, 1))])]
+        windows = list(avoiders(3, [Permutation((3, 2, 1))]))
         assert windows == sorted(windows)
 
     def test_gav_of_nothing_is_whole_group(self):
-        assert gav_count(3, []) == 48
+        assert count_avoiders(3, []) == 48
 
 
 class TestClassicalAvoiders:
     def test_positive_windows_only(self):
-        avoiders = list(classical_avoiders(1, [SignedPermutation((-1,))]))
-        assert [w.window for w in avoiders] == [(1,)]
+        assert list(avoiders(1, [SignedPermutation((-1,))])) == [(1,)]
 
     def test_empty_pattern_set(self):
-        assert sum(1 for _ in classical_avoiders(2, [])) == 8
+        assert sum(1 for _ in avoiders(2, [])) == 8
 
     def test_vexillary_classical_equals_global(self):
-        lhs = {w.window for w in classical_avoiders(4, fixtures.VEXILLARY_CLASSICAL)}
-        rhs = {w.window for w in gav(4, fixtures.VEXILLARY_GLOBAL)}
+        lhs = set(avoiders(4, fixtures.VEXILLARY_CLASSICAL))
+        rhs = set(avoiders(4, fixtures.VEXILLARY_GLOBAL))
         assert lhs == rhs
+
+
+def _rank(values):
+    order = sorted(values)
+    return tuple(order.index(v) + 1 for v in values)
+
+
+def avoiders_oracle(n, patterns):
+    """
+    Windows of size n avoiding every pattern, straight from the definitions
+    (itertools plus ranking, no bperm kernel): an unsigned pattern is sought
+    among the subsequences of the mirror word, a signed one among the
+    subsequences of the window, matching signs and ranked absolute values.
+    """
+
+    def contains(window, pattern):
+        if isinstance(pattern, Permutation):
+            mirror = tuple(-v for v in reversed(window)) + window
+            return any(
+                _rank(sub) == pattern.oneline
+                for sub in combinations(mirror, pattern.size)
+            )
+        return any(
+            all((v > 0) == (q > 0) for v, q in zip(sub, pattern.window))
+            and _rank([abs(v) for v in sub]) == _rank([abs(q) for q in pattern.window])
+            for sub in combinations(window, pattern.size)
+        )
+
+    group = {
+        tuple(sign * value for sign, value in zip(signs, values))
+        for values in permutations(range(1, n + 1))
+        for signs in product((1, -1), repeat=n)
+    }
+    return {w for w in group if not any(contains(w, p) for p in patterns)}
+
+
+@st.composite
+def pattern_sets(draw):
+    """Up to three patterns of size at most 3, all unsigned or all signed."""
+    signed = draw(st.booleans())
+    patterns = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        k = draw(st.integers(min_value=1, max_value=3))
+        values = draw(st.permutations(range(1, k + 1)))
+        if signed:
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+            patterns.append(SignedPermutation(tuple(s * v for s, v in zip(signs, values))))
+        else:
+            patterns.append(Permutation(tuple(values)))
+    return patterns
+
+
+class TestAvoidersOracle:
+    @given(patterns=pattern_sets(), n=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_in_both_orders(self, patterns, n):
+        expected = avoiders_oracle(n, patterns)
+        assert set(avoiders(n, patterns)) == expected
+        assert count_avoiders(n, patterns) == len(expected)
+        branches = [f for f in range(-n, n + 1) if f != 0]
+        assert sum(count_avoiders(n, patterns, first=f) for f in branches) == len(expected)
+
+    def test_empty_set_is_whole_group(self):
+        for n in range(5):
+            assert count_avoiders(n, []) == 2**n * factorial(n)
+
+    def test_mixed_types_rejected(self):
+        mixed = [Permutation((2, 1)), SignedPermutation((-1,))]
+        with pytest.raises(ValueError):
+            avoiders(2, mixed)
+        with pytest.raises(ValueError):
+            count_avoiders(2, mixed)
+        with pytest.raises(ValueError):
+            sequence(mixed, range(1, 3))
 
 
 class TestDeleteEntry:
@@ -266,9 +340,7 @@ class TestGlobalBasis:
         for patterns in featured:
             basis = global_basis(patterns)
             for n in range(6):
-                assert {w.window for w in gav(n, patterns)} == {
-                    w.window for w in classical_avoiders(n, basis)
-                }
+                assert set(avoiders(n, patterns)) == set(avoiders(n, basis))
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -280,9 +352,7 @@ class TestGlobalBasis:
             patterns.append(Permutation(tuple(data.draw(st.permutations(range(1, k + 1))))))
         basis = global_basis(patterns)
         for n in range(4):
-            assert {w.window for w in gav(n, patterns)} == {
-                w.window for w in classical_avoiders(n, basis)
-            }
+            assert set(avoiders(n, patterns)) == set(avoiders(n, basis))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -297,32 +367,29 @@ class TestSymmetries:
     def test_symmetry_class_counts_equal(self):
         pats = [Permutation((1, 3, 2))]
         for symmetry in DihedralSymmetry:
-            left, right = symmetry_class_counts(pats, symmetry, 3)
-            assert left == right
+            image = apply_symmetry_to_set(pats, symmetry)
+            assert count_avoiders(3, image) == count_avoiders(3, pats)
 
     def test_complement_of_12(self):
-        left, right = symmetry_class_counts(
-            [Permutation((1, 2))], DihedralSymmetry.COMPLEMENT, 2
-        )
-        assert (left, right) == (1, 1)
+        pats = [Permutation((1, 2))]
+        image = apply_symmetry_to_set(pats, DihedralSymmetry.COMPLEMENT)
+        assert (count_avoiders(2, pats), count_avoiders(2, image)) == (1, 1)
 
     def test_all_s3_s4_patterns_all_symmetries(self):
         patterns = [Permutation(p) for p in permutations((1, 2, 3))]
         patterns += [Permutation(p) for p in permutations((1, 2, 3, 4))]
         for n in range(1, 5):
             for p in patterns:
-                base = gav_count(n, [p])
+                base = count_avoiders(n, [p])
                 for symmetry in DihedralSymmetry:
-                    assert gav_count(n, [p.apply_symmetry(symmetry)]) == base
+                    assert count_avoiders(n, [p.apply_symmetry(symmetry)]) == base
 
     def test_rc_identified_sets_have_equal_classes(self):
         # 123 and its rc are literally equal; 132's rc is 213.
         p132 = Permutation((1, 3, 2))
         p213 = Permutation((2, 1, 3))
         for n in range(4):
-            assert {w.window for w in gav(n, [p132])} == {
-                w.window for w in gav(n, [p213, p132])
-            }
+            assert set(avoiders(n, [p132])) == set(avoiders(n, [p213, p132]))
 
 
 class TestRcReduce:
@@ -342,9 +409,7 @@ class TestRcReduce:
         patterns = parse_unsigned_patterns("2,3,1;3,1,2;2,1,4,3")
         reduced = rc_reduce(patterns)
         for n in range(5):
-            assert {w.window for w in gav(n, patterns)} == {
-                w.window for w in gav(n, reduced)
-            }
+            assert set(avoiders(n, patterns)) == set(avoiders(n, reduced))
 
 
 class TestTextGrammar:
