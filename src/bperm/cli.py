@@ -33,7 +33,7 @@ from .classes import (
     is_vexillary,
 )
 from .core import Permutation, SignedPermutation, signed_permutations
-from .enumeration import sequence as count_sequence
+from .enumeration import MAX_SIGNED_SIZE, sequence as count_sequence
 from .harness import CHECKS, any_theorem_failed, run_all, run_check
 from .patterns import (
     count_global_occurrences,
@@ -92,6 +92,8 @@ def _cmd_count(args: argparse.Namespace, table_output: bool) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    if not 0 <= args.n <= MAX_SIGNED_SIZE:
+        raise ValueError(f"--n must be between 0 and {MAX_SIGNED_SIZE}, not {args.n}")
     predicate = PROPERTIES[args.property]
     for w in signed_permutations(args.n):
         if predicate(w):

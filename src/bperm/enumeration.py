@@ -169,8 +169,8 @@ def normalized_pattern_key(pattern_words: Iterable[Sequence[int]]) -> str:
 def load_cache(path: str) -> dict[str, int]:
     """
     Read a memo file of "patterns|order|n|count" lines.  Malformed lines are
-    skipped with one warning on stderr, so their counts are recomputed and
-    the next write drops them.
+    skipped with one warning on stderr and dropped from the file at once, so
+    their counts are recomputed and later reads do not warn again.
     """
     cache: dict[str, int] = {}
     skipped = 0
@@ -189,6 +189,7 @@ def load_cache(path: str) -> dict[str, int]:
         pass
     if skipped:
         print(f"bperm: memo {path}: skipped {skipped} malformed line(s)", file=sys.stderr)
+        store_cache(path, cache)
     return cache
 
 

@@ -5,15 +5,11 @@ The classical pattern lists below are the published characterizations of the
 corresponding families of signed permutations; they are stored verbatim in
 the shared text grammar so that tests can compare them against the bases
 computed by `global_basis` instead of trusting either side.
-
-FIXTURE_VERSION bumps whenever any constant here changes.
 """
 from __future__ import annotations
 
 from .core import Permutation
 from .patterns import parse_signed_patterns, parse_unsigned_patterns
-
-FIXTURE_VERSION = 1
 
 # Classical signed patterns characterizing vexillary signed permutations
 # (Billey-Lam); the matching global description is the single pattern 2143.
@@ -180,5 +176,3 @@ GAO_HANNI_RIGHT = parse_unsigned_patterns("1,2,3,4")
 
 PATTERN_2143 = Permutation((2, 1, 4, 3))
 PATTERN_132 = Permutation((1, 3, 2))
-PATTERN_321 = Permutation((3, 2, 1))
-PATTERN_123 = Permutation((1, 2, 3))

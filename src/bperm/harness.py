@@ -7,12 +7,19 @@ proved statements and report pass/fail; ids starting with "conj-" or "oq-"
 monitor conjectures and open questions and report conjecture-holds or
 conjecture-fails.  A conjecture failure is news, not an error: only theorem
 failures make the command-line `verify` exit nonzero.
+
+Rows come from shared builders: `_set_row` (a reference set against named
+alternates), `_basis_row`, `_count_rows` (a reference count against a global
+class's exhaustive count) and `_formula_row` (a closed form against brute
+force); `_check_family` and `_check_es` each serve several checks.  The
+builders share only the row format: each compared route is computed apart.
 """
 from __future__ import annotations
 
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations as iter_permutations
 from math import comb
 from typing import Callable, Iterable, Sequence
@@ -120,18 +127,48 @@ class Check:
         return "conjecture" if self.id.startswith(("conj-", "oq-")) else "theorem"
 
 
-def _compare_sets(
-    reference: set, alternates: dict[str, set]
-) -> tuple[str, str]:
-    """Expected/observed strings that differ exactly when some set differs."""
+def _set_row(n: int, reference: set, alternates: dict[str, set]) -> CheckRow:
+    """A row whose expected and observed differ exactly when some set differs."""
     expected = str(len(reference))
     bad = {name: s for name, s in alternates.items() if s != reference}
     if not bad:
-        return expected, expected
+        return CheckRow(n, expected, expected)
     detail = ",".join(
         f"{name}:{len(s)}(delta={len(s ^ reference)})" for name, s in bad.items()
     )
-    return expected, f"{expected} mismatch[{detail}]"
+    return CheckRow(n, expected, f"{expected} mismatch[{detail}]")
+
+
+def _members(
+    n: int, predicate: Callable[[SignedPermutation], bool]
+) -> set[tuple[int, ...]]:
+    """Windows of the size-n elements that satisfy `predicate`."""
+    return {w.window for w in signed_permutations(n) if predicate(w)}
+
+
+def _increasing(m: int) -> Permutation:
+    return Permutation(tuple(range(1, m + 1)))
+
+
+def _decreasing(m: int) -> Permutation:
+    return Permutation(tuple(range(m, 0, -1)))
+
+
+def _labelled(label: str, values: Iterable[int]) -> str:
+    return f"{label}=" + ",".join(map(str, values))
+
+
+def _count_rows(
+    max_n: int,
+    jobs: int,
+    expected: Callable[[int], int],
+    patterns: Sequence[Permutation],
+) -> list[CheckRow]:
+    """Per size 1..max_n, a reference count against the global class's count."""
+    return [
+        CheckRow(n, str(expected(n)), str(_count_exhaustive(n, patterns, jobs=jobs)))
+        for n in range(1, max_n + 1)
+    ]
 
 
 def _canonical_pattern_text(patterns: Sequence[SignedPermutation]) -> str:
@@ -144,78 +181,53 @@ def _basis_row(
     return CheckRow(0, _canonical_pattern_text(reference), _canonical_pattern_text(computed))
 
 
-def _three_way_rows(
-    max_n: int,
+def _check_family(
     global_patterns: Sequence[Permutation],
     classical_patterns: Sequence[SignedPermutation],
-    structural: Callable[[SignedPermutation], bool] | None,
-    structural_name: str = "structural",
-) -> tuple[list[CheckRow], list[set[tuple[int, ...]]]]:
-    """The rows, and the global class of each size 1..max_n they compared."""
+    structural: Callable[[SignedPermutation], bool],
+    structural_name: str,
+    max_n: int,
+    jobs: int,
+) -> list[CheckRow]:
+    """A family's global class = its classical list = its structural criterion."""
     rows = [_basis_row(classical_patterns, global_basis(global_patterns))]
-    references = []
     for n in range(1, max_n + 1):
         reference = set(avoiders(n, global_patterns))
-        alternates = {"classical": set(avoiders(n, classical_patterns))}
-        if structural is not None:
-            alternates[structural_name] = {
-                w.window for w in signed_permutations(n) if structural(w)
-            }
-        expected, observed = _compare_sets(reference, alternates)
-        rows.append(CheckRow(n, expected, observed))
-        references.append(reference)
-    return rows, references
+        alternates = {
+            "classical": set(avoiders(n, classical_patterns)),
+            structural_name: _members(n, structural),
+        }
+        rows.append(_set_row(n, reference, alternates))
+    return rows
 
 
 def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
-    rows, references = _three_way_rows(
-        max_n, fixtures.VEXILLARY_GLOBAL, fixtures.VEXILLARY_CLASSICAL, None
-    )
-    for n, reference in enumerate(references, start=1):
+    # Vexillarity has no structural criterion; its two predicate routes are
+    # compared with the global class in rows of their own.
+    rows = [_basis_row(fixtures.VEXILLARY_CLASSICAL, global_basis(fixtures.VEXILLARY_GLOBAL))]
+    predicate_rows = []
+    for n in range(1, max_n + 1):
+        reference = set(avoiders(n, fixtures.VEXILLARY_GLOBAL))
+        classical = set(avoiders(n, fixtures.VEXILLARY_CLASSICAL))
+        rows.append(_set_row(n, reference, {"classical": classical}))
         via_predicates = {
-            "predicate-global": {
-                w.window for w in signed_permutations(n) if is_vexillary(w)
-            },
-            "predicate-classical": {
-                w.window
-                for w in signed_permutations(n)
-                if is_vexillary(w, Method.CLASSICAL)
-            },
+            "predicate-global": _members(n, is_vexillary),
+            "predicate-classical": _members(
+                n, lambda w: is_vexillary(w, Method.CLASSICAL)
+            ),
         }
-        expected, observed = _compare_sets(reference, via_predicates)
-        rows.append(CheckRow(n, expected, observed))
-    return rows
-
-
-def _check_boolean(max_n: int, jobs: int) -> list[CheckRow]:
-    rows, _ = _three_way_rows(
-        max_n,
-        fixtures.BOOLEAN_GLOBAL,
-        fixtures.BOOLEAN_CLASSICAL,
-        lambda w: is_boolean(w, Method.STRUCTURAL),
-        structural_name="reduced-words",
-    )
-    return rows
-
-
-def _check_free(max_n: int, jobs: int) -> list[CheckRow]:
-    rows, _ = _three_way_rows(
-        max_n,
-        fixtures.FREE_GLOBAL,
-        fixtures.FREE_CLASSICAL,
-        lambda w: is_free(w, Method.STRUCTURAL),
-        structural_name="support",
-    )
-    return rows
+        predicate_rows.append(_set_row(n, reference, via_predicates))
+    return rows + predicate_rows
 
 
 def _check_smooth_bc(max_n: int, jobs: int) -> list[CheckRow]:
-    rows, _ = _three_way_rows(
-        max_n,
+    rows = _check_family(
         fixtures.SMOOTH_BC_GLOBAL,
         fixtures.SMOOTH_BC_CLASSICAL,
         lambda w: is_smooth_BC(w, Method.STRUCTURAL),
-        structural_name="B-and-C",
+        "B-and-C",
+        max_n,
+        jobs,
     )
     # Smoothness in one type alone does not persist: each witness below is
     # smooth on one side yet globally contains a forbidden pattern.
@@ -237,12 +249,10 @@ def _check_smooth_bc(max_n: int, jobs: int) -> list[CheckRow]:
 
 def _check_central_binomial(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
-    increasing = Permutation((1, 2, 3))
-    decreasing = Permutation((3, 2, 1))
     for n in range(1, max_n + 1):
         expected = str(comb(2 * n, n))
-        c_dec = _count_exhaustive(n, [decreasing], jobs=jobs)
-        c_inc = _count_exhaustive(n, [increasing], jobs=jobs)
+        c_dec = _count_exhaustive(n, [_decreasing(3)], jobs=jobs)
+        c_inc = _count_exhaustive(n, [_increasing(3)], jobs=jobs)
         observed = str(c_dec) if c_dec == c_inc else f"321:{c_dec},123:{c_inc}"
         rows.append(CheckRow(n, expected, observed))
     for n in range(1, min(max_n, 5) + 1):
@@ -250,49 +260,29 @@ def _check_central_binomial(max_n: int, jobs: int) -> list[CheckRow]:
         counts = [
             domino_count((2 * n - k, k) if k else (2 * n,)) for k in range(n + 1)
         ]
-        expected = "B=" + ",".join(map(str, binomials)) + f";sum={comb(2 * n, n)}"
-        observed = "B=" + ",".join(map(str, counts)) + f";sum={sum(c * c for c in counts)}"
+        expected = _labelled("B", binomials) + f";sum={comb(2 * n, n)}"
+        observed = _labelled("B", counts) + f";sum={sum(c * c for c in counts)}"
         rows.append(CheckRow(n, expected, observed))
     return rows
 
 
 def _check_greene_counts(max_n: int, jobs: int) -> list[CheckRow]:
+    # Avoiding 12..(k+1) bounds a shape's first row by k; avoiding
+    # (j+1)..1 bounds its number of rows by j.
+    sides = (("rows", _increasing, lambda shape: shape[0]), ("cols", _decreasing, len))
     rows = []
     for n in range(1, max_n + 1):
         shapes = [
             shape for shape in partitions(2 * n) if is_domino_tileable(shape)
         ]
         by_shape = {shape: domino_count(shape) for shape in shapes}
-        row_counts = []
-        row_sums = []
-        for k in range(1, 2 * n + 1):
-            pattern = Permutation(tuple(range(1, k + 2)))
-            row_counts.append(count_avoiders(n, [pattern]))
-            row_sums.append(
-                sum(c * c for shape, c in by_shape.items() if shape[0] <= k)
-            )
-        col_counts = []
-        col_sums = []
-        for j in range(1, 2 * n + 1):
-            pattern = Permutation(tuple(range(j + 1, 0, -1)))
-            col_counts.append(count_avoiders(n, [pattern]))
-            col_sums.append(
-                sum(c * c for shape, c in by_shape.items() if len(shape) <= j)
-            )
-        rows.append(
-            CheckRow(
-                n,
-                "rows=" + ",".join(map(str, row_sums)),
-                "rows=" + ",".join(map(str, row_counts)),
-            )
-        )
-        rows.append(
-            CheckRow(
-                n,
-                "cols=" + ",".join(map(str, col_sums)),
-                "cols=" + ",".join(map(str, col_counts)),
-            )
-        )
+        for label, monotone, extent in sides:
+            counts = [count_avoiders(n, [monotone(k + 1)]) for k in range(1, 2 * n + 1)]
+            sums = [
+                sum(c * c for shape, c in by_shape.items() if extent(shape) <= k)
+                for k in range(1, 2 * n + 1)
+            ]
+            rows.append(CheckRow(n, _labelled(label, sums), _labelled(label, counts)))
     return rows
 
 
@@ -302,27 +292,26 @@ def _closed_form(k: int, n: int) -> int:
     return 2**n - 2 ** (n - k // 2 - 1)
 
 
+def _formula_row(
+    n: int,
+    formula: Callable[[int, int], int],
+    monotone: Callable[[int], Permutation],
+    ks: range,
+) -> CheckRow:
+    """formula(n, k) against a brute-force count of {132, monotone(k+1)}."""
+    formulas = [formula(n, k) for k in ks]
+    brutes = [count_avoiders(n, [fixtures.PATTERN_132, monotone(k + 1)]) for k in ks]
+    return CheckRow(n, _labelled("formula", formulas), _labelled("formula", brutes))
+
+
 def _check_fib_like(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     for k in range(1, 11):
         expected = ",".join(str(_closed_form(k, i - k - 1)) for i in range(k + 1, 2 * k + 1))
         observed = ",".join(str(fib_like(k, i)) for i in range(k + 1, 2 * k + 1))
         rows.append(CheckRow(k, f"k={k}:{expected}", f"k={k}:{observed}"))
-    pattern_132 = fixtures.PATTERN_132
     for n in range(1, max_n + 1):
-        formulas = []
-        brutes = []
-        for k in range(1, 5):
-            monotone = Permutation(tuple(range(1, k + 2)))
-            formulas.append(count_gav_132_and_increasing(n, k))
-            brutes.append(count_avoiders(n, [pattern_132, monotone]))
-        rows.append(
-            CheckRow(
-                n,
-                "formula=" + ",".join(map(str, formulas)),
-                "formula=" + ",".join(map(str, brutes)),
-            )
-        )
+        rows.append(_formula_row(n, count_gav_132_and_increasing, _increasing, range(1, 5)))
     fib_expected = "2,3,5,8,13,21"
     fib_observed = ",".join(str(count_gav_132_and_increasing(n, 2)) for n in range(1, 7))
     rows.append(CheckRow(6, fib_expected, fib_observed))
@@ -331,23 +320,12 @@ def _check_fib_like(max_n: int, jobs: int) -> list[CheckRow]:
 
 def _check_binomial_sum(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
-    pattern_132 = fixtures.PATTERN_132
     for n in range(1, max_n + 1):
-        formulas = []
-        brutes = []
-        for k in range(1, 6):
-            monotone = Permutation(tuple(range(k + 1, 0, -1)))
-            formulas.append(count_gav_132_and_decreasing(n, k))
-            brutes.append(count_avoiders(n, [pattern_132, monotone]))
-        rows.append(
-            CheckRow(
-                n,
-                "formula=" + ",".join(map(str, formulas)),
-                "formula=" + ",".join(map(str, brutes)),
-            )
-        )
+        rows.append(_formula_row(n, count_gav_132_and_decreasing, _decreasing, range(1, 6)))
         pal = palindromic_composition_count(2 * n)
-        members = [SignedPermutation(window) for window in avoiders(n, [pattern_132])]
+        members = [
+            SignedPermutation(window) for window in avoiders(n, [fixtures.PATTERN_132])
+        ]
         compositions = {signed_composition(w) for w in members}
         bijective = len(compositions) == len(members) and all(
             comp == tuple(reversed(comp)) for comp in compositions
@@ -362,63 +340,27 @@ def _check_binomial_sum(max_n: int, jobs: int) -> list[CheckRow]:
     return rows
 
 
-def _monotone_pair(k: int, j: int) -> tuple[Permutation, Permutation]:
-    return (
-        Permutation(tuple(range(1, k + 2))),
-        Permutation(tuple(range(j + 1, 0, -1))),
-    )
-
-
-def _check_es_unsigned(max_kj: int, jobs: int) -> list[CheckRow]:
+def _check_es(max_kj: int, jobs: int, signed: bool) -> list[CheckRow]:
+    """Extremal {12..(k+1), (j+1)..1}-avoiders at the Erdős–Szekeres bound, none above."""
+    count = count_avoiders if signed else unsigned_avoider_count
     rows = []
     for k in range(1, max_kj + 1):
-        for j in range(1, max_kj + 1):
-            if k * j > max_kj:
-                continue
-            inc, dec = _monotone_pair(k, j)
-            bound = es_bound(k, j, signed=False)
-            extremal = unsigned_avoider_count(bound, [inc, dec])
-            above = unsigned_avoider_count(bound + 1, [inc, dec])
+        for j in range(1, max_kj // k + 1):
+            patterns = [_increasing(k + 1), _decreasing(j + 1)]
+            bound = es_bound(k, j, signed=signed)
             rows.append(
                 CheckRow(
                     bound,
-                    f"k={k},j={j}:{es_extremal_count(k, j, signed=False)};0",
-                    f"k={k},j={j}:{extremal};{above}",
+                    f"k={k},j={j}:{es_extremal_count(k, j, signed=signed)};0",
+                    f"k={k},j={j}:{count(bound, patterns)};{count(bound + 1, patterns)}",
                 )
             )
     return rows
-
-
-def _check_es_signed(max_kj: int, jobs: int) -> list[CheckRow]:
-    rows = []
-    for k in range(1, max_kj + 1):
-        for j in range(1, max_kj + 1):
-            if k * j > max_kj:
-                continue
-            inc, dec = _monotone_pair(k, j)
-            bound = es_bound(k, j, signed=True)
-            extremal = count_avoiders(bound, [inc, dec])
-            above = count_avoiders(bound + 1, [inc, dec])
-            rows.append(
-                CheckRow(
-                    bound,
-                    f"k={k},j={j}:{es_extremal_count(k, j, signed=True)};0",
-                    f"k={k},j={j}:{extremal};{above}",
-                )
-            )
-    return rows
-
-
-def _subsets_of_s3() -> list[tuple[Permutation, ...]]:
-    s3 = [Permutation(p) for p in iter_permutations((1, 2, 3))]
-    subsets = []
-    for r in range(1, len(s3) + 1):
-        subsets.extend(combinations(s3, r))
-    return subsets
 
 
 def _check_symmetry(max_n: int, jobs: int) -> list[CheckRow]:
-    subsets = _subsets_of_s3()
+    s3 = [Permutation(p) for p in iter_permutations((1, 2, 3))]
+    subsets = [subset for r in range(1, len(s3) + 1) for subset in combinations(s3, r)]
     rows = []
     for n in range(1, max_n + 1):
         symmetric_ok = 0
@@ -509,42 +451,27 @@ def _check_grassmannian(max_n: int, jobs: int) -> list[CheckRow]:
         patterns = {w.window for w in group if is_grassmannian_conjectured(w)}
         bidescents = {w.window for w in group if is_bigrassmannian(w)}
         bipatterns = {w.window for w in group if is_bigrassmannian_conjectured(w)}
-        expected, observed = _compare_sets(
-            descents, {"global-patterns": patterns}
-        )
-        b_expected, b_observed = _compare_sets(
-            bidescents, {"global-patterns": bipatterns}
-        )
-        rows.append(CheckRow(n, f"gr:{expected};bigr:{b_expected}", f"gr:{observed};bigr:{b_observed}"))
+        gr = _set_row(n, descents, {"global-patterns": patterns})
+        bigr = _set_row(n, bidescents, {"global-patterns": bipatterns})
+        expected = f"gr:{gr.expected};bigr:{bigr.expected}"
+        rows.append(CheckRow(n, expected, f"gr:{gr.observed};bigr:{bigr.observed}"))
     return rows
 
 
 def _check_smooth_count(max_n: int, jobs: int) -> list[CheckRow]:
-    rows = []
-    for n in range(1, max_n + 1):
-        expected = unsigned_avoider_count(n + 1, fixtures.SMOOTH_A_UNSIGNED)
-        observed = _count_exhaustive(n, fixtures.SMOOTH_BC_GLOBAL, jobs=jobs)
-        rows.append(CheckRow(n, str(expected), str(observed)))
-    return rows
+    expected = lambda n: unsigned_avoider_count(n + 1, fixtures.SMOOTH_A_UNSIGNED)
+    return _count_rows(max_n, jobs, expected, fixtures.SMOOTH_BC_GLOBAL)
 
 
 def _check_gao_hanni(max_n: int, jobs: int) -> list[CheckRow]:
-    rows = []
-    for n in range(1, max_n + 1):
-        left = _count_exhaustive(n, fixtures.GAO_HANNI_LEFT, jobs=jobs)
-        right = _count_exhaustive(n, fixtures.GAO_HANNI_RIGHT, jobs=jobs)
-        rows.append(CheckRow(n, str(left), str(right)))
-    return rows
+    expected = lambda n: _count_exhaustive(n, fixtures.GAO_HANNI_LEFT, jobs=jobs)
+    return _count_rows(max_n, jobs, expected, fixtures.GAO_HANNI_RIGHT)
 
 
 def _check_a115197(max_n: int, jobs: int) -> list[CheckRow]:
-    rows = []
+    # The stored prefix bounds the sizes compared, whatever max_n asks for.
     cap = min(max_n, len(fixtures.A115197_PREFIX) - 1)
-    for n in range(1, cap + 1):
-        expected = fixtures.A115197_PREFIX[n]
-        observed = _count_exhaustive(n, fixtures.SEPARABLE_GLOBAL, jobs=jobs)
-        rows.append(CheckRow(n, str(expected), str(observed)))
-    return rows
+    return _count_rows(cap, jobs, fixtures.A115197_PREFIX.__getitem__, fixtures.SEPARABLE_GLOBAL)
 
 
 def _uses_each_generator_at_most_twice(w: SignedPermutation) -> bool:
@@ -560,13 +487,8 @@ def _check_two_boolean(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     for n in range(1, max_n + 1):
         pattern_side = set(avoiders(n, fixtures.TWO_BOOLEAN_GLOBAL))
-        word_side = {
-            w.window
-            for w in signed_permutations(n)
-            if _uses_each_generator_at_most_twice(w)
-        }
-        expected, observed = _compare_sets(word_side, {"global-patterns": pattern_side})
-        rows.append(CheckRow(n, expected, observed))
+        word_side = _members(n, _uses_each_generator_at_most_twice)
+        rows.append(_set_row(n, word_side, {"global-patterns": pattern_side}))
     return rows
 
 
@@ -583,13 +505,25 @@ CHECKS: dict[str, Check] = {
             "thm-boolean",
             "global {321,3412} = classical 10-list = distinct-letter reduced words",
             4,
-            _check_boolean,
+            partial(
+                _check_family,
+                fixtures.BOOLEAN_GLOBAL,
+                fixtures.BOOLEAN_CLASSICAL,
+                lambda w: is_boolean(w, Method.STRUCTURAL),
+                "reduced-words",
+            ),
         ),
         Check(
             "thm-free",
             "global {231,312,321} = classical 8-list = sparse support",
             5,
-            _check_free,
+            partial(
+                _check_family,
+                fixtures.FREE_GLOBAL,
+                fixtures.FREE_CLASSICAL,
+                lambda w: is_free(w, Method.STRUCTURAL),
+                "support",
+            ),
         ),
         Check(
             "thm-smooth-bc",
@@ -625,13 +559,13 @@ CHECKS: dict[str, Check] = {
             "prop-es-unsigned",
             "extremal monotone avoiders in S_kj counted by squared rectangle tableaux",
             6,
-            _check_es_unsigned,
+            partial(_check_es, signed=False),
         ),
         Check(
             "prop-es-signed",
             "extremal monotone global avoiders counted by squared domino tableaux",
             6,
-            _check_es_signed,
+            partial(_check_es, signed=True),
         ),
         Check(
             "lemma-symmetry",
@@ -698,10 +632,12 @@ def run_check(check_id: str, max_n: int | None = None, jobs: int = 1) -> CheckRe
     cap = check.max_n if max_n is None else max_n
     if cap < 0:
         raise ValueError(f"max_n {cap} is negative")
+    if cap == 0:
+        raise ValueError("max_n 0 checks nothing")
     if cap > MAX_SIGNED_SIZE:
         raise SizeCapExceededError(f"max_n {cap} exceeds cap {MAX_SIGNED_SIZE}")
     start = time.perf_counter()
-    rows = tuple(check.run(cap, jobs)) if cap > 0 else ()
+    rows = tuple(check.run(cap, jobs))
     millis = int((time.perf_counter() - start) * 1000)
     holds = all(row.expected == row.observed for row in rows)
     if check.kind == "theorem":

@@ -92,7 +92,18 @@ class TestCount:
         assert code == 0
         assert captured.out == "n,count\n1,2\n2,6\n3,20\n"
         assert captured.err.count("\n") == 1 and "skipped 2 malformed line(s)" in captured.err
-        assert cache.read_text() == "3,2,1|global|1|2\n3,2,1|global|2|6\n3,2,1|global|3|20\n"
+        memo = "3,2,1|global|1|2\n3,2,1|global|2|6\n3,2,1|global|3|20\n"
+        assert cache.read_text() == memo
+        # With every requested count present the bad line still goes at once,
+        # so the run after it warns nothing.
+        cache.write_text(memo + "garbage\n")
+        for warnings in (1, 0):
+            code = main(["count", "--patterns", "3,2,1", "--n", "1..3"])
+            captured = capsys.readouterr()
+            assert code == 0
+            assert captured.out == "n,count\n1,2\n2,6\n3,20\n"
+            assert captured.err.count("\n") == warnings
+            assert cache.read_text() == memo
 
 
 class TestListBasisTableaux:
@@ -100,6 +111,15 @@ class TestListBasisTableaux:
         code, out = run_cli(capsys, "list", "--property", "free", "--n", "2")
         assert code == 0
         assert out.splitlines() == ["-1,2", "1,2", "2,1"]
+
+    @pytest.mark.parametrize("n", ["-1", "9"])
+    def test_list_size_out_of_range_is_usage_error(self, capsys, n):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["list", "--property", "free", "--n", n])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err == f"bperm: --n must be between 0 and 8, not {n}\n"
 
     def test_basis_output(self, capsys):
         code, out = run_cli(capsys, "basis", "--patterns", "2,1,4,3")
@@ -215,6 +235,15 @@ class TestVerify:
         assert excinfo.value.code == 2
         assert captured.out == ""
         assert captured.err == "bperm: max_n -3 is negative\n"
+
+    @pytest.mark.parametrize("argv", [["verify"], ["verify", "--check", "thm-free"]])
+    def test_max_n_zero_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--max-n", "0"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err == "bperm: max_n 0 checks nothing\n"
 
     def test_bad_range_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,15 @@ from bperm.harness import (
     run_all,
     run_check,
 )
+
+# Every check's status and rows from run_all(3).  Reshaping the harness code
+# must leave them as they are, so any change to a row shows up here.
+ROW_SNAPSHOT = Path(__file__).with_name("verify_rows_max_n_3.json")
+
+
+@pytest.fixture(scope="module")
+def desk_reports():
+    return run_all(3)
 
 
 class TestRegistry:
@@ -99,10 +109,10 @@ class TestRunCheck:
         with pytest.raises(ValueError):
             run_check("thm-vexillary", -1)
 
-    def test_max_n_zero_is_vacuous_pass(self):
-        report = run_check("thm-vexillary", 0)
-        assert report.status == "pass"
-        assert report.rows == ()
+    def test_max_n_zero_is_rejected(self):
+        # A check that compared no size has shown nothing, so it may not pass.
+        with pytest.raises(ValueError, match="max_n 0 checks nothing"):
+            run_check("thm-vexillary", 0)
 
     def test_failing_status_requires_mismatching_row(self):
         for check_id in CHECKS:
@@ -126,16 +136,25 @@ class TestRunAll:
         assert [r.check for r in reports] == sorted(CHECKS)
         assert all(r.max_n <= 2 for r in reports)
 
-    def test_no_theorem_failures_at_desk_scale(self):
-        reports = run_all(3)
-        theorem_reports = [r for r in reports if CHECKS[r.check].kind == "theorem"]
+    def test_no_theorem_failures_at_desk_scale(self, desk_reports):
+        theorem_reports = [r for r in desk_reports if CHECKS[r.check].kind == "theorem"]
         assert all(r.status == "pass" for r in theorem_reports)
-        assert not any_theorem_failed(reports)
+        assert not any_theorem_failed(desk_reports)
 
-    def test_max_n_zero_vacuous(self):
-        reports = run_all(0)
-        assert all(r.status in ("pass", "conjecture-holds") for r in reports)
-        assert all(r.rows == () for r in reports)
+    def test_rows_match_snapshot(self, desk_reports):
+        snapshot = json.loads(ROW_SNAPSHOT.read_text(encoding="utf-8"))
+        observed = {
+            r.check: {
+                "status": r.status,
+                "rows": [[row.n, row.expected, row.observed] for row in r.rows],
+            }
+            for r in desk_reports
+        }
+        assert observed == snapshot
+
+    def test_max_n_zero_is_rejected(self):
+        with pytest.raises(ValueError, match="max_n 0 checks nothing"):
+            run_all(0)
 
     def test_id_filter(self):
         reports = run_all(2, ids=["thm-free", "oq-a115197"])
