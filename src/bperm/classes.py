@@ -53,7 +53,7 @@ def _avoids(
 def is_vexillary(w: SignedPermutation, method: Method = Method.GLOBAL) -> bool:
     """Vexillary signed permutations: no global 2143, equivalently the 9-pattern list."""
     if method is Method.GLOBAL:
-        return not global_contains(w, fixtures.PATTERN_2143)
+        return _avoids(w, fixtures.VEXILLARY_GLOBAL)
     if method is Method.CLASSICAL:
         return _avoids(w, fixtures.VEXILLARY_CLASSICAL)
     raise UnsupportedMethodError("vexillarity has no structural criterion here")

@@ -4,9 +4,9 @@ Closed-form counting formulas and the exhaustive counting engine.
 `sequence` counts avoiders size by size with `patterns.count_avoiders`, so
 the pattern type picks the containment order (unsigned: global, signed:
 classical).  Work is partitioned over the 2n possible first window entries,
-so it can fan out to a process pool and still merge deterministically (the
-merge is an integer sum).  An optional on-disk memo keyed by normalized
-pattern set, order, and size caches counts between runs.
+so from size 5 it can fan out to a process pool and still merge
+deterministically (an integer sum).  An optional on-disk memo keyed by
+normalized pattern set, order, and size caches counts between runs.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -26,6 +26,9 @@ from .tableaux import domino_count, syt_count
 
 MAX_SIGNED_SIZE = 8
 MAX_UNSIGNED_SIZE = 9
+# Starting a 2-process pool takes 11-20 ms, more than a whole count below size 5
+# ({321}: 6 ms at n=4); from n=5 it breaks even or wins ({3412,4231}: 135 -> 103 ms).
+POOL_MIN_SIZE = 5
 
 
 class SizeCapExceededError(ValueError):
@@ -149,10 +152,14 @@ def _count_exhaustive(
     patterns: Sequence[Permutation] | Sequence[SignedPermutation],
     jobs: int = 1,
 ) -> int:
+    """
+    Size-n avoider count, one branch per first entry: serial when jobs <= 1
+    or n < POOL_MIN_SIZE, otherwise on a pool of up to `jobs` processes.
+    """
     if n == 0:
         return count_avoiders(0, patterns)
     tasks = [(n, patterns, first) for first in range(-n, n + 1) if first != 0]
-    if jobs <= 1:
+    if jobs <= 1 or n < POOL_MIN_SIZE:
         return sum(_branch_count(task) for task in tasks)
     with Pool(processes=min(jobs, len(tasks))) as pool:
         return sum(pool.map(_branch_count, tasks))
@@ -196,15 +203,18 @@ def load_cache(path: str) -> dict[str, int]:
 
 
 def store_cache(path: str, cache: dict[str, int]) -> None:
-    """Rewrite the memo file atomically (temp file + rename); ValueError if it cannot."""
+    """Rewrite the memo file atomically, keeping its mode; ValueError if it cannot."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = None
     try:
         os.makedirs(directory, exist_ok=True)
+        os.umask(umask := os.umask(0))  # read the umask: a new memo gets 0o666 less it
+        mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".bperm-cache-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             for key in sorted(cache):
                 handle.write(f"{key}|{cache[key]}\n")
+        os.chmod(tmp_path, mode)
         os.replace(tmp_path, path)
     except OSError as exc:
         raise ValueError(

@@ -174,5 +174,4 @@ A115197_PREFIX = (1, 2, 6, 22, 90, 394, 1806, 8558, 41586)
 GAO_HANNI_LEFT = parse_unsigned_patterns("2,1,4,3")
 GAO_HANNI_RIGHT = parse_unsigned_patterns("1,2,3,4")
 
-PATTERN_2143 = Permutation((2, 1, 4, 3))
 PATTERN_132 = Permutation((1, 3, 2))

@@ -10,9 +10,11 @@ failures make the command-line `verify` exit nonzero.
 
 Rows come from shared builders: `_set_row` (a reference set against named
 alternates), `_basis_row`, `_count_rows` (a reference count against a global
-class's exhaustive count) and `_formula_row` (a closed form against brute
-force); `_check_family` and `_check_es` each serve several checks.  The
-builders share only the row format: each compared route is computed apart.
+class's count) and `_formula_row` (a closed form against brute force);
+`_check_family` and `_check_es` each serve several checks.  The builders
+share only the row format: each compared route is computed apart.  Every
+signed count goes through `enumeration._count_exhaustive`, which alone picks
+serial or pool; `lemma-symmetry` reads a per-size table of classes.
 """
 from __future__ import annotations
 
@@ -62,7 +64,6 @@ from .patterns import (
     apply_symmetry_to_set,
     avoiders,
     classical_contains,
-    count_avoiders,
     format_pattern_set,
     global_basis,
     global_contains,
@@ -272,15 +273,13 @@ def _check_greene_counts(max_n: int, jobs: int) -> list[CheckRow]:
     sides = (("rows", _increasing, lambda shape: shape[0]), ("cols", _decreasing, len))
     rows = []
     for n in range(1, max_n + 1):
-        shapes = [
-            shape for shape in partitions(2 * n) if is_domino_tileable(shape)
-        ]
-        by_shape = {shape: domino_count(shape) for shape in shapes}
+        by_shape = {s: domino_count(s) for s in partitions(2 * n) if is_domino_tileable(s)}
+        ks = range(1, 2 * n + 1)
         for label, monotone, extent in sides:
-            counts = [count_avoiders(n, [monotone(k + 1)]) for k in range(1, 2 * n + 1)]
+            counts = [_count_exhaustive(n, [monotone(k + 1)], jobs=jobs) for k in ks]
             sums = [
                 sum(c * c for shape, c in by_shape.items() if extent(shape) <= k)
-                for k in range(1, 2 * n + 1)
+                for k in ks
             ]
             rows.append(CheckRow(n, _labelled(label, sums), _labelled(label, counts)))
     return rows
@@ -294,13 +293,16 @@ def _closed_form(k: int, n: int) -> int:
 
 def _formula_row(
     n: int,
+    jobs: int,
     formula: Callable[[int, int], int],
     monotone: Callable[[int], Permutation],
     ks: range,
 ) -> CheckRow:
     """formula(n, k) against a brute-force count of {132, monotone(k+1)}."""
     formulas = [formula(n, k) for k in ks]
-    brutes = [count_avoiders(n, [fixtures.PATTERN_132, monotone(k + 1)]) for k in ks]
+    brutes = [
+        _count_exhaustive(n, [fixtures.PATTERN_132, monotone(k + 1)], jobs=jobs) for k in ks
+    ]
     return CheckRow(n, _labelled("formula", formulas), _labelled("formula", brutes))
 
 
@@ -311,7 +313,7 @@ def _check_fib_like(max_n: int, jobs: int) -> list[CheckRow]:
         observed = ",".join(str(fib_like(k, i)) for i in range(k + 1, 2 * k + 1))
         rows.append(CheckRow(k, f"k={k}:{expected}", f"k={k}:{observed}"))
     for n in range(1, max_n + 1):
-        rows.append(_formula_row(n, count_gav_132_and_increasing, _increasing, range(1, 5)))
+        rows.append(_formula_row(n, jobs, count_gav_132_and_increasing, _increasing, range(1, 5)))
     fib_expected = "2,3,5,8,13,21"
     fib_observed = ",".join(str(count_gav_132_and_increasing(n, 2)) for n in range(1, 7))
     rows.append(CheckRow(6, fib_expected, fib_observed))
@@ -321,7 +323,7 @@ def _check_fib_like(max_n: int, jobs: int) -> list[CheckRow]:
 def _check_binomial_sum(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     for n in range(1, max_n + 1):
-        rows.append(_formula_row(n, count_gav_132_and_decreasing, _decreasing, range(1, 6)))
+        rows.append(_formula_row(n, jobs, count_gav_132_and_decreasing, _decreasing, range(1, 6)))
         pal = palindromic_composition_count(2 * n)
         members = [
             SignedPermutation(window) for window in avoiders(n, [fixtures.PATTERN_132])
@@ -342,41 +344,33 @@ def _check_binomial_sum(max_n: int, jobs: int) -> list[CheckRow]:
 
 def _check_es(max_kj: int, jobs: int, signed: bool) -> list[CheckRow]:
     """Extremal {12..(k+1), (j+1)..1}-avoiders at the Erdős–Szekeres bound, none above."""
-    count = count_avoiders if signed else unsigned_avoider_count
+    count = partial(_count_exhaustive, jobs=jobs) if signed else unsigned_avoider_count
     rows = []
     for k in range(1, max_kj + 1):
         for j in range(1, max_kj // k + 1):
             patterns = [_increasing(k + 1), _decreasing(j + 1)]
             bound = es_bound(k, j, signed=signed)
-            rows.append(
-                CheckRow(
-                    bound,
-                    f"k={k},j={j}:{es_extremal_count(k, j, signed=signed)};0",
-                    f"k={k},j={j}:{count(bound, patterns)};{count(bound + 1, patterns)}",
-                )
-            )
+            extremal = es_extremal_count(k, j, signed=signed)
+            observed = f"{count(bound, patterns)};{count(bound + 1, patterns)}"
+            rows.append(CheckRow(bound, f"k={k},j={j}:{extremal};0", f"k={k},j={j}:{observed}"))
     return rows
 
 
 def _check_symmetry(max_n: int, jobs: int) -> list[CheckRow]:
     s3 = [Permutation(p) for p in iter_permutations((1, 2, 3))]
-    subsets = [subset for r in range(1, len(s3) + 1) for subset in combinations(s3, r)]
+    subsets = [frozenset(c) for r in range(1, len(s3) + 1) for c in combinations(s3, r)]
+    expected = f"symmetric:{len(subsets) * len(DihedralSymmetry)};rc-stable:{len(subsets)}"
     rows = []
     for n in range(1, max_n + 1):
-        symmetric_ok = 0
-        symmetric_total = 0
-        rc_ok = 0
-        for patterns in subsets:
-            base = count_avoiders(n, patterns)
-            for symmetry in DihedralSymmetry:
-                symmetric_total += 1
-                if count_avoiders(n, apply_symmetry_to_set(patterns, symmetry)) == base:
-                    symmetric_ok += 1
-            if set(avoiders(n, rc_reduce(patterns))) == set(avoiders(n, patterns)):
-                rc_ok += 1
-        expected = f"symmetric:{symmetric_total};rc-stable:{len(subsets)}"
-        observed = f"symmetric:{symmetric_ok};rc-stable:{rc_ok}"
-        rows.append(CheckRow(n, expected, observed))
+        # Each symmetric image and rc-reduction of a subset is again a subset, so
+        # each side of a comparison is the class computed from its own pattern set.
+        classes = {p: set(avoiders(n, p)) for p in subsets}
+        symmetric_ok = sum(
+            len(classes[apply_symmetry_to_set(p, symmetry)]) == len(classes[p])
+            for p in subsets for symmetry in DihedralSymmetry
+        )
+        rc_ok = sum(classes[rc_reduce(p)] == classes[p] for p in subsets)
+        rows.append(CheckRow(n, expected, f"symmetric:{symmetric_ok};rc-stable:{rc_ok}"))
     return rows
 
 

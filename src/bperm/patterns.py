@@ -189,16 +189,13 @@ def _avoidance_test(
 
 
 def avoiders(
-    n: int,
-    patterns: Iterable[Permutation] | Iterable[SignedPermutation],
-    first: int | None = None,
+    n: int, patterns: Iterable[Permutation] | Iterable[SignedPermutation]
 ) -> Iterator[tuple[int, ...]]:
     """
     Windows of size n avoiding every pattern, in lexicographic order:
-    globally for unsigned patterns, classically for signed ones.  With
-    `first`, only windows starting with that entry (one parallel branch).
+    globally for unsigned patterns, classically for signed ones.
     """
-    return filter(_avoidance_test(patterns), iter_windows(n, first=first))
+    return filter(_avoidance_test(patterns), iter_windows(n))
 
 
 def count_avoiders(
@@ -206,7 +203,7 @@ def count_avoiders(
     patterns: Iterable[Permutation] | Iterable[SignedPermutation],
     first: int | None = None,
 ) -> int:
-    """Number of windows that `avoiders` yields for the same arguments."""
+    """Number of windows `avoiders` yields; with `first`, of those starting with it."""
     return sum(map(_avoidance_test(patterns), iter_windows(n, first=first)))
 
 

@@ -53,9 +53,9 @@ class TestCount:
         assert out == "n,count\n1,1\n2,2\n3,6\n"
 
     def test_jobs_flag_matches_serial(self, capsys):
-        _, serial = run_cli(capsys, "count", "--patterns", "1,3,2", "--n", "1..4")
+        _, serial = run_cli(capsys, "count", "--patterns", "1,3,2", "--n", "1..5")
         _, parallel = run_cli(
-            capsys, "count", "--patterns", "1,3,2", "--n", "1..4", "--jobs", "2"
+            capsys, "count", "--patterns", "1,3,2", "--n", "1..5", "--jobs", "2"
         )
         assert serial == parallel
 

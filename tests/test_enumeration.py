@@ -1,10 +1,14 @@
+import os
+import stat
 from math import comb
 
 import pytest
 
+from bperm import enumeration
 from bperm.core import Permutation
 from bperm.enumeration import (
     SizeCapExceededError,
+    _count_exhaustive,
     count_gav_132_and_decreasing,
     count_gav_132_and_increasing,
     es_bound,
@@ -170,9 +174,33 @@ class TestSequenceEngine:
 
     def test_deterministic_across_worker_counts(self):
         patterns = parse_unsigned_patterns("1,3,2")
-        serial = sequence(patterns, range(0, 5), jobs=1)
-        parallel = sequence(patterns, range(0, 5), jobs=2)
+        serial = sequence(patterns, range(0, 6), jobs=1)
+        parallel = sequence(patterns, range(0, 6), jobs=2)
         assert serial.rows == parallel.rows
+
+    def test_pool_starts_only_from_size_five(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, function, tasks):
+                return list(map(function, tasks))
+
+        monkeypatch.setattr(enumeration, "Pool", RecordingPool)
+        patterns = [Permutation((3, 2, 1))]
+        assert _count_exhaustive(4, patterns, jobs=2) == 70
+        assert _count_exhaustive(5, patterns, jobs=1) == 252
+        assert started == []
+        assert _count_exhaustive(5, patterns, jobs=2) == 252
+        assert started == [2]
 
     def test_classical_mode(self):
         from bperm import fixtures
@@ -216,6 +244,25 @@ class TestMemoCache:
         path = str(tmp_path / "counts.txt")
         store_cache(path, {"a|global|1": 1})
         assert [p.name for p in tmp_path.iterdir()] == ["counts.txt"]
+
+    def test_rewrite_keeps_the_file_mode(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        store_cache(str(path), {"a|global|1": 1})
+        path.chmod(0o604)
+        store_cache(str(path), {"a|global|1": 1, "a|global|2": 2})
+        assert stat.S_IMODE(path.stat().st_mode) == 0o604
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=oct
+    )
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "counts.txt"
+        previous = os.umask(umask)
+        try:
+            store_cache(str(path), {"a|global|1": 1})
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
     def test_unwritable_path_names_the_memo_and_leaves_no_temp_files(self, tmp_path):
         plain = tmp_path / "plain"

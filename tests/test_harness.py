@@ -123,11 +123,15 @@ class TestRunCheck:
             else:
                 assert not mismatches
 
-    def test_jobs_do_not_change_report(self):
-        serial = run_check("thm-central-binomial", 4, jobs=1)
-        parallel = run_check("thm-central-binomial", 4, jobs=2)
+    @pytest.mark.parametrize(
+        "check_id", ["thm-central-binomial", "thm-fib-like", "thm-binomial-sum"]
+    )
+    def test_jobs_do_not_change_report(self, check_id):
+        # Size 5 is the first that `_count_exhaustive` sends to the pool.
+        serial = run_check(check_id, 5, jobs=1)
+        parallel = run_check(check_id, 5, jobs=2)
         assert serial.rows == parallel.rows
-        assert serial.status == parallel.status
+        assert serial.status == parallel.status == "pass"
 
 
 class TestRunAll:
