@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 MAX_WINDOW_SIZE = 16
 MAX_ONELINE_SIZE = 2 * MAX_WINDOW_SIZE
@@ -111,39 +111,51 @@ def window_apply_generator(window: Sequence[int], i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def iter_windows(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
+def iter_windows(
+    n: int,
+    first: int | None = None,
+    keep: Callable[[list[int]], bool] | None = None,
+) -> Iterator[tuple[int, ...]]:
     """
     All signed-permutation windows of size n, in lexicographic order.
 
     With `first`, only windows whose first entry is that value; the 2n choices
     of first entry partition the group into equal-size branches.
+
+    With `keep`, a prefix that `keep` rejects is not extended: `keep` is asked
+    about each prefix, the whole window included, and must not hold on to the
+    list it is given (the walk reuses it).  This equals filtering the windows
+    by `keep` only when `keep` is closed under prefixes, i.e. rejects every
+    extension of a prefix it rejects, as avoiding a pattern is in both
+    containment orders.
     """
-    if n == 0:
-        yield ()
-        return
     used = [False] * (n + 1)
-    window = [0] * n
+    prefix: list[int] = []
 
     def rec(depth: int) -> Iterator[tuple[int, ...]]:
         if depth == n:
-            yield tuple(window)
+            yield tuple(prefix)
             return
         for v in range(-n, n + 1):
             if v == 0 or used[abs(v)]:
                 continue
-            used[abs(v)] = True
-            window[depth] = v
-            yield from rec(depth + 1)
-            used[abs(v)] = False
+            prefix.append(v)
+            if keep is None or keep(prefix):
+                used[abs(v)] = True
+                yield from rec(depth + 1)
+                used[abs(v)] = False
+            prefix.pop()
 
-    if first is None:
+    if n == 0:
+        if keep is None or keep(prefix):
+            yield ()
+    elif first is None:
         yield from rec(0)
-    else:
-        if first == 0 or abs(first) > n:
-            return
-        used[abs(first)] = True
-        window[0] = first
-        yield from rec(1)
+    elif first != 0 and abs(first) <= n:
+        prefix.append(first)
+        if keep is None or keep(prefix):
+            used[abs(first)] = True
+            yield from rec(1)
 
 
 def window_reduced_word(window: Sequence[int]) -> tuple[int, ...]:

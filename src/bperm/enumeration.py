@@ -3,10 +3,11 @@ Closed-form counting formulas and the exhaustive counting engine.
 
 `sequence` counts avoiders size by size with `patterns.count_avoiders`, so
 the pattern type picks the containment order (unsigned: global, signed:
-classical).  Work is partitioned over the 2n possible first window entries,
-so from size 5 it can fan out to a process pool and still merge
-deterministically (an integer sum).  An optional on-disk memo keyed by
-normalized pattern set, order, and size caches counts between runs.
+classical), and only prefixes that avoid every pattern are extended.  Work
+is partitioned over the 2n possible first window entries, one pruned subtree
+each (of unequal sizes), so from size 5 it can fan out to a process pool and
+still merge deterministically (an integer sum).  An optional on-disk memo
+keyed by normalized pattern set, order, and size caches counts between runs.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -26,8 +27,9 @@ from .tableaux import domino_count, syt_count
 
 MAX_SIGNED_SIZE = 8
 MAX_UNSIGNED_SIZE = 9
-# Starting a 2-process pool takes 11-20 ms, more than a whole count below size 5
-# ({321}: 6 ms at n=4); from n=5 it breaks even or wins ({3412,4231}: 135 -> 103 ms).
+# Starting a 2-process pool takes 11-20 ms, more than a whole count below size 5.
+# At n=5 the pool wins on dense classes ({3412,4231}: 121 -> 91 ms) and loses on
+# the sparsest ({132,123}: 10 -> 25 ms); at n=6, {321} takes 256 -> 174 ms.
 POOL_MIN_SIZE = 5
 
 

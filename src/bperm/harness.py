@@ -617,7 +617,8 @@ def run_check(check_id: str, max_n: int | None = None, jobs: int = 1) -> CheckRe
     """
     Run one registered check across sizes 1..max_n.  Mismatches are recorded,
     never raised; theorem checks report pass/fail and conjecture checks
-    report conjecture-holds/conjecture-fails.
+    report conjecture-holds/conjecture-fails.  A check that raises fails with
+    one row naming the exception; a bad id or max_n still raises.
     """
     try:
         check = CHECKS[check_id]
@@ -631,7 +632,10 @@ def run_check(check_id: str, max_n: int | None = None, jobs: int = 1) -> CheckRe
     if cap > MAX_SIGNED_SIZE:
         raise SizeCapExceededError(f"max_n {cap} exceeds cap {MAX_SIGNED_SIZE}")
     start = time.perf_counter()
-    rows = tuple(check.run(cap, jobs))
+    try:
+        rows = tuple(check.run(cap, jobs))
+    except Exception as exc:  # a crashing check is a failed check, not bad input
+        rows = (CheckRow(cap, "no error", f"{type(exc).__name__}: {exc}"),)
     millis = int((time.perf_counter() - start) * 1000)
     holds = all(row.expected == row.observed for row in rows)
     if check.kind == "theorem":

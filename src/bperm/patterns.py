@@ -13,7 +13,10 @@ Two notions of containment are implemented:
 The pattern type names the order: a set of `Permutation` patterns is avoided
 globally, a set of `SignedPermutation` patterns classically.  `avoiders` and
 `count_avoiders` answer "which (how many) windows of size n avoid P?" for
-either kind; a set mixing the two kinds is rejected.
+either kind; a set mixing the two kinds is rejected.  Both walk window
+prefixes depth first and test each prefix: a prefix is a classical pattern of
+every window extending it, and its mirror word is the middle factor of theirs,
+so a prefix that contains a pattern is dropped with all its extensions.
 
 Global avoidance classes can always be rewritten as classical avoidance
 classes: `global_basis` computes, for a set P of unsigned patterns, the
@@ -193,9 +196,11 @@ def avoiders(
 ) -> Iterator[tuple[int, ...]]:
     """
     Windows of size n avoiding every pattern, in lexicographic order:
-    globally for unsigned patterns, classically for signed ones.
+    globally for unsigned patterns, classically for signed ones.  Avoidance
+    is closed under prefixes, so a prefix that contains a pattern is never
+    extended.
     """
-    return filter(_avoidance_test(patterns), iter_windows(n))
+    return iter_windows(n, keep=_avoidance_test(patterns))
 
 
 def count_avoiders(
@@ -204,7 +209,7 @@ def count_avoiders(
     first: int | None = None,
 ) -> int:
     """Number of windows `avoiders` yields; with `first`, of those starting with it."""
-    return sum(map(_avoidance_test(patterns), iter_windows(n, first=first)))
+    return sum(1 for _ in iter_windows(n, first=first, keep=_avoidance_test(patterns)))
 
 
 def delete_window_entry(window: Sequence[int], index: int) -> tuple[int, ...]:

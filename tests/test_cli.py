@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -246,6 +247,28 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "expected 0, observed 1" in out
+
+    def test_crashing_check_fails_and_the_others_still_run(self, capsys, monkeypatch):
+        # The exception is a ValueError, which the CLI otherwise reports as a
+        # usage error (exit 2) with every other check's report lost.
+        from bperm.classes import NotColayeredError
+        from bperm.harness import CHECKS
+
+        def crash(max_n, jobs):
+            raise NotColayeredError("3,1,4,2 is not colayered")
+
+        crashing = replace(CHECKS["thm-binomial-sum"], run=crash)
+        monkeypatch.setitem(CHECKS, crashing.id, crashing)
+        code, out = run_cli(capsys, "verify", "--max-n", "2", "--format", "json")
+        assert code == 1
+        reports = {report["check"]: report for report in json.loads(out)}
+        assert sorted(reports) == sorted(CHECKS)
+        assert {check for check, report in reports.items() if report["status"] == "fail"} == {
+            "thm-binomial-sum"
+        }
+        assert reports["thm-binomial-sum"]["rows"][-1]["observed"] == (
+            "NotColayeredError: 3,1,4,2 is not colayered"
+        )
 
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from bperm.classes import NotColayeredError
 from bperm.enumeration import SizeCapExceededError
 from bperm.harness import (
     CHECKS,
@@ -113,6 +115,22 @@ class TestRunCheck:
         # A check that compared no size has shown nothing, so it may not pass.
         with pytest.raises(ValueError, match="max_n 0 checks nothing"):
             run_check("thm-vexillary", 0)
+
+    @pytest.mark.parametrize(
+        "check_id, status", [("thm-binomial-sum", "fail"), ("oq-a115197", "conjecture-fails")]
+    )
+    def test_crashing_check_fails_with_a_row_naming_the_error(
+        self, monkeypatch, check_id, status
+    ):
+        def crash(max_n, jobs):
+            raise NotColayeredError("3,1,4,2 is not colayered")
+
+        monkeypatch.setitem(CHECKS, check_id, replace(CHECKS[check_id], run=crash))
+        report = run_check(check_id, 3)
+        assert report.status == status
+        assert report.max_n == 3
+        assert report.rows[-1].expected == "no error"
+        assert report.rows[-1].observed == "NotColayeredError: 3,1,4,2 is not colayered"
 
     def test_failing_status_requires_mismatching_row(self):
         for check_id in CHECKS:

@@ -1,0 +1,133 @@
+"""
+Planted bugs, one per case, each failing a pinned set of checks.
+
+The harness compares independent routes: global patterns, classical lists
+and structural criteria.  If two compared routes ran through the function a
+bug is planted in, they would agree by construction and the check comparing
+them would go on passing.  Each case replaces one function in every bperm
+module that binds it, runs the registry at max_n 3 and pins exactly which
+checks fail: a check that stops failing has lost an independent route, and
+one that starts failing has gained a dependency.
+"""
+import sys
+
+import pytest
+
+from bperm import core, patterns
+from bperm.core import DihedralSymmetry, Permutation
+from bperm.harness import run_all
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Rebind each bperm module name bound to `original`; return how many."""
+    rebound = 0
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "bperm" or name.startswith("bperm.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+                rebound += 1
+    return rebound
+
+
+def _word_contains_ignoring_last_letter(monkeypatch):
+    original = patterns.word_contains
+    return _patch_everywhere(
+        monkeypatch, original, lambda word, pattern: original(word[:-1], pattern)
+    )
+
+
+def _mirror_without_reversal(monkeypatch):
+    return _patch_everywhere(
+        monkeypatch,
+        core.mirror_of_window,
+        lambda window: tuple(-v for v in window) + tuple(window),
+    )
+
+
+def _signed_kernel_ignoring_signs(monkeypatch):
+    original = patterns.signed_word_contains
+    return _patch_everywhere(
+        monkeypatch,
+        original,
+        lambda window, pattern: original([abs(v) for v in window], [abs(v) for v in pattern]),
+    )
+
+
+def _deletion_without_reranking(monkeypatch):
+    return _patch_everywhere(
+        monkeypatch,
+        patterns.delete_window_entry,
+        lambda window, index: tuple(v for i, v in enumerate(window) if i != index),
+    )
+
+
+def _reverse_sending_132_to_123(monkeypatch):
+    original = Permutation.apply_symmetry
+
+    def apply_symmetry(self, symmetry):
+        if symmetry is DihedralSymmetry.REVERSE and self.oneline == (1, 3, 2):
+            return Permutation((1, 2, 3))
+        return original(self, symmetry)
+
+    monkeypatch.setattr(Permutation, "apply_symmetry", apply_symmetry)
+    return 1
+
+
+def _rc_reduce_by_reverse(monkeypatch):
+    def rc_reduce(patterns_):
+        return frozenset(
+            min(p, Permutation(p.oneline[::-1]), key=lambda q: q.oneline) for p in patterns_
+        )
+
+    return _patch_everywhere(monkeypatch, patterns.rc_reduce, rc_reduce)
+
+
+# The checks that fail under no mutation at max_n 3.
+BASELINE = {"oq-two-boolean"}
+
+# The checks that both unsigned mutations below fail.  thm-binomial-sum fails
+# by raising: the broken kernel lets through a 132-avoider that is not colayered.
+_UNSIGNED = {
+    "conj-grassmannian", "conj-smooth-count", "lemma-symmetry", "oq-a115197",
+    "oq-gao-hanni", "thm-binomial-sum", "thm-boolean", "thm-central-binomial",
+    "thm-fib-like", "thm-free", "thm-greene-counts", "thm-smooth-bc", "thm-vexillary",
+}
+# The checks comparing a global class with a classical list or basis.
+_CLASSICAL = {"prop-gl-basis", "thm-boolean", "thm-free", "thm-smooth-bc", "thm-vexillary"}
+
+MUTATIONS = {
+    "word_contains ignores the last letter": (
+        _word_contains_ignoring_last_letter,
+        BASELINE | _UNSIGNED | {"prop-es-signed", "prop-es-unsigned"},
+    ),
+    "mirror word without reversal": (
+        _mirror_without_reversal,
+        BASELINE | _UNSIGNED | {"cor-iota"},
+    ),
+    "signed kernel ignores signs": (_signed_kernel_ignoring_signs, BASELINE | _CLASSICAL),
+    "entry deletion without re-ranking": (_deletion_without_reranking, BASELINE | _CLASSICAL),
+    "REVERSE sends 132 to 123": (_reverse_sending_132_to_123, BASELINE | {"lemma-symmetry"}),
+    "rc_reduce by reverse": (_rc_reduce_by_reverse, BASELINE | {"lemma-symmetry"}),
+}
+
+
+def failing_checks(reports):
+    return {report.check for report in reports if not report.ok()}
+
+
+def test_no_mutation_fails_only_the_baseline():
+    assert failing_checks(run_all(3)) == BASELINE
+
+
+@pytest.mark.parametrize("case", list(MUTATIONS))
+def test_planted_bug_fails_exactly_the_pinned_checks(case, monkeypatch):
+    install, failing = MUTATIONS[case]
+    assert install(monkeypatch) > 0
+    reports = {report.check: report for report in run_all(3)}
+    assert failing_checks(reports.values()) == failing
+    if case in ("word_contains ignores the last letter", "mirror word without reversal"):
+        # The check raised; it is reported as failed, not lost.
+        last = reports["thm-binomial-sum"].rows[-1]
+        assert last.observed.startswith("NotColayeredError: ")

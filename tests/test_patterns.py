@@ -1,3 +1,4 @@
+import functools
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -8,6 +9,7 @@ from bperm.core import (
     DihedralSymmetry,
     Permutation,
     SignedPermutation,
+    iter_windows,
     mirror_of_window,
     rank_word,
     signed_permutations,
@@ -233,42 +235,59 @@ def _rank(values):
     return tuple(order.index(v) + 1 for v in values)
 
 
-def avoiders_oracle(n, patterns):
-    """
-    Windows of size n avoiding every pattern, straight from the definitions
-    (itertools plus ranking, no bperm kernel): an unsigned pattern is sought
-    among the subsequences of the mirror word, a signed one among the
-    subsequences of the window, matching signs and ranked absolute values.
-    """
+def _signed_rank(values):
+    """A signed subsequence as a signed pattern: its signs on its ranked absolute values."""
+    ranks = _rank([abs(v) for v in values])
+    return tuple(r if v > 0 else -r for r, v in zip(ranks, values))
 
-    def contains(window, pattern):
-        if isinstance(pattern, Permutation):
-            mirror = tuple(-v for v in reversed(window)) + window
-            return any(
-                _rank(sub) == pattern.oneline
-                for sub in combinations(mirror, pattern.size)
-            )
-        return any(
-            all((v > 0) == (q > 0) for v, q in zip(sub, pattern.window))
-            and _rank([abs(v) for v in sub]) == _rank([abs(q) for q in pattern.window])
-            for sub in combinations(window, pattern.size)
-        )
 
-    group = {
+def _mirror(window):
+    return tuple(-v for v in reversed(window)) + tuple(window)
+
+
+def _patterns_in(window, k, signed):
+    """
+    The size-k patterns a window contains, straight from the definitions
+    (itertools plus ranking, no bperm kernel): unsigned ones among the
+    subsequences of the mirror word, signed ones among the subsequences of the
+    window, matching signs and ranked absolute values.
+    """
+    if signed:
+        return {_signed_rank(sub) for sub in combinations(window, k)}
+    return {_rank(sub) for sub in combinations(_mirror(window), k)}
+
+
+def _group(n):
+    return [
         tuple(sign * value for sign, value in zip(signs, values))
         for values in permutations(range(1, n + 1))
         for signs in product((1, -1), repeat=n)
-    }
-    return {w for w in group if not any(contains(w, p) for p in patterns)}
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _group_patterns(n, k, signed):
+    """For each window of size n, the size-k patterns it contains."""
+    return {w: frozenset(_patterns_in(w, k, signed)) for w in _group(n)}
+
+
+def avoiders_oracle(n, patterns):
+    """Windows of size n avoiding every pattern, by `_group_patterns`."""
+    words = [
+        (p.window, _group_patterns(n, p.size, True)) if isinstance(p, SignedPermutation)
+        else (p.oneline, _group_patterns(n, p.size, False))
+        for p in patterns
+    ]
+    return {w for w in _group(n) if not any(word in table[w] for word, table in words)}
 
 
 @st.composite
 def pattern_sets(draw):
-    """Up to three patterns of size at most 3, all unsigned or all signed."""
+    """Up to three patterns of size at most 4, all unsigned or all signed."""
     signed = draw(st.booleans())
     patterns = []
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        k = draw(st.integers(min_value=1, max_value=3))
+        k = draw(st.integers(min_value=1, max_value=4))
         values = draw(st.permutations(range(1, k + 1)))
         if signed:
             signs = draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
@@ -279,14 +298,15 @@ def pattern_sets(draw):
 
 
 class TestAvoidersOracle:
-    @given(patterns=pattern_sets(), n=st.integers(min_value=1, max_value=4))
+    @given(patterns=pattern_sets(), n=st.integers(min_value=0, max_value=5))
     @settings(max_examples=80, deadline=None)
     def test_matches_brute_force_in_both_orders(self, patterns, n):
         expected = avoiders_oracle(n, patterns)
-        assert set(avoiders(n, patterns)) == expected
+        assert list(avoiders(n, patterns)) == sorted(expected)
         assert count_avoiders(n, patterns) == len(expected)
-        branches = [f for f in range(-n, n + 1) if f != 0]
-        assert sum(count_avoiders(n, patterns, first=f) for f in branches) == len(expected)
+        if n:  # size 0 has no first entry to branch on
+            branches = [f for f in range(-n, n + 1) if f != 0]
+            assert sum(count_avoiders(n, patterns, first=f) for f in branches) == len(expected)
 
     def test_empty_set_is_whole_group(self):
         for n in range(5):
@@ -300,6 +320,27 @@ class TestAvoidersOracle:
             count_avoiders(2, mixed)
         with pytest.raises(ValueError):
             sequence(mixed, range(1, 3))
+
+
+class TestPrunedWalk:
+    """`iter_windows` with a prefix test walks exactly the windows a filter keeps."""
+
+    @pytest.mark.parametrize(
+        "keep",
+        [
+            lambda prefix: (2, 1, 3) not in _patterns_in(prefix, 3, signed=False),
+            lambda prefix: not _patterns_in(prefix, 4, signed=False) & {(3, 4, 1, 2), (4, 2, 3, 1)},
+            lambda prefix: (-2, 1) not in _patterns_in(prefix, 2, signed=True),
+            lambda prefix: not {(1, -2, 3), (-1, -2, -3)} & _patterns_in(prefix, 3, signed=True),
+            lambda prefix: False,
+        ],
+        ids=["global-213", "global-3412-4231", "classical-(-2,1)", "classical-pair", "none"],
+    )
+    def test_pruning_equals_filtering(self, keep):
+        for n in range(5):
+            for first in [None, *range(-n - 1, n + 2)]:
+                pruned = list(iter_windows(n, first, keep))
+                assert pruned == list(filter(keep, iter_windows(n, first)))
 
 
 class TestDeleteEntry:
