@@ -14,7 +14,6 @@ from .classes import (
     Not132AvoidingError,
     NotColayeredError,
     UnsupportedMethodError,
-    colayered_from_composition,
     composition_of,
     is_bigrassmannian,
     is_bigrassmannian_conjectured,
@@ -73,12 +72,9 @@ from .patterns import (
 )
 from .tableaux import (
     DominoTableau,
-    catalan_multidim,
     domino_count,
     domino_tableaux,
     is_domino_tileable,
-    lds,
-    lis,
     partitions,
     rs_shape,
     shape_of_signed,

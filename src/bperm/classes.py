@@ -69,10 +69,9 @@ def is_boolean(w: SignedPermutation, method: Method = Method.GLOBAL) -> bool:
     if method is Method.CLASSICAL:
         return _avoids(w, fixtures.BOOLEAN_CLASSICAL)
     if method is Method.STRUCTURAL:
-        # Only n distinct generators exist, so length above n forces a repeat.
-        if w.length() > w.size:
-            return False
-        return all(len(set(word)) == len(word) for word in w.all_reduced_words())
+        # All reduced words share one support, so no word repeats a letter
+        # exactly when a word's length equals the size of that support.
+        return w.length() == len(w.support())
     raise UnsupportedMethodError(f"unknown method {method!r}")
 
 
@@ -117,19 +116,17 @@ def is_smooth_BC(w: SignedPermutation, method: Method = Method.GLOBAL) -> bool:
     raise UnsupportedMethodError(f"unknown method {method!r}")
 
 
-def is_grassmannian(w: SignedPermutation, strict: bool = False) -> bool:
+def is_grassmannian(w: SignedPermutation) -> bool:
     """
-    At most one descent (with `strict`, exactly one).  The lax default keeps
-    the identity inside the class, matching its description as a pattern
-    class; see the README for the convention discussion.
+    At most one descent.  This keeps the identity inside the class, matching
+    its description as a pattern class; see the README for the convention.
     """
-    d = len(w.descent_set())
-    return d == 1 if strict else d <= 1
+    return len(w.descent_set()) <= 1
 
 
-def is_bigrassmannian(w: SignedPermutation, strict: bool = False) -> bool:
+def is_bigrassmannian(w: SignedPermutation) -> bool:
     """Both the permutation and its inverse are Grassmannian."""
-    return is_grassmannian(w, strict) and is_grassmannian(w.inverse(), strict)
+    return is_grassmannian(w) and is_grassmannian(w.inverse())
 
 
 def is_grassmannian_conjectured(w: SignedPermutation) -> bool:
@@ -177,19 +174,6 @@ def composition_of(v: Permutation) -> tuple[int, ...]:
     if not is_colayered(v):
         raise NotColayeredError(f"{v} is not colayered")
     return tuple(len(run) for run in increasing_runs(v))
-
-
-def colayered_from_composition(parts: Sequence[int]) -> Permutation:
-    """The colayered permutation whose run lengths are `parts`; round-trips."""
-    if any(p < 1 for p in parts):
-        raise ValueError("composition parts must be positive")
-    total = sum(parts)
-    word: list[int] = []
-    top = total
-    for part in parts:
-        word.extend(range(top - part + 1, top + 1))
-        top -= part
-    return Permutation(tuple(word))
 
 
 def signed_composition(w: SignedPermutation) -> tuple[int, ...]:

@@ -207,14 +207,6 @@ def window_all_reduced_words(window: Sequence[int]) -> tuple[tuple[int, ...], ..
     return rec(tuple(window))
 
 
-def window_from_reduced_word(n: int, letters: Sequence[int]) -> tuple[int, ...]:
-    """Evaluate a generator word: identity right-multiplied by each letter in turn."""
-    cur = tuple(range(1, n + 1))
-    for i in letters:
-        cur = window_apply_generator(cur, i)
-    return cur
-
-
 def parse_window(text: str) -> tuple[int, ...]:
     """Parse a comma-separated signed window such as "-2,1,3,-4"."""
     text = text.strip()
@@ -259,37 +251,6 @@ class DihedralSymmetry(Enum):
             y = n + 1 - y
         return x, y
 
-    def compose(self, other: DihedralSymmetry) -> DihedralSymmetry:
-        """The symmetry acting as `self` after `other`."""
-        s_swap, s_fx, s_fy = self.value
-        o_swap, o_fx, o_fy = other.value
-        if s_swap:
-            value = (not o_swap, s_fx ^ o_fy, s_fy ^ o_fx)
-        else:
-            value = (o_swap, s_fx ^ o_fx, s_fy ^ o_fy)
-        return DihedralSymmetry(value)
-
-    @classmethod
-    def from_name(cls, name: str) -> DihedralSymmetry:
-        key = name.strip().lower().replace("_", "-")
-        try:
-            return _SYMMETRY_NAMES[key]
-        except KeyError:
-            raise ValueError(f"unknown symmetry {name!r}") from None
-
-
-_SYMMETRY_NAMES = {
-    "identity": DihedralSymmetry.IDENTITY,
-    "reverse": DihedralSymmetry.REVERSE,
-    "complement": DihedralSymmetry.COMPLEMENT,
-    "rc": DihedralSymmetry.ROTATE_180,
-    "rotate180": DihedralSymmetry.ROTATE_180,
-    "inverse": DihedralSymmetry.INVERSE,
-    "rotate90": DihedralSymmetry.ROTATE_90,
-    "rotate270": DihedralSymmetry.ROTATE_270,
-    "anti-inverse": DihedralSymmetry.ANTI_INVERSE,
-}
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -330,9 +291,6 @@ class Permutation:
     def reverse_complement(self) -> Permutation:
         m = len(self.oneline)
         return Permutation(tuple(m + 1 - v for v in reversed(self.oneline)))
-
-    def is_rc_invariant(self) -> bool:
-        return self == self.reverse_complement()
 
     def apply_symmetry(self, symmetry: DihedralSymmetry) -> Permutation:
         """The permutation whose graph is the image of this one's graph."""

@@ -18,7 +18,6 @@ serial or pool; `lemma-symmetry` reads a per-size table of classes.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -107,14 +106,6 @@ class CheckReport:
             "millis": self.millis,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> CheckReport:
-        rows = tuple(
-            CheckRow(row["n"], row["expected"], row["observed"])
-            for row in data["rows"]
-        )
-        return cls(data["check"], data["status"], data["max_n"], rows, data["millis"])
-
 
 @dataclass(frozen=True)
 class Check:
@@ -145,10 +136,6 @@ def _members(
 ) -> set[tuple[int, ...]]:
     """Windows of the size-n elements that satisfy `predicate`."""
     return {w.window for w in signed_permutations(n) if predicate(w)}
-
-
-def _increasing(m: int) -> Permutation:
-    return Permutation(tuple(range(1, m + 1)))
 
 
 def _decreasing(m: int) -> Permutation:
@@ -253,7 +240,7 @@ def _check_central_binomial(max_n: int, jobs: int) -> list[CheckRow]:
     for n in range(1, max_n + 1):
         expected = str(comb(2 * n, n))
         c_dec = _count_exhaustive(n, [_decreasing(3)], jobs=jobs)
-        c_inc = _count_exhaustive(n, [_increasing(3)], jobs=jobs)
+        c_inc = _count_exhaustive(n, [Permutation.identity(3)], jobs=jobs)
         observed = str(c_dec) if c_dec == c_inc else f"321:{c_dec},123:{c_inc}"
         rows.append(CheckRow(n, expected, observed))
     for n in range(1, min(max_n, 5) + 1):
@@ -270,7 +257,7 @@ def _check_central_binomial(max_n: int, jobs: int) -> list[CheckRow]:
 def _check_greene_counts(max_n: int, jobs: int) -> list[CheckRow]:
     # Avoiding 12..(k+1) bounds a shape's first row by k; avoiding
     # (j+1)..1 bounds its number of rows by j.
-    sides = (("rows", _increasing, lambda shape: shape[0]), ("cols", _decreasing, len))
+    sides = (("rows", Permutation.identity, lambda shape: shape[0]), ("cols", _decreasing, len))
     rows = []
     for n in range(1, max_n + 1):
         by_shape = {s: domino_count(s) for s in partitions(2 * n) if is_domino_tileable(s)}
@@ -313,7 +300,9 @@ def _check_fib_like(max_n: int, jobs: int) -> list[CheckRow]:
         observed = ",".join(str(fib_like(k, i)) for i in range(k + 1, 2 * k + 1))
         rows.append(CheckRow(k, f"k={k}:{expected}", f"k={k}:{observed}"))
     for n in range(1, max_n + 1):
-        rows.append(_formula_row(n, jobs, count_gav_132_and_increasing, _increasing, range(1, 5)))
+        rows.append(
+            _formula_row(n, jobs, count_gav_132_and_increasing, Permutation.identity, range(1, 5))
+        )
     fib_expected = "2,3,5,8,13,21"
     fib_observed = ",".join(str(count_gav_132_and_increasing(n, 2)) for n in range(1, 7))
     rows.append(CheckRow(6, fib_expected, fib_observed))
@@ -348,7 +337,7 @@ def _check_es(max_kj: int, jobs: int, signed: bool) -> list[CheckRow]:
     rows = []
     for k in range(1, max_kj + 1):
         for j in range(1, max_kj // k + 1):
-            patterns = [_increasing(k + 1), _decreasing(j + 1)]
+            patterns = [Permutation.identity(k + 1), _decreasing(j + 1)]
             bound = es_bound(k, j, signed=signed)
             extremal = es_extremal_count(k, j, signed=signed)
             observed = f"{count(bound, patterns)};{count(bound + 1, patterns)}"
@@ -663,14 +652,6 @@ def run_all(
         cap = check.max_n if max_n is None else min(max_n, check.max_n)
         reports.append(run_check(check_id, cap, jobs))
     return reports
-
-
-def report_to_json(report: CheckReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2)
-
-
-def report_from_json(text: str) -> CheckReport:
-    return CheckReport.from_json_dict(json.loads(text))
 
 
 def any_theorem_failed(reports: Iterable[CheckReport]) -> bool:

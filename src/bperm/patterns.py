@@ -85,6 +85,7 @@ def _occurrences(word: Sequence[int], pattern: Sequence[int], stop: int | None =
         return False
 
     extend(0, 0)
+    extend = None  # `extend` holds itself through its closure cell: break the cycle
     return found
 
 
@@ -129,7 +130,9 @@ def signed_word_contains(window: Sequence[int], pattern: Sequence[int]) -> bool:
                     return True
         return False
 
-    return extend(0, 0)
+    found = extend(0, 0)
+    extend = None  # breaks the closure cycle, as in `_occurrences`
+    return found
 
 
 def unsigned_contains(v: Permutation, p: Permutation) -> bool:

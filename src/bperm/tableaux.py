@@ -8,9 +8,9 @@ Young diagram by n dominoes labelled 1..n such that the cells covered by the
 first i dominoes form a Young diagram for every i; equivalently, labels
 increase along rows and columns.
 
-All counts are exact integers.  The hook-length and multidimensional Catalan
-formulas multiply numerators out in full and divide once at the end, with the
-divisibility asserted.
+All counts are exact integers.  The hook-length formula multiplies the
+numerator out in full and divides once at the end, with the divisibility
+asserted.
 """
 from __future__ import annotations
 
@@ -109,19 +109,6 @@ def rs_shape(word: Sequence[int]) -> tuple[int, ...]:
         if v is not None:
             rows.append([v])
     return tuple(len(row) for row in rows)
-
-
-def lis(word: Sequence[int]) -> int:
-    """Length of the longest strictly increasing subsequence."""
-    best = [0] * len(word)
-    for i, v in enumerate(word):
-        best[i] = 1 + max((best[j] for j in range(i) if word[j] < v), default=0)
-    return max(best, default=0)
-
-
-def lds(word: Sequence[int]) -> int:
-    """Length of the longest strictly decreasing subsequence."""
-    return lis([-v for v in word])
 
 
 @dataclass(frozen=True)
@@ -252,28 +239,6 @@ def two_core(shape: Sequence[int]) -> tuple[int, ...]:
 def is_domino_tileable(shape: Sequence[int]) -> bool:
     """True iff the diagram can be tiled by dominoes, i.e. its 2-core is empty."""
     return two_core(shape) == ()
-
-
-def catalan_multidim(j: int, k: int) -> int:
-    """
-    The k-th j-dimensional Catalan number: the number of standard Young
-    tableaux of the j-by-k rectangle,
-
-        (kj)! (1! 2! ... (j-1)!) (1! 2! ... (k-1)!) / (1! 2! ... (k+j-1)!).
-    """
-    if j < 1 or k < 1:
-        raise ValueError("dimensions must be positive")
-    numerator = factorial(k * j)
-    for t in range(1, j):
-        numerator *= factorial(t)
-    for t in range(1, k):
-        numerator *= factorial(t)
-    denominator = 1
-    for t in range(1, k + j):
-        denominator *= factorial(t)
-    value, remainder = divmod(numerator, denominator)
-    assert remainder == 0, f"Catalan formula not integral at j={j}, k={k}"
-    return value
 
 
 def shape_of_signed(w: SignedPermutation) -> tuple[int, ...]:

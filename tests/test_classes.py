@@ -8,7 +8,6 @@ from bperm.classes import (
     Not132AvoidingError,
     NotColayeredError,
     UnsupportedMethodError,
-    colayered_from_composition,
     composition_of,
     increasing_runs,
     is_bigrassmannian,
@@ -27,7 +26,19 @@ from bperm.classes import (
 from bperm.core import Permutation, SignedPermutation, signed_permutations
 from bperm.enumeration import palindromic_compositions
 from bperm.patterns import global_contains
-from bperm.tableaux import lds, lis
+
+
+def lis(word):
+    """Length of the longest strictly increasing subsequence."""
+    best = [0] * len(word)
+    for i, v in enumerate(word):
+        best[i] = 1 + max((best[j] for j in range(i) if word[j] < v), default=0)
+    return max(best, default=0)
+
+
+def lds(word):
+    """Length of the longest strictly decreasing subsequence."""
+    return lis([-v for v in word])
 
 
 class TestVexillary:
@@ -71,6 +82,21 @@ class TestBoolean:
                 expected = is_boolean(w, Method.GLOBAL)
                 assert is_boolean(w, Method.CLASSICAL) == expected
                 assert is_boolean(w, Method.STRUCTURAL) == expected
+
+    def test_structural_route_matches_every_reduced_word(self):
+        # The definition itself: length at most the size, and no reduced word
+        # repeats a generator.  Boolean counts of B_0..B_5 are 1, 2, 5, 13, 34, 89.
+        counts = []
+        for n in range(6):
+            members = 0
+            for w in signed_permutations(n):
+                by_words = w.length() <= w.size and all(
+                    len(set(word)) == len(word) for word in w.all_reduced_words()
+                )
+                assert is_boolean(w, Method.STRUCTURAL) == by_words
+                members += by_words
+            counts.append(members)
+        assert counts == [1, 2, 5, 13, 34, 89]
 
 
 class TestFree:
@@ -136,19 +162,13 @@ class TestGrassmannian:
 
     def test_identity_by_convention(self):
         w = SignedPermutation.identity(3)
+        assert w.descent_set() == frozenset()
         assert is_grassmannian(w)
         assert is_bigrassmannian(w)
-        assert not is_grassmannian(w, strict=True)
-        assert not is_bigrassmannian(w, strict=True)
 
     def test_two_descents(self):
         w = SignedPermutation((-2, 1, 3, -4))
         assert not is_grassmannian(w)
-
-    def test_strict_flag(self):
-        w = SignedPermutation((1, -2))
-        assert is_grassmannian(w, strict=True)
-        assert is_bigrassmannian(w, strict=True)
 
     def test_conjectured_forms_small_cases(self):
         assert is_grassmannian_conjectured(SignedPermutation((1, -2)))
@@ -192,9 +212,13 @@ class TestColayered:
             is_colayered(Permutation((1,)), Method.GLOBAL)
 
     def test_round_trip(self):
+        # Runs of the given lengths on strictly descending value blocks.
         for parts in [(3,), (1, 1, 1), (2, 3, 2), (2, 1, 4)]:
-            v = colayered_from_composition(parts)
-            assert composition_of(v) == parts
+            word, top = [], sum(parts)
+            for part in parts:
+                word.extend(range(top - part + 1, top + 1))
+                top -= part
+            assert composition_of(Permutation(tuple(word))) == parts
 
     def test_runs(self):
         assert increasing_runs(Permutation((2, 3, 1))) == ((2, 3), (1,))

@@ -12,8 +12,6 @@ from bperm.harness import (
     CheckRow,
     UnknownCheckError,
     any_theorem_failed,
-    report_from_json,
-    report_to_json,
     run_all,
     run_check,
 )
@@ -187,13 +185,9 @@ class TestRunAll:
 
 
 class TestReportSerialization:
-    def test_json_round_trip(self):
-        report = run_check("prop-es-signed", 4)
-        assert report_from_json(report_to_json(report)) == report
-
     def test_json_schema(self):
         report = run_check("oq-a115197", 3)
-        data = json.loads(report_to_json(report))
+        data = json.loads(json.dumps(report.to_json_dict()))
         assert set(data) == {"check", "status", "max_n", "rows", "millis"}
         assert data["check"] == "oq-a115197"
         assert isinstance(data["max_n"], int)
@@ -217,5 +211,11 @@ class TestReportSerialization:
             rows=(CheckRow(1, "1", "2"),),
             millis=5,
         )
-        assert CheckReport.from_json_dict(report.to_json_dict()) == report
+        assert report.to_json_dict() == {
+            "check": "demo",
+            "status": "fail",
+            "max_n": 2,
+            "rows": [{"n": 1, "expected": "1", "observed": "2"}],
+            "millis": 5,
+        }
         assert not report.ok()

@@ -1,4 +1,5 @@
 import functools
+import gc
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -29,6 +30,7 @@ from bperm.patterns import (
     parse_signed_patterns,
     parse_unsigned_patterns,
     rc_reduce,
+    signed_word_contains,
     unsigned_contains,
     word_contains,
 )
@@ -114,6 +116,19 @@ class TestClassicalContains:
         assert classical_contains(
             SignedPermutation(window), SignedPermutation(pattern)
         ) == signed_contains_oracle(window, pattern)
+
+
+class TestProbeGarbage:
+    def test_probes_leave_no_cyclic_garbage(self):
+        # A probe's recursive helper must not outlive it in a reference cycle.
+        gc.collect()
+        gc.disable()
+        try:
+            assert word_contains((2, 4, 1, 3), (2, 1))
+            assert signed_word_contains((-2, 1, 3), (1, 2))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGlobalContains:

@@ -8,13 +8,10 @@ from bperm.core import SignedPermutation, signed_permutations
 from bperm.tableaux import (
     DominoTableau,
     InvalidPartitionError,
-    catalan_multidim,
     check_partition,
     domino_count,
     domino_tableaux,
     is_domino_tileable,
-    lds,
-    lis,
     parse_partition,
     partitions,
     rs_shape,
@@ -33,6 +30,35 @@ def lis_oracle(word):
             if all(subset[i] < subset[i + 1] for i in range(k - 1)):
                 return k
     return best
+
+
+def lis(word):
+    """Length of the longest strictly increasing subsequence."""
+    best = [0] * len(word)
+    for i, v in enumerate(word):
+        best[i] = 1 + max((best[j] for j in range(i) if word[j] < v), default=0)
+    return max(best, default=0)
+
+
+def lds(word):
+    """Length of the longest strictly decreasing subsequence."""
+    return lis([-v for v in word])
+
+
+def catalan_multidim(j, k):
+    """
+    The k-th j-dimensional Catalan number, by its product formula:
+    (kj)! (1! ... (j-1)!) (1! ... (k-1)!) / (1! ... (k+j-1)!).
+    """
+    numerator = factorial(k * j)
+    for t in list(range(1, j)) + list(range(1, k)):
+        numerator *= factorial(t)
+    denominator = 1
+    for t in range(1, k + j):
+        denominator *= factorial(t)
+    value, remainder = divmod(numerator, denominator)
+    assert remainder == 0
+    return value
 
 
 @st.composite
@@ -226,14 +252,14 @@ class TestTileability:
 
 
 class TestCatalanMultidim:
+    """Rectangle counts against the multidimensional Catalan product formula."""
+
     def test_one_dimensional(self):
         for k in range(1, 7):
-            assert catalan_multidim(1, k) == 1
+            assert syt_count((k,)) == catalan_multidim(1, k) == 1
 
     def test_classic_values(self):
-        assert catalan_multidim(2, 2) == 2
-        assert catalan_multidim(2, 3) == 5
-        assert catalan_multidim(2, 4) == 14
+        assert [syt_count((k, k)) for k in (2, 3, 4)] == [2, 5, 14]
 
     def test_matches_rectangle_syt_count(self):
         for j in range(1, 17):
@@ -242,8 +268,8 @@ class TestCatalanMultidim:
                     assert catalan_multidim(j, k) == syt_count((k,) * j)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            catalan_multidim(0, 2)
+        with pytest.raises(InvalidPartitionError):
+            syt_count((0, 0))
 
 
 class TestShapeOfSigned:
