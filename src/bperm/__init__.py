@@ -10,18 +10,14 @@ smooth, Grassmannian), tableau-based counting, closed-form enumeration, and
 a registry of desk-scale checks replaying the identities relating them.
 """
 from .classes import (
-    Method,
     Not132AvoidingError,
     NotColayeredError,
-    UnsupportedMethodError,
     composition_of,
     is_bigrassmannian,
-    is_bigrassmannian_conjectured,
     is_boolean,
     is_colayered,
     is_free,
     is_grassmannian,
-    is_grassmannian_conjectured,
     is_smooth_B,
     is_smooth_BC,
     is_smooth_C,

@@ -22,20 +22,13 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from .classes import (
-    is_bigrassmannian,
-    is_boolean,
-    is_free,
-    is_grassmannian,
-    is_smooth_B,
-    is_smooth_BC,
-    is_smooth_C,
-    is_vexillary,
-)
-from .core import Permutation, SignedPermutation, signed_permutations
+from . import fixtures
+from .classes import is_bigrassmannian, is_grassmannian
+from .core import Permutation, SignedPermutation, format_window, signed_permutations
 from .enumeration import MAX_SIGNED_SIZE, sequence as count_sequence
 from .harness import CHECKS, any_theorem_failed, run_all, run_check
 from .patterns import (
+    avoiders,
     count_global_occurrences,
     global_basis,
     parse_signed_patterns,
@@ -49,13 +42,15 @@ from .tableaux import (
     syt_count,
 )
 
-PROPERTIES: dict[str, Callable[[SignedPermutation], bool]] = {
-    "vexillary": is_vexillary,
-    "boolean": is_boolean,
-    "free": is_free,
-    "smooth-b": is_smooth_B,
-    "smooth-c": is_smooth_C,
-    "smooth-bc": is_smooth_BC,
+# Each family's pattern list, walked by `avoiders`, or, for the two families
+# that are not pattern classes, a predicate tested on every element.
+PROPERTIES: dict[str, Sequence | Callable[[SignedPermutation], bool]] = {
+    "vexillary": fixtures.VEXILLARY_GLOBAL,
+    "boolean": fixtures.BOOLEAN_GLOBAL,
+    "free": fixtures.FREE_GLOBAL,
+    "smooth-b": fixtures.SMOOTH_B_CLASSICAL,
+    "smooth-c": fixtures.SMOOTH_C_CLASSICAL,
+    "smooth-bc": fixtures.SMOOTH_BC_GLOBAL,
     "grassmannian": is_grassmannian,
     "bigrassmannian": is_bigrassmannian,
 }
@@ -99,10 +94,13 @@ def _cmd_count(args: argparse.Namespace, table_output: bool) -> int:
 def _cmd_list(args: argparse.Namespace) -> int:
     if not 0 <= args.n <= MAX_SIGNED_SIZE:
         raise ValueError(f"--n must be between 0 and {MAX_SIGNED_SIZE}, not {args.n}")
-    predicate = PROPERTIES[args.property]
-    for w in signed_permutations(args.n):
-        if predicate(w):
-            print(w)
+    family = PROPERTIES[args.property]
+    if callable(family):
+        windows = (w.window for w in signed_permutations(args.n) if family(w))
+    else:
+        windows = avoiders(args.n, family)
+    for window in windows:
+        print(format_window(window))
     return 0
 
 

@@ -146,16 +146,19 @@ def iter_windows(
                 used[abs(v)] = False
             prefix.pop()
 
-    if n == 0:
-        if keep is None or keep(prefix):
-            yield ()
-    elif first is None:
-        yield from rec(0)
-    elif first != 0 and abs(first) <= n:
-        prefix.append(first)
-        if keep is None or keep(prefix):
-            used[abs(first)] = True
-            yield from rec(1)
+    try:
+        if n == 0:
+            if keep is None or keep(prefix):
+                yield ()
+        elif first is None:
+            yield from rec(0)
+        elif first != 0 and abs(first) <= n:
+            prefix.append(first)
+            if keep is None or keep(prefix):
+                used[abs(first)] = True
+                yield from rec(1)
+    finally:
+        rec = None  # breaks the closure cycle, also when the walk is abandoned
 
 
 def window_reduced_word(window: Sequence[int]) -> tuple[int, ...]:
@@ -204,7 +207,9 @@ def window_all_reduced_words(window: Sequence[int]) -> tuple[tuple[int, ...], ..
         memo[cur] = result
         return result
 
-    return rec(tuple(window))
+    words = rec(tuple(window))
+    rec = None  # `rec` holds itself through its closure cell: break the cycle
+    return words
 
 
 def parse_window(text: str) -> tuple[int, ...]:

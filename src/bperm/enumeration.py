@@ -98,7 +98,10 @@ def palindromic_compositions(
                 for inner in rec(remaining - 2 * outer, budget - 2):
                     yield (outer,) + inner + (outer,)
 
-    return rec(total, count_cap)
+    try:
+        yield from rec(total, count_cap)
+    finally:
+        rec = None  # `rec` holds itself through its closure cell: break the cycle
 
 
 def palindromic_composition_count(

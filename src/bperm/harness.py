@@ -27,13 +27,10 @@ from typing import Callable, Iterable, Sequence
 
 from . import fixtures
 from .classes import (
-    Method,
     is_bigrassmannian,
-    is_bigrassmannian_conjectured,
     is_boolean,
     is_free,
     is_grassmannian,
-    is_grassmannian_conjectured,
     is_smooth_B,
     is_smooth_BC,
     is_smooth_C,
@@ -190,8 +187,8 @@ def _check_family(
 
 
 def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
-    # Vexillarity has no structural criterion; its two predicate routes are
-    # compared with the global class in rows of their own.
+    # Vexillarity has no structural criterion: whole-group filters by the
+    # predicate and the classical list meet the pruned walk in rows of their own.
     rows = [_basis_row(fixtures.VEXILLARY_CLASSICAL, global_basis(fixtures.VEXILLARY_GLOBAL))]
     predicate_rows = []
     for n in range(1, max_n + 1):
@@ -201,7 +198,10 @@ def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
         via_predicates = {
             "predicate-global": _members(n, is_vexillary),
             "predicate-classical": _members(
-                n, lambda w: is_vexillary(w, Method.CLASSICAL)
+                n,
+                lambda w: not any(
+                    classical_contains(w, q) for q in fixtures.VEXILLARY_CLASSICAL
+                ),
             ),
         }
         predicate_rows.append(_set_row(n, reference, via_predicates))
@@ -212,7 +212,7 @@ def _check_smooth_bc(max_n: int, jobs: int) -> list[CheckRow]:
     rows = _check_family(
         fixtures.SMOOTH_BC_GLOBAL,
         fixtures.SMOOTH_BC_CLASSICAL,
-        lambda w: is_smooth_BC(w, Method.STRUCTURAL),
+        is_smooth_BC,
         "B-and-C",
         max_n,
         jobs,
@@ -431,9 +431,9 @@ def _check_grassmannian(max_n: int, jobs: int) -> list[CheckRow]:
     for n in range(1, max_n + 1):
         group = list(signed_permutations(n))
         descents = {w.window for w in group if is_grassmannian(w)}
-        patterns = {w.window for w in group if is_grassmannian_conjectured(w)}
         bidescents = {w.window for w in group if is_bigrassmannian(w)}
-        bipatterns = {w.window for w in group if is_bigrassmannian_conjectured(w)}
+        patterns = set(avoiders(n, fixtures.GRASSMANNIAN_GLOBAL))
+        bipatterns = set(avoiders(n, fixtures.BIGRASSMANNIAN_GLOBAL))
         gr = _set_row(n, descents, {"global-patterns": patterns})
         bigr = _set_row(n, bidescents, {"global-patterns": bipatterns})
         expected = f"gr:{gr.expected};bigr:{bigr.expected}"
@@ -492,7 +492,7 @@ CHECKS: dict[str, Check] = {
                 _check_family,
                 fixtures.BOOLEAN_GLOBAL,
                 fixtures.BOOLEAN_CLASSICAL,
-                lambda w: is_boolean(w, Method.STRUCTURAL),
+                is_boolean,
                 "reduced-words",
             ),
         ),
@@ -504,7 +504,7 @@ CHECKS: dict[str, Check] = {
                 _check_family,
                 fixtures.FREE_GLOBAL,
                 fixtures.FREE_CLASSICAL,
-                lambda w: is_free(w, Method.STRUCTURAL),
+                is_free,
                 "support",
             ),
         ),
@@ -634,20 +634,14 @@ def run_check(check_id: str, max_n: int | None = None, jobs: int = 1) -> CheckRe
     return CheckReport(check_id, status, cap, rows, millis)
 
 
-def run_all(
-    max_n: int | None = None,
-    jobs: int = 1,
-    ids: Iterable[str] | None = None,
-) -> list[CheckReport]:
+def run_all(max_n: int | None = None, jobs: int = 1) -> list[CheckReport]:
     """
     Run every registered check, ordered by id; each check runs at its own
     default cap, lowered to max_n when that is given.  Failures are collected,
-    not fatal.  With `ids`, only matching registered checks run (unknown ids
-    simply select nothing).
+    not fatal.
     """
-    selected = sorted(CHECKS if ids is None else set(ids) & set(CHECKS))
     reports = []
-    for check_id in selected:
+    for check_id in sorted(CHECKS):
         check = CHECKS[check_id]
         cap = check.max_n if max_n is None else min(max_n, check.max_n)
         reports.append(run_check(check_id, cap, jobs))

@@ -91,7 +91,10 @@ def standard_tableaux(shape: Sequence[int]) -> Iterator[tuple[tuple[int, ...], .
                 yield from rec(label + 1)
                 row.pop()
 
-    return rec(1)
+    try:
+        yield from rec(1)
+    finally:
+        rec = None  # `rec` holds itself through its closure cell: break the cycle
 
 
 def rs_shape(word: Sequence[int]) -> tuple[int, ...]:
@@ -182,7 +185,10 @@ def domino_tableaux(shape: Sequence[int]) -> Iterator[DominoTableau]:
             for r, c in domino:
                 partial[r] -= 1
 
-    yield from rec()
+    try:
+        yield from rec()
+    finally:
+        rec = None  # `rec` holds itself through its closure cell: break the cycle
 
 
 def domino_count(shape: Sequence[int]) -> int:
@@ -207,7 +213,9 @@ def domino_count(shape: Sequence[int]) -> int:
         memo[partial] = total
         return total
 
-    return count_from((0,) * len(shape))
+    total = count_from((0,) * len(shape))
+    count_from = None  # it holds itself through its closure cell: break the cycle
+    return total
 
 
 def two_core(shape: Sequence[int]) -> tuple[int, ...]:

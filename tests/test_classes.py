@@ -4,19 +4,15 @@ import pytest
 
 from bperm import fixtures
 from bperm.classes import (
-    Method,
     Not132AvoidingError,
     NotColayeredError,
-    UnsupportedMethodError,
     composition_of,
     increasing_runs,
     is_bigrassmannian,
-    is_bigrassmannian_conjectured,
     is_boolean,
     is_colayered,
     is_free,
     is_grassmannian,
-    is_grassmannian_conjectured,
     is_smooth_B,
     is_smooth_BC,
     is_smooth_C,
@@ -25,7 +21,7 @@ from bperm.classes import (
 )
 from bperm.core import Permutation, SignedPermutation, signed_permutations
 from bperm.enumeration import palindromic_compositions
-from bperm.patterns import global_contains
+from bperm.patterns import avoiders, classical_contains, global_contains
 
 
 def lis(word):
@@ -41,6 +37,37 @@ def lds(word):
     return lis([-v for v in word])
 
 
+def avoids(w, patterns):
+    """Avoidance of every pattern, globally or classically by the pattern type."""
+    return not any(
+        global_contains(w, p) if isinstance(p, Permutation) else classical_contains(w, p)
+        for p in patterns
+    )
+
+
+def whole_group_members(n, predicate):
+    """Windows of the size-n elements that satisfy `predicate`, by a whole-group scan."""
+    return {w.window for w in signed_permutations(n) if predicate(w)}
+
+
+def assert_matches_pattern_lists(predicate, *pattern_lists):
+    """Up to size 4, the predicate's members are each list's avoiders."""
+    for n in range(1, 5):
+        expected = whole_group_members(n, predicate)
+        for patterns in pattern_lists:
+            assert set(avoiders(n, patterns)) == expected
+
+
+def colayered_by_runs(v):
+    """Increasing runs whose value blocks strictly descend."""
+    top = v.size
+    for run in increasing_runs(v):
+        if run != tuple(range(top - len(run) + 1, top + 1)):
+            return False
+        top -= len(run)
+    return True
+
+
 class TestVexillary:
     def test_running_example(self):
         assert is_vexillary(SignedPermutation((-2, 1, 3, -4)))
@@ -49,17 +76,14 @@ class TestVexillary:
         assert is_vexillary(SignedPermutation.identity(4))
 
     def test_decreasing_pair_is_not(self):
-        assert not is_vexillary(SignedPermutation((2, 1)), Method.CLASSICAL)
-        assert not is_vexillary(SignedPermutation((2, 1)), Method.GLOBAL)
-
-    def test_no_structural_method(self):
-        with pytest.raises(UnsupportedMethodError):
-            is_vexillary(SignedPermutation((1,)), Method.STRUCTURAL)
+        w = SignedPermutation((2, 1))
+        assert not is_vexillary(w)
+        assert not avoids(w, fixtures.VEXILLARY_CLASSICAL)
 
     def test_methods_agree_up_to_size_4(self):
-        for n in range(1, 5):
-            for w in signed_permutations(n):
-                assert is_vexillary(w, Method.GLOBAL) == is_vexillary(w, Method.CLASSICAL)
+        assert_matches_pattern_lists(
+            is_vexillary, fixtures.VEXILLARY_GLOBAL, fixtures.VEXILLARY_CLASSICAL
+        )
 
 
 class TestBoolean:
@@ -68,20 +92,20 @@ class TestBoolean:
 
     def test_long_element_of_rank_two(self):
         w = SignedPermutation((-2, -1))
-        for method in Method:
-            assert not is_boolean(w, method)
+        assert not is_boolean(w)
+        assert not avoids(w, fixtures.BOOLEAN_GLOBAL)
+        assert not avoids(w, fixtures.BOOLEAN_CLASSICAL)
 
     def test_commuting_pair(self):
         w = SignedPermutation((-1, 3, 2))
-        for method in Method:
-            assert is_boolean(w, method)
+        assert is_boolean(w)
+        assert avoids(w, fixtures.BOOLEAN_GLOBAL)
+        assert avoids(w, fixtures.BOOLEAN_CLASSICAL)
 
     def test_methods_agree_up_to_size_4(self):
-        for n in range(1, 5):
-            for w in signed_permutations(n):
-                expected = is_boolean(w, Method.GLOBAL)
-                assert is_boolean(w, Method.CLASSICAL) == expected
-                assert is_boolean(w, Method.STRUCTURAL) == expected
+        assert_matches_pattern_lists(
+            is_boolean, fixtures.BOOLEAN_GLOBAL, fixtures.BOOLEAN_CLASSICAL
+        )
 
     def test_structural_route_matches_every_reduced_word(self):
         # The definition itself: length at most the size, and no reduced word
@@ -93,7 +117,7 @@ class TestBoolean:
                 by_words = w.length() <= w.size and all(
                     len(set(word)) == len(word) for word in w.all_reduced_words()
                 )
-                assert is_boolean(w, Method.STRUCTURAL) == by_words
+                assert is_boolean(w) == by_words
                 members += by_words
             counts.append(members)
         assert counts == [1, 2, 5, 13, 34, 89]
@@ -105,20 +129,18 @@ class TestFree:
 
     def test_commuting_support(self):
         w = SignedPermutation((-1, 3, 2))
-        for method in Method:
-            assert is_free(w, method)
+        assert is_free(w)
+        assert avoids(w, fixtures.FREE_GLOBAL)
+        assert avoids(w, fixtures.FREE_CLASSICAL)
 
     def test_adjacent_support_not_free(self):
         w = SignedPermutation((-2, -1))
-        for method in Method:
-            assert not is_free(w, method)
+        assert not is_free(w)
+        assert not avoids(w, fixtures.FREE_GLOBAL)
+        assert not avoids(w, fixtures.FREE_CLASSICAL)
 
     def test_methods_agree_up_to_size_4(self):
-        for n in range(1, 5):
-            for w in signed_permutations(n):
-                expected = is_free(w, Method.GLOBAL)
-                assert is_free(w, Method.CLASSICAL) == expected
-                assert is_free(w, Method.STRUCTURAL) == expected
+        assert_matches_pattern_lists(is_free, fixtures.FREE_GLOBAL, fixtures.FREE_CLASSICAL)
 
 
 class TestSmooth:
@@ -137,20 +159,21 @@ class TestSmooth:
     def test_identity_is_smooth_everywhere(self):
         w = SignedPermutation.identity(3)
         assert is_smooth_B(w) and is_smooth_C(w)
-        for method in Method:
-            assert is_smooth_BC(w, method)
+        assert is_smooth_BC(w)
+        assert avoids(w, fixtures.SMOOTH_BC_GLOBAL)
+        assert avoids(w, fixtures.SMOOTH_BC_CLASSICAL)
 
     def test_witnesses_fail_bc(self):
         for window in [(-2, -1), (1, -2)]:
-            for method in Method:
-                assert not is_smooth_BC(SignedPermutation(window), method)
+            w = SignedPermutation(window)
+            assert not is_smooth_BC(w)
+            assert not avoids(w, fixtures.SMOOTH_BC_GLOBAL)
+            assert not avoids(w, fixtures.SMOOTH_BC_CLASSICAL)
 
     def test_methods_agree_up_to_size_4(self):
-        for n in range(1, 5):
-            for w in signed_permutations(n):
-                expected = is_smooth_BC(w, Method.GLOBAL)
-                assert is_smooth_BC(w, Method.CLASSICAL) == expected
-                assert is_smooth_BC(w, Method.STRUCTURAL) == expected
+        assert_matches_pattern_lists(
+            is_smooth_BC, fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL
+        )
 
 
 class TestGrassmannian:
@@ -171,15 +194,13 @@ class TestGrassmannian:
         assert not is_grassmannian(w)
 
     def test_conjectured_forms_small_cases(self):
-        assert is_grassmannian_conjectured(SignedPermutation((1, -2)))
-        assert is_grassmannian_conjectured(SignedPermutation.identity(3))
-        assert not is_grassmannian_conjectured(SignedPermutation((-1, -2)))
+        assert avoids(SignedPermutation((1, -2)), fixtures.GRASSMANNIAN_GLOBAL)
+        assert avoids(SignedPermutation.identity(3), fixtures.GRASSMANNIAN_GLOBAL)
+        assert not avoids(SignedPermutation((-1, -2)), fixtures.GRASSMANNIAN_GLOBAL)
 
     def test_conjecture_agrees_up_to_size_4(self):
-        for n in range(1, 5):
-            for w in signed_permutations(n):
-                assert is_grassmannian(w) == is_grassmannian_conjectured(w)
-                assert is_bigrassmannian(w) == is_bigrassmannian_conjectured(w)
+        assert_matches_pattern_lists(is_grassmannian, fixtures.GRASSMANNIAN_GLOBAL)
+        assert_matches_pattern_lists(is_bigrassmannian, fixtures.BIGRASSMANNIAN_GLOBAL)
 
     def test_bigrassmannian_pattern_list_closed_under_inverse(self):
         inverses = {p.inverse() for p in fixtures.BIGRASSMANNIAN_GLOBAL}
@@ -190,7 +211,7 @@ class TestColayered:
     def test_five_run_colayered(self):
         v = Permutation((11, 12, 8, 9, 10, 6, 7, 3, 4, 5, 1, 2))
         assert is_colayered(v)
-        assert is_colayered(v, Method.STRUCTURAL)
+        assert colayered_by_runs(v)
         assert composition_of(v) == (2, 3, 2, 3, 2)
 
     def test_identity_and_decreasing(self):
@@ -205,11 +226,7 @@ class TestColayered:
     def test_methods_agree_on_s5(self):
         for word in permutations(range(1, 6)):
             v = Permutation(word)
-            assert is_colayered(v) == is_colayered(v, Method.STRUCTURAL)
-
-    def test_no_global_method(self):
-        with pytest.raises(UnsupportedMethodError):
-            is_colayered(Permutation((1,)), Method.GLOBAL)
+            assert is_colayered(v) == colayered_by_runs(v)
 
     def test_round_trip(self):
         # Runs of the given lengths on strictly descending value blocks.

@@ -3,7 +3,31 @@ from dataclasses import replace
 
 import pytest
 
-from bperm.cli import main, parse_size_range
+from bperm.classes import (
+    is_bigrassmannian,
+    is_boolean,
+    is_free,
+    is_grassmannian,
+    is_smooth_B,
+    is_smooth_BC,
+    is_smooth_C,
+    is_vexillary,
+)
+from bperm.cli import PROPERTIES, main, parse_size_range
+from bperm.core import signed_permutations
+
+# Each `list` property's predicate, tested on every element: a route apart
+# from the pattern list that `list` walks.
+PREDICATES = {
+    "vexillary": is_vexillary,
+    "boolean": is_boolean,
+    "free": is_free,
+    "smooth-b": is_smooth_B,
+    "smooth-c": is_smooth_C,
+    "smooth-bc": is_smooth_BC,
+    "grassmannian": is_grassmannian,
+    "bigrassmannian": is_bigrassmannian,
+}
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +159,22 @@ class TestListBasisTableaux:
         code, out = run_cli(capsys, "list", "--property", "free", "--n", "2")
         assert code == 0
         assert out.splitlines() == ["-1,2", "1,2", "2,1"]
+
+    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    def test_list_is_the_lexicographic_whole_group_filter(self, capsys, name):
+        assert set(PREDICATES) == set(PROPERTIES)
+        for n in range(6):
+            code, out = run_cli(capsys, "list", "--property", name, "--n", str(n))
+            assert code == 0
+            predicate = PREDICATES[name]
+            assert out == "".join(f"{w}\n" for w in signed_permutations(n) if predicate(w))
+
+    @pytest.mark.parametrize("name, lines", [("free", 55), ("boolean", 1597)])
+    def test_list_at_size_8_walks_only_the_class(self, capsys, name, lines):
+        # A whole-group scan of B_8 (10,321,920 elements) would take minutes.
+        code, out = run_cli(capsys, "list", "--property", name, "--n", "8")
+        assert code == 0
+        assert len(out.splitlines()) == lines
 
     @pytest.mark.parametrize("n", ["-1", "9"])
     def test_list_size_out_of_range_is_usage_error(self, capsys, n):

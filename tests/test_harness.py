@@ -176,13 +176,6 @@ class TestRunAll:
         with pytest.raises(ValueError, match="max_n 0 checks nothing"):
             run_all(0)
 
-    def test_id_filter(self):
-        reports = run_all(2, ids=["thm-free", "oq-a115197"])
-        assert [r.check for r in reports] == ["oq-a115197", "thm-free"]
-
-    def test_unknown_id_filter_selects_nothing(self):
-        assert run_all(2, ids=["thm-unheard-of"]) == []
-
 
 class TestReportSerialization:
     def test_json_schema(self):

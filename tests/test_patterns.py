@@ -15,7 +15,7 @@ from bperm.core import (
     rank_word,
     signed_permutations,
 )
-from bperm.enumeration import sequence
+from bperm.enumeration import palindromic_compositions, sequence
 from bperm.patterns import (
     PatternTooLargeError,
     apply_symmetry_to_set,
@@ -34,6 +34,7 @@ from bperm.patterns import (
     unsigned_contains,
     word_contains,
 )
+from bperm.tableaux import domino_count, domino_tableaux, standard_tableaux
 from bperm import fixtures
 
 
@@ -120,12 +121,21 @@ class TestClassicalContains:
 
 class TestProbeGarbage:
     def test_probes_leave_no_cyclic_garbage(self):
-        # A probe's recursive helper must not outlive it in a reference cycle.
+        # A recursive helper must not outlive its call in a reference cycle,
+        # nor outlive a walk abandoned part way.
+        smooth = [Permutation((3, 4, 1, 2)), Permutation((4, 2, 3, 1))]
         gc.collect()
         gc.disable()
         try:
             assert word_contains((2, 4, 1, 3), (2, 1))
             assert signed_word_contains((-2, 1, 3), (1, 2))
+            assert len(SignedPermutation((-3, -2, -1)).all_reduced_words()) == 2
+            assert count_avoiders(5, smooth) == 366
+            assert next(avoiders(5, smooth)) == (-5, 1, 2, 3, 4)
+            assert domino_count((4, 2, 2)) == len(list(domino_tableaux((4, 2, 2))))
+            assert next(domino_tableaux((4, 2))).size == 3
+            assert len(list(standard_tableaux((2, 1)))) == 2
+            assert len(list(palindromic_compositions(4))) == 4
             assert gc.collect() == 0
         finally:
             gc.enable()
