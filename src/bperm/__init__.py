@@ -34,7 +34,6 @@ from .core import (
     signed_permutations,
 )
 from .enumeration import (
-    SequenceTable,
     SizeCapExceededError,
     count_gav_132_and_decreasing,
     count_gav_132_and_increasing,
@@ -67,7 +66,6 @@ from .patterns import (
     unsigned_contains,
 )
 from .tableaux import (
-    DominoTableau,
     domino_count,
     domino_tableaux,
     is_domino_tileable,

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, Sequence
 
 from . import fixtures
@@ -70,23 +71,23 @@ def parse_size_range(text: str) -> range:
 
 def _cmd_count(args: argparse.Namespace, table_output: bool) -> int:
     parse = parse_unsigned_patterns if args.mode == "global" else parse_signed_patterns
-    table = count_sequence(
+    counts = count_sequence(
         parse(args.patterns),
         parse_size_range(args.n),
         jobs=args.jobs,
         cache_path=os.environ.get("BPERM_CACHE"),
     )
     if table_output and args.format == "csv":
-        width = max(len(str(n)) for n, _ in table.rows)
+        width = max(len(str(n)) for n in counts)
         print(f"# {args.patterns} ({args.mode}, brute-force)")
-        for n, count in table.rows:
+        for n, count in counts.items():
             print(f"{n:>{width}}  {count}")
     elif args.format == "json":
-        payload = [{"n": n, "count": str(count)} for n, count in table.rows]
+        payload = [{"n": n, "count": str(count)} for n, count in counts.items()]
         print(json.dumps(payload))
     else:
         print("n,count")
-        for n, count in table.rows:
+        for n, count in counts.items():
             print(f"{n},{count}")
     return 0
 
@@ -115,11 +116,8 @@ def _cmd_tableaux(args: argparse.Namespace) -> int:
     shape = parse_partition(args.shape)
     if args.count:
         print(domino_count(shape) if args.domino else syt_count(shape))
-    elif args.domino:
-        for tableau in domino_tableaux(shape):
-            print(tableau)
     else:
-        for rows in standard_tableaux(shape):
+        for rows in (domino_tableaux if args.domino else standard_tableaux)(shape):
             print("/".join(",".join(str(v) for v in row) for row in rows))
     return 0
 
@@ -137,7 +135,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         reports = run_all(args.max_n, jobs=args.jobs)
     if args.format == "json":
-        print(json.dumps([report.to_json_dict() for report in reports], indent=2))
+        print(json.dumps([asdict(report) for report in reports], indent=2))
     else:
         for report in reports:
             flag = report.status.upper()

@@ -119,8 +119,9 @@ def iter_windows(
     """
     All signed-permutation windows of size n, in lexicographic order.
 
-    With `first`, only windows whose first entry is that value; the 2n choices
-    of first entry partition the group into equal-size branches.
+    With `first`, only windows whose first entry is that value (so none of
+    size 0); the 2n choices of first entry partition the group into
+    equal-size branches.
 
     With `keep`, a prefix that `keep` rejects is not extended: `keep` is asked
     about each prefix, the whole window included, and must not hold on to the
@@ -148,7 +149,7 @@ def iter_windows(
 
     try:
         if n == 0:
-            if keep is None or keep(prefix):
+            if first is None and (keep is None or keep(prefix)):
                 yield ()
         elif first is None:
             yield from rec(0)
@@ -349,14 +350,8 @@ class SignedPermutation:
     def descent_set(self) -> frozenset[int]:
         return frozenset(window_descents(self.window))
 
-    def apply_generator(self, i: int) -> SignedPermutation:
-        return SignedPermutation(window_apply_generator(self.window, i))
-
     def length(self) -> int:
         return window_length(self.window)
-
-    def reduced_word(self) -> tuple[int, ...]:
-        return window_reduced_word(self.window)
 
     def all_reduced_words(self) -> frozenset[tuple[int, ...]]:
         return frozenset(window_all_reduced_words(self.window))

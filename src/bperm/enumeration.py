@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from math import comb
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
@@ -137,16 +136,6 @@ def es_extremal_count(k: int, j: int, signed: bool) -> int:
     return domino_count(shape) ** 2
 
 
-@dataclass(frozen=True)
-class SequenceTable:
-    """One exact count per size."""
-
-    rows: tuple[tuple[int, int], ...]
-
-    def counts(self) -> tuple[int, ...]:
-        return tuple(count for _, count in self.rows)
-
-
 def _branch_count(args: tuple) -> int:
     n, patterns, first = args
     return count_avoiders(n, patterns, first=first)
@@ -235,11 +224,12 @@ def sequence(
     n_range: Iterable[int],
     jobs: int = 1,
     cache_path: str | None = None,
-) -> SequenceTable:
+) -> dict[int, int]:
     """
-    Exact avoider counts per size, by exhaustive enumeration: global
-    avoidance for unsigned patterns, classical for signed ones.  The result
-    is independent of `jobs`; sizes above the hard cap are rejected.
+    Exact avoider counts `{n: count}` in ascending n, by exhaustive
+    enumeration: global avoidance for unsigned patterns, classical for signed
+    ones.  The result is independent of `jobs`; sizes above the hard cap are
+    rejected.
     """
     pattern_objects = tuple(patterns)
     pattern_words = tuple(p.oneline if isinstance(p, Permutation) else p.window
@@ -253,7 +243,7 @@ def sequence(
     key_base = f"{normalized_pattern_key(pattern_words)}|{order}"
     cache = load_cache(cache_path) if cache_path else {}
     dirty = False
-    rows = []
+    counts: dict[int, int] = {}
     for n in sizes:
         key = f"{key_base}|{n}"
         if key in cache:
@@ -262,10 +252,10 @@ def sequence(
             count = _count_exhaustive(n, pattern_objects, jobs=jobs)
             cache[key] = count
             dirty = True
-        rows.append((n, count))
+        counts[n] = count
     if cache_path and dirty:
         store_cache(cache_path, cache)
-    return SequenceTable(rows=tuple(rows))
+    return counts
 
 
 def unsigned_avoider_count(n: int, patterns: Iterable[Permutation]) -> int:

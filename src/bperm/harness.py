@@ -91,18 +91,6 @@ class CheckReport:
     def ok(self) -> bool:
         return self.status in ("pass", "conjecture-holds")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "max_n": self.max_n,
-            "rows": [
-                {"n": row.n, "expected": row.expected, "observed": row.observed}
-                for row in self.rows
-            ],
-            "millis": self.millis,
-        }
-
 
 @dataclass(frozen=True)
 class Check:

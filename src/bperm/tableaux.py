@@ -15,7 +15,6 @@ asserted.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -114,36 +113,6 @@ def rs_shape(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(len(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class DominoTableau:
-    """A standard domino tableau: dominoes in label order, cells row-major."""
-
-    placements: tuple[tuple[Cell, Cell], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.placements)
-
-    def shape(self) -> tuple[int, ...]:
-        row_lengths: dict[int, int] = {}
-        for domino in self.placements:
-            for r, _ in domino:
-                row_lengths[r] = row_lengths.get(r, 0) + 1
-        return tuple(row_lengths[r] for r in sorted(row_lengths))
-
-    def grid(self) -> tuple[tuple[int, ...], ...]:
-        """Labels by cell, one tuple per row."""
-        shape = self.shape()
-        rows = [[0] * length for length in shape]
-        for label, domino in enumerate(self.placements, start=1):
-            for r, c in domino:
-                rows[r][c] = label
-        return tuple(tuple(row) for row in rows)
-
-    def __str__(self) -> str:
-        return "/".join(",".join(str(v) for v in row) for row in self.grid())
-
-
 def _domino_placements(
     partial: Sequence[int], shape: Sequence[int]
 ) -> list[tuple[Cell, Cell]]:
@@ -163,30 +132,30 @@ def _domino_placements(
     return out
 
 
-def domino_tableaux(shape: Sequence[int]) -> Iterator[DominoTableau]:
-    """All standard domino tableaux of `shape`, each exactly once."""
+def domino_tableaux(shape: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """
+    All standard domino tableaux of `shape`, each exactly once, as row tuples
+    in which both cells of domino i hold label i.
+    """
     shape = check_partition(shape)
     if sum(shape) % 2 != 0:
         return
     n = sum(shape) // 2
-    partial = [0] * len(shape)
-    placed: list[tuple[Cell, Cell]] = []
+    rows: list[list[int]] = [[] for _ in shape]
 
-    def rec() -> Iterator[DominoTableau]:
-        if len(placed) == n:
-            yield DominoTableau(tuple(placed))
+    def rec(label: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if label > n:
+            yield tuple(tuple(row) for row in rows)
             return
-        for domino in _domino_placements(partial, shape):
-            for r, c in domino:
-                partial[r] += 1
-            placed.append(domino)
-            yield from rec()
-            placed.pop()
-            for r, c in domino:
-                partial[r] -= 1
+        for domino in _domino_placements([len(row) for row in rows], shape):
+            for r, _ in domino:
+                rows[r].append(label)
+            yield from rec(label + 1)
+            for r, _ in domino:
+                rows[r].pop()
 
     try:
-        yield from rec()
+        yield from rec(1)
     finally:
         rec = None  # `rec` holds itself through its closure cell: break the cycle
 

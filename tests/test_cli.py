@@ -29,6 +29,20 @@ PREDICATES = {
     "bigrassmannian": is_bigrassmannian,
 }
 
+# `tableaux --domino` output, one tableau per line in generation order.
+DOMINO_LISTINGS = {
+    "4,2": "1,1,2,2/3,3\n1,1,3,3/2,2\n1,2,3,3/1,2\n",
+    "3,3": "1,1,3/2,2,3\n1,2,2/1,3,3\n1,2,3/1,2,3\n",
+    "4,2,2": (
+        "1,1,2,2/3,3/4,4\n1,1,2,2/3,4/3,4\n1,1,3,3/2,2/4,4\n1,1,4,4/2,2/3,3\n"
+        "1,1,3,3/2,4/2,4\n1,1,4,4/2,3/2,3\n1,2,3,3/1,2/4,4\n1,2,4,4/1,2/3,3\n"
+    ),
+    "3,3,1,1": (
+        "1,1,3/2,2,3/4/4\n1,1,4/2,2,4/3/3\n1,2,2/1,3,3/4/4\n1,2,2/1,4,4/3/3\n"
+        "1,2,3/1,2,3/4/4\n1,2,4/1,2,4/3/3\n1,3,3/1,4,4/2/2\n1,3,4/1,3,4/2/2\n"
+    ),
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -203,6 +217,11 @@ class TestListBasisTableaux:
         )
         assert code == 0
         assert out.strip() == "2"
+
+    @pytest.mark.parametrize("shape", DOMINO_LISTINGS)
+    def test_tableaux_domino_listing(self, capsys, shape):
+        out = run_cli(capsys, "tableaux", "--shape", shape, "--domino")
+        assert out == (0, DOMINO_LISTINGS[shape])
 
     @pytest.mark.parametrize("shape", ["", "1", "2,1", "3,2", "2,2,1", "4,2", "3,3"])
     @pytest.mark.parametrize("domino", [False, True])

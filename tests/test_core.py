@@ -15,6 +15,8 @@ from bperm.core import (
     signed_group_order,
     signed_permutations,
     window_apply_generator,
+    window_length,
+    window_reduced_word,
 )
 
 
@@ -246,27 +248,27 @@ class TestDescentsAndGenerators:
 
     def test_generator_zero_is_involution(self):
         w = SignedPermutation((-1,))
-        assert w.apply_generator(0) == SignedPermutation((1,))
+        assert window_apply_generator(w.window, 0) == (1,)
 
     def test_swap_generator(self):
-        assert SignedPermutation((1, 2)).apply_generator(1) == SignedPermutation((2, 1))
+        assert window_apply_generator((1, 2), 1) == (2, 1)
 
     def test_negate_first(self):
-        assert SignedPermutation((-2, -1)).apply_generator(0) == SignedPermutation((2, -1))
+        assert window_apply_generator((-2, -1), 0) == (2, -1)
 
     def test_generator_out_of_range(self):
         with pytest.raises(IndexError):
-            SignedPermutation((1, 2)).apply_generator(2)
+            window_apply_generator((1, 2), 2)
 
     @given(w=signed_permutation_strategy(), data=st.data())
     def test_generators_are_involutions(self, w, data):
         i = data.draw(st.integers(min_value=0, max_value=w.size - 1))
-        assert w.apply_generator(i).apply_generator(i) == w
+        assert window_apply_generator(window_apply_generator(w.window, i), i) == w.window
 
     @given(w=signed_permutation_strategy(), data=st.data())
     def test_descent_iff_length_drops(self, w, data):
         i = data.draw(st.integers(min_value=0, max_value=w.size - 1))
-        shorter = w.apply_generator(i).length() < w.length()
+        shorter = window_length(window_apply_generator(w.window, i)) < w.length()
         assert shorter == (i in w.descent_set())
 
 
@@ -277,9 +279,9 @@ class TestLengthAndWords:
         assert SignedPermutation((-2, -1)).length() == 3
 
     def test_reduced_word_examples(self):
-        assert SignedPermutation.identity(3).reduced_word() == ()
-        assert SignedPermutation((-1,)).reduced_word() == (0,)
-        word = SignedPermutation((-2, -1)).reduced_word()
+        assert window_reduced_word((1, 2, 3)) == ()
+        assert window_reduced_word((-1,)) == (0,)
+        word = window_reduced_word((-2, -1))
         assert len(word) == 3
         assert window_from_reduced_word(2, word) == (-2, -1)
 
@@ -292,7 +294,7 @@ class TestLengthAndWords:
     def test_length_equals_reduced_word_length_exhaustive(self):
         for n in range(6):
             for w in signed_permutations(n):
-                word = w.reduced_word()
+                word = window_reduced_word(w.window)
                 assert len(word) == w.length()
                 assert window_from_reduced_word(n, word) == w.window
 
@@ -329,6 +331,11 @@ class TestEnumeration:
         assert windows == sorted(windows)
         assert windows[0] == (-2, -1)
         assert windows[-1] == (2, 1)
+
+    def test_size_zero_has_no_first_entry(self):
+        assert list(iter_windows(0)) == [()]
+        for first in (-1, 0, 1):
+            assert list(iter_windows(0, first=first)) == []
 
     def test_first_entry_branches_partition_group(self):
         n = 3

@@ -1,11 +1,13 @@
 import os
 import stat
+import tempfile
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bperm import enumeration
-from bperm.core import Permutation
+from bperm.core import Permutation, SignedPermutation
 from bperm.enumeration import (
     SizeCapExceededError,
     _count_exhaustive,
@@ -23,6 +25,22 @@ from bperm.enumeration import (
 )
 from bperm.patterns import avoiders, count_avoiders, parse_unsigned_patterns
 from bperm.tableaux import domino_count, syt_count
+
+
+@st.composite
+def small_pattern_sets(draw):
+    """One or two patterns of size 2 to 4, all unsigned or all signed."""
+    signed = draw(st.booleans())
+    patterns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        values = draw(st.permutations(range(1, draw(st.integers(2, 4)) + 1)))
+        if signed:
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(values),
+                                  max_size=len(values)))
+            patterns.append(SignedPermutation(tuple(s * v for s, v in zip(signs, values))))
+        else:
+            patterns.append(Permutation(tuple(values)))
+    return patterns
 
 
 def monotone_up(k):
@@ -160,23 +178,22 @@ class TestErdosSzekeres:
 
 class TestSequenceEngine:
     def test_central_binomial_values(self):
-        table = sequence([Permutation((3, 2, 1))], range(1, 5))
-        assert table.counts() == (2, 6, 20, 70)
+        counts = sequence([Permutation((3, 2, 1))], [4, 1, 3, 2, 1])
+        assert list(counts.items()) == [(1, 2), (2, 6), (3, 20), (4, 70)]
 
     def test_trivial_decreasing_mirror(self):
-        table = sequence([Permutation((1, 2))], range(1, 4))
-        assert table.counts() == (1, 1, 1)
+        assert sequence([Permutation((1, 2))], range(1, 4)) == {1: 1, 2: 1, 3: 1}
 
     def test_gao_hanni_tables_match(self):
         left = sequence(parse_unsigned_patterns("2,1,4,3"), range(1, 5))
         right = sequence(parse_unsigned_patterns("1,2,3,4"), range(1, 5))
-        assert left.counts() == right.counts()
+        assert left == right
 
     def test_deterministic_across_worker_counts(self):
         patterns = parse_unsigned_patterns("1,3,2")
         serial = sequence(patterns, range(0, 6), jobs=1)
         parallel = sequence(patterns, range(0, 6), jobs=2)
-        assert serial.rows == parallel.rows
+        assert serial == parallel
 
     def test_pool_starts_only_from_size_five(self, monkeypatch):
         started = []
@@ -205,17 +222,41 @@ class TestSequenceEngine:
     def test_classical_mode(self):
         from bperm import fixtures
 
-        table = sequence(fixtures.VEXILLARY_CLASSICAL, range(1, 5))
-        global_table = sequence(fixtures.VEXILLARY_GLOBAL, range(1, 5))
-        assert table.counts() == global_table.counts()
+        classical = sequence(fixtures.VEXILLARY_CLASSICAL, range(1, 5))
+        assert classical == sequence(fixtures.VEXILLARY_GLOBAL, range(1, 5))
+
+    @given(
+        patterns=small_pattern_sets(),
+        low=st.integers(min_value=0, max_value=5),
+        span=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_jobs_and_memo_states_agree(self, patterns, low, span):
+        # Size 5 at jobs=2 starts a pool, so examples are few.
+        sizes = range(low, min(low + span, 5) + 1)
+        expected = sequence(patterns, sizes)
+        assert list(expected) == list(sizes)
+        assert sequence(patterns, sizes, jobs=2) == expected
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "counts.memo")
+            assert sequence(patterns, sizes, cache_path=path) == expected
+            with open(path, encoding="utf-8") as handle:
+                cold = handle.read()
+            assert sequence(patterns, sizes, cache_path=path) == expected
+            lines = cold.splitlines()
+            lines[len(lines) // 2] = "not|a memo line"
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+            assert sequence(patterns, sizes, jobs=2, cache_path=path) == expected
+            with open(path, encoding="utf-8") as handle:
+                assert handle.read() == cold
 
     def test_size_cap(self):
         with pytest.raises(SizeCapExceededError):
             sequence([Permutation((2, 1))], [9])
 
     def test_size_zero(self):
-        table = sequence([Permutation((2, 1))], [0])
-        assert table.rows == ((0, 1),)
+        assert sequence([Permutation((2, 1))], [0]) == {0: 1}
 
 
 class TestMemoCache:
@@ -237,8 +278,8 @@ class TestMemoCache:
         cached["3,2,1|global|2"] = 999
         store_cache(path, cached)
         second = sequence(patterns, range(1, 4), cache_path=path)
-        assert second.counts() == (2, 999, 20)
-        assert first.counts() == (2, 6, 20)
+        assert second == {1: 2, 2: 999, 3: 20}
+        assert first == {1: 2, 2: 6, 3: 20}
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = str(tmp_path / "counts.txt")

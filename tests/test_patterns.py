@@ -133,7 +133,7 @@ class TestProbeGarbage:
             assert count_avoiders(5, smooth) == 366
             assert next(avoiders(5, smooth)) == (-5, 1, 2, 3, 4)
             assert domino_count((4, 2, 2)) == len(list(domino_tableaux((4, 2, 2))))
-            assert next(domino_tableaux((4, 2))).size == 3
+            assert next(domino_tableaux((4, 2))) == ((1, 1, 2, 2), (3, 3))
             assert len(list(standard_tableaux((2, 1)))) == 2
             assert len(list(palindromic_compositions(4))) == 4
             assert gc.collect() == 0
@@ -329,9 +329,11 @@ class TestAvoidersOracle:
         expected = avoiders_oracle(n, patterns)
         assert list(avoiders(n, patterns)) == sorted(expected)
         assert count_avoiders(n, patterns) == len(expected)
-        if n:  # size 0 has no first entry to branch on
+        if n:
             branches = [f for f in range(-n, n + 1) if f != 0]
             assert sum(count_avoiders(n, patterns, first=f) for f in branches) == len(expected)
+        else:  # size 0 has no first entry, so no branch holds its one window
+            assert count_avoiders(0, patterns, first=1) == 0
 
     def test_empty_set_is_whole_group(self):
         for n in range(5):
