@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from . import fixtures
 from .classes import is_bigrassmannian, is_grassmannian
-from .core import Permutation, SignedPermutation, format_window, signed_permutations
+from .core import Permutation, SignedPermutation, format_window, iter_windows, window_descents
 from .enumeration import MAX_SIGNED_SIZE, sequence as count_sequence
 from .harness import CHECKS, any_theorem_failed, run_all, run_check
 from .patterns import (
@@ -44,7 +44,8 @@ from .tableaux import (
 )
 
 # Each family's pattern list, walked by `avoiders`, or, for the two families
-# that are not pattern classes, a predicate tested on every element.
+# that are not pattern classes, a predicate tested on each window with at most
+# one descent (a class closed under prefixes that holds both families).
 PROPERTIES: dict[str, Sequence | Callable[[SignedPermutation], bool]] = {
     "vexillary": fixtures.VEXILLARY_GLOBAL,
     "boolean": fixtures.BOOLEAN_GLOBAL,
@@ -97,7 +98,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must be between 0 and {MAX_SIGNED_SIZE}, not {args.n}")
     family = PROPERTIES[args.property]
     if callable(family):
-        windows = (w.window for w in signed_permutations(args.n) if family(w))
+        walk = iter_windows(args.n, keep=lambda prefix: len(window_descents(prefix)) <= 1)
+        windows = (window for window in walk if family(SignedPermutation(window)))
     else:
         windows = avoiders(args.n, family)
     for window in windows:

@@ -74,39 +74,28 @@ def count_gav_132_and_decreasing(n: int, k: int) -> int:
     return sum(comb(n - 1, (j - 1) // 2) for j in range(1, k + 1))
 
 
-def palindromic_compositions(
-    total: int, max_part: int | None = None, max_parts: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """
-    All compositions of `total` that read the same in both directions,
-    optionally bounding the largest part and the number of parts.
-    """
+def palindromic_compositions(total: int) -> Iterator[tuple[int, ...]]:
+    """All compositions of `total` that read the same in both directions."""
     if total < 0:
         raise ValueError("total must be nonnegative")
-    part_cap = total if max_part is None else min(max_part, total)
-    count_cap = total if max_parts is None else max_parts
 
-    def rec(remaining: int, budget: int) -> Iterator[tuple[int, ...]]:
+    def rec(remaining: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
             yield ()
             return
-        if budget >= 1 and remaining <= part_cap:
-            yield (remaining,)
-        if budget >= 2:
-            for outer in range(1, min(part_cap, remaining // 2) + 1):
-                for inner in rec(remaining - 2 * outer, budget - 2):
-                    yield (outer,) + inner + (outer,)
+        yield (remaining,)
+        for outer in range(1, remaining // 2 + 1):
+            for inner in rec(remaining - 2 * outer):
+                yield (outer,) + inner + (outer,)
 
     try:
-        yield from rec(total, count_cap)
+        yield from rec(total)
     finally:
         rec = None  # `rec` holds itself through its closure cell: break the cycle
 
 
-def palindromic_composition_count(
-    total: int, max_part: int | None = None, max_parts: int | None = None
-) -> int:
-    return sum(1 for _ in palindromic_compositions(total, max_part, max_parts))
+def palindromic_composition_count(total: int) -> int:
+    return sum(1 for _ in palindromic_compositions(total))
 
 
 def es_bound(k: int, j: int, signed: bool) -> int:

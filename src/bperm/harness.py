@@ -463,6 +463,8 @@ def _check_two_boolean(max_n: int, jobs: int) -> list[CheckRow]:
     return rows
 
 
+# Structural predicates are looked up by name when called, as in
+# `_check_smooth_bc`, so that rebinding a module name reaches every call.
 CHECKS: dict[str, Check] = {
     check.id: check
     for check in [
@@ -480,7 +482,7 @@ CHECKS: dict[str, Check] = {
                 _check_family,
                 fixtures.BOOLEAN_GLOBAL,
                 fixtures.BOOLEAN_CLASSICAL,
-                is_boolean,
+                lambda w: is_boolean(w),
                 "reduced-words",
             ),
         ),
@@ -492,7 +494,7 @@ CHECKS: dict[str, Check] = {
                 _check_family,
                 fixtures.FREE_GLOBAL,
                 fixtures.FREE_CLASSICAL,
-                is_free,
+                lambda w: is_free(w),
                 "support",
             ),
         ),

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import SignedPermutation
-
-Cell = tuple[int, int]
 
 
 class InvalidPartitionError(ValueError):
@@ -76,24 +74,7 @@ def standard_tableaux(shape: Sequence[int]) -> Iterator[tuple[tuple[int, ...], .
     All standard Young tableaux of `shape`, as row tuples.  Labels are placed
     in increasing order at addable corners, so every prefix is a Young diagram.
     """
-    shape = check_partition(shape)
-    n = sum(shape)
-    rows: list[list[int]] = [[] for _ in shape]
-
-    def rec(label: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if label > n:
-            yield tuple(tuple(row) for row in rows)
-            return
-        for i, row in enumerate(rows):
-            if len(row) < shape[i] and (i == 0 or len(rows[i - 1]) > len(row)):
-                row.append(label)
-                yield from rec(label + 1)
-                row.pop()
-
-    try:
-        yield from rec(1)
-    finally:
-        rec = None  # `rec` holds itself through its closure cell: break the cycle
+    return _fillings(shape, 1, _cell_placements)
 
 
 def rs_shape(word: Sequence[int]) -> tuple[int, ...]:
@@ -113,23 +94,61 @@ def rs_shape(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(len(row) for row in rows)
 
 
-def _domino_placements(
-    partial: Sequence[int], shape: Sequence[int]
-) -> list[tuple[Cell, Cell]]:
-    """Dominoes addable to the partial diagram while staying inside `shape`."""
-    out: list[tuple[Cell, Cell]] = []
+def _cell_placements(partial: Sequence[int], shape: Sequence[int]) -> list[tuple[int]]:
+    """Cells addable to the partial diagram inside `shape`, each as its row."""
+    return [
+        (r,)
+        for r in range(len(shape))
+        if partial[r] < shape[r] and (r == 0 or partial[r - 1] > partial[r])
+    ]
+
+
+def _domino_placements(partial: Sequence[int], shape: Sequence[int]) -> list[tuple[int, int]]:
+    """Dominoes addable inside `shape`, each as its cells' rows: (r, r) or (r, r + 1)."""
+    out: list[tuple[int, int]] = []
     for r in range(len(shape)):
         row_len = partial[r]
         if row_len + 2 <= shape[r] and (r == 0 or partial[r - 1] >= row_len + 2):
-            out.append(((r, row_len), (r, row_len + 1)))
+            out.append((r, r))
         if (
             r + 1 < len(shape)
             and partial[r] == partial[r + 1]
             and row_len + 1 <= shape[r + 1]
             and (r == 0 or partial[r - 1] >= row_len + 1)
         ):
-            out.append(((r, row_len), (r + 1, row_len)))
+            out.append((r, r + 1))
     return out
+
+
+def _fillings(
+    shape: Sequence[int], piece_size: int, placements: Callable[..., list[tuple[int, ...]]]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """
+    Fill `shape` with pieces of `piece_size` cells labelled 1, 2, ... in turn,
+    where `placements` allows on the diagram so far.  No filling exists when
+    `piece_size` does not divide the size, so that case ends before the search.
+    """
+    shape = check_partition(shape)
+    if sum(shape) % piece_size != 0:
+        return
+    n = sum(shape) // piece_size
+    rows: list[list[int]] = [[] for _ in shape]
+
+    def rec(label: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if label > n:
+            yield tuple(tuple(row) for row in rows)
+            return
+        for piece in placements([len(row) for row in rows], shape):
+            for r in piece:
+                rows[r].append(label)
+            yield from rec(label + 1)
+            for r in piece:
+                rows[r].pop()
+
+    try:
+        yield from rec(1)
+    finally:
+        rec = None  # `rec` holds itself through its closure cell: break the cycle
 
 
 def domino_tableaux(shape: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -137,27 +156,7 @@ def domino_tableaux(shape: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...
     All standard domino tableaux of `shape`, each exactly once, as row tuples
     in which both cells of domino i hold label i.
     """
-    shape = check_partition(shape)
-    if sum(shape) % 2 != 0:
-        return
-    n = sum(shape) // 2
-    rows: list[list[int]] = [[] for _ in shape]
-
-    def rec(label: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if label > n:
-            yield tuple(tuple(row) for row in rows)
-            return
-        for domino in _domino_placements([len(row) for row in rows], shape):
-            for r, _ in domino:
-                rows[r].append(label)
-            yield from rec(label + 1)
-            for r, _ in domino:
-                rows[r].pop()
-
-    try:
-        yield from rec(1)
-    finally:
-        rec = None  # `rec` holds itself through its closure cell: break the cycle
+    return _fillings(shape, 2, _domino_placements)
 
 
 def domino_count(shape: Sequence[int]) -> int:
@@ -176,7 +175,7 @@ def domino_count(shape: Sequence[int]) -> int:
         total = 0
         for domino in _domino_placements(partial, shape):
             grown = list(partial)
-            for r, _ in domino:
+            for r in domino:
                 grown[r] += 1
             total += count_from(tuple(grown))
         memo[partial] = total

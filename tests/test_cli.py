@@ -29,6 +29,13 @@ PREDICATES = {
     "bigrassmannian": is_bigrassmannian,
 }
 
+# `tableaux` output, one tableau per line in generation order.
+STANDARD_LISTINGS = {
+    "3,2": "1,2,3/4,5\n1,2,4/3,5\n1,2,5/3,4\n1,3,4/2,5\n1,3,5/2,4\n",
+    "2,2,1": "1,2/3,4/5\n1,2/3,5/4\n1,3/2,4/5\n1,3/2,5/4\n1,4/2,5/3\n",
+    "3,1,1": "1,2,3/4/5\n1,2,4/3/5\n1,2,5/3/4\n1,3,4/2/5\n1,3,5/2/4\n1,4,5/2/3\n",
+}
+
 # `tableaux --domino` output, one tableau per line in generation order.
 DOMINO_LISTINGS = {
     "4,2": "1,1,2,2/3,3\n1,1,3,3/2,2\n1,2,3,3/1,2\n",
@@ -183,7 +190,10 @@ class TestListBasisTableaux:
             predicate = PREDICATES[name]
             assert out == "".join(f"{w}\n" for w in signed_permutations(n) if predicate(w))
 
-    @pytest.mark.parametrize("name, lines", [("free", 55), ("boolean", 1597)])
+    @pytest.mark.parametrize(
+        "name, lines",
+        [("free", 55), ("boolean", 1597), ("grassmannian", 6553), ("bigrassmannian", 415)],
+    )
     def test_list_at_size_8_walks_only_the_class(self, capsys, name, lines):
         # A whole-group scan of B_8 (10,321,920 elements) would take minutes.
         code, out = run_cli(capsys, "list", "--property", name, "--n", "8")
@@ -217,6 +227,11 @@ class TestListBasisTableaux:
         )
         assert code == 0
         assert out.strip() == "2"
+
+    @pytest.mark.parametrize("shape", STANDARD_LISTINGS)
+    def test_tableaux_standard_listing(self, capsys, shape):
+        out = run_cli(capsys, "tableaux", "--shape", shape)
+        assert out == (0, STANDARD_LISTINGS[shape])
 
     @pytest.mark.parametrize("shape", DOMINO_LISTINGS)
     def test_tableaux_domino_listing(self, capsys, shape):

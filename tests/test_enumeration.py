@@ -129,17 +129,17 @@ class TestPalindromicCompositions:
 
     def test_max_part_matches_increasing_formula(self):
         for n in range(1, 6):
+            comps = list(palindromic_compositions(2 * n))
             for k in range(1, 5):
-                assert palindromic_composition_count(
-                    2 * n, max_part=k
-                ) == count_gav_132_and_increasing(n, k)
+                bounded = sum(1 for c in comps if max(c) <= k)
+                assert bounded == count_gav_132_and_increasing(n, k)
 
     def test_max_parts_matches_decreasing_formula(self):
         for n in range(1, 6):
+            comps = list(palindromic_compositions(2 * n))
             for k in range(1, 6):
-                assert palindromic_composition_count(
-                    2 * n, max_parts=k
-                ) == count_gav_132_and_decreasing(n, k)
+                bounded = sum(1 for c in comps if len(c) <= k)
+                assert bounded == count_gav_132_and_decreasing(n, k)
 
 
 class TestErdosSzekeres:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import bperm.harness
 from bperm.classes import NotColayeredError
 from bperm.enumeration import SizeCapExceededError
 from bperm.harness import (
@@ -138,6 +139,25 @@ class TestRunCheck:
                 assert mismatches
             else:
                 assert not mismatches
+
+    @pytest.mark.parametrize(
+        "check_id, predicate", [("thm-boolean", "is_boolean"), ("thm-free", "is_free")]
+    )
+    def test_structural_predicate_is_looked_up_at_call_time(
+        self, monkeypatch, check_id, predicate
+    ):
+        # Tracers and mutation tests rebind module names; a predicate bound
+        # into the registry when it was built would never see the rebinding.
+        original = getattr(bperm.harness, predicate)
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return original(w)
+
+        monkeypatch.setattr(bperm.harness, predicate, counting)
+        assert run_check(check_id, 2).status == "pass"
+        assert len(calls) == 2 + 8  # every element of B_1 and B_2
 
     @pytest.mark.parametrize(
         "check_id", ["thm-central-binomial", "thm-fib-like", "thm-binomial-sum"]

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -186,8 +187,17 @@ class TestDominoTableaux:
         assert set(tableaux) == {((1, 1), (2, 2)), ((1, 2), (1, 2))}
 
     def test_odd_size_is_empty(self):
-        assert list(domino_tableaux((2, 1))) == []
-        assert domino_count((2, 1)) == 0
+        for shape in [(2, 1), (21, 20)]:
+            # A search of the (21, 20) filling tree takes seconds to find nothing.
+            start = time.perf_counter()
+            assert list(domino_tableaux(shape)) == []
+            assert time.perf_counter() - start < 0.5
+            assert domino_count(shape) == 0
+
+    def test_invalid_odd_shape_raises_at_first_next(self):
+        tableaux = domino_tableaux((1, 2))
+        with pytest.raises(InvalidPartitionError):
+            next(tableaux)
 
     def test_count_matches_enumeration(self):
         for total in range(2, 11, 2):
