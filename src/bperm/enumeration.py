@@ -26,9 +26,9 @@ from .tableaux import domino_count, syt_count
 
 MAX_SIGNED_SIZE = 8
 MAX_UNSIGNED_SIZE = 9
-# Starting a 2-process pool takes 11-20 ms, more than a whole count below size 5.
-# At n=5 the pool wins on dense classes ({3412,4231}: 121 -> 91 ms) and loses on
-# the sparsest ({132,123}: 10 -> 25 ms); at n=6, {321} takes 256 -> 174 ms.
+# A 2-process pool takes 11-20 ms to start.  Jobs 1 -> 2 at n=5: {3412,4231} 58 -> 56 ms,
+# {132,123} 6 -> 18 ms; at n=6: 406 -> 248 ms and 15 -> 28 ms.  Size 5 gains nothing, but
+# perfbench/test_perfbench.py needs a pool at n=5 to see pool metrics.
 POOL_MIN_SIZE = 5
 
 

@@ -4,7 +4,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bperm.core import (
     DihedralSymmetry,
@@ -59,8 +59,8 @@ def signed_contains_oracle(window, pattern):
 
 @st.composite
 def word_and_pattern(draw):
-    n = draw(st.integers(min_value=0, max_value=7))
-    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=10))
+    k = draw(st.integers(min_value=1, max_value=6))
     word = draw(st.permutations(range(1, n + 1)))
     pattern = draw(st.permutations(range(1, k + 1)))
     return tuple(word), tuple(pattern)
@@ -74,15 +74,15 @@ def draw_signed_window(draw, n):
 
 @st.composite
 def window_and_signed_pattern(draw):
-    n = draw(st.integers(min_value=0, max_value=5))
-    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=5))
     return draw_signed_window(draw, n), draw_signed_window(draw, k)
 
 
 @st.composite
 def window_and_unsigned_pattern(draw):
     n = draw(st.integers(min_value=0, max_value=5))
-    k = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=5))
     return draw_signed_window(draw, n), tuple(draw(st.permutations(range(1, k + 1))))
 
 
@@ -102,6 +102,16 @@ class TestUnsignedContains:
         word, pattern = pair
         assert word_contains(word, pattern) == contains_oracle(word, pattern)
 
+    @pytest.mark.parametrize("contains, word, pattern, expected", [
+        (word_contains, (2, 5, 1, 6, 3, 4), (3, 4, 1, 2), True),
+        (word_contains, (4, 1, 3, 2), (2, 3, 1), False),
+        (signed_word_contains, (-2, 5, 1, -6, 3, 4), (3, -4, 1, 2), True),
+        (signed_word_contains, (-2, 5, 1, -6, 3, 4), (3, 4, 1, 2), False),
+    ])
+    def test_list_and_tuple_patterns_agree(self, contains, word, pattern, expected):
+        # The mutation suite hands the kernels lists; plans are cached by tuple.
+        assert contains(list(word), list(pattern)) == contains(word, pattern) == expected
+
 
 class TestClassicalContains:
     def test_examples(self):
@@ -111,12 +121,24 @@ class TestClassicalContains:
         assert not classical_contains(SignedPermutation((1, 2, 3)), SignedPermutation((-1,)))
 
     @given(pair=window_and_signed_pattern())
+    @example(pair=((2, -1), (1, 2, -3)))  # pattern longer than the window
+    @example(pair=((3, -1, 2), (3, -1, 2)))  # as long as the window: equal
+    @example(pair=((3, -1, 2), (2, -1, 3)))  # as long: the order differs
+    @example(pair=((-1, 3, 2), (1, 3, 2)))  # as long: a sign differs
     @settings(max_examples=300)
     def test_matches_oracle(self, pair):
         window, pattern = pair
         assert classical_contains(
             SignedPermutation(window), SignedPermutation(pattern)
         ) == signed_contains_oracle(window, pattern)
+
+    def test_matches_oracle_on_every_small_window(self):
+        # Where the search may skip letters after a failure, a wrong skip
+        # shows on a few percent of small cases: check all of them.
+        patterns = [q for k in (1, 2, 3) for q in iter_windows(k)]
+        for window in (w for n in range(5) for w in iter_windows(n)):
+            for q in patterns:
+                assert signed_word_contains(window, q) == signed_contains_oracle(window, q)
 
 
 class TestProbeGarbage:
