@@ -124,42 +124,43 @@ def iter_windows(
     equal-size branches.
 
     With `keep`, a prefix that `keep` rejects is not extended: `keep` is asked
-    about each prefix, the whole window included, and must not hold on to the
-    list it is given (the walk reuses it).  This equals filtering the windows
-    by `keep` only when `keep` is closed under prefixes, i.e. rejects every
-    extension of a prefix it rejects, as avoiding a pattern is in both
-    containment orders.
+    about each nonempty prefix, the whole window included, and about the empty
+    prefix only at n = 0.  It must not hold on to the list it is given (the
+    walk reuses it).  This equals filtering the windows by `keep` only when
+    `keep` is closed under prefixes, i.e. rejects every extension of a prefix
+    it rejects, as avoiding a pattern is in both containment orders.
     """
-    used = [False] * (n + 1)
-    prefix: list[int] = []
+    if n == 0:
+        if first is None and (keep is None or keep([])):
+            yield ()
+        return
+    if first is None:
+        values: Sequence[int] = range(-n, n + 1)
+    else:
+        values = (first,) if 0 < abs(first) <= n else ()
+    yield from _extend([], [False] * (n + 1), values, keep)
 
-    def rec(depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(prefix)
-            return
-        for v in range(-n, n + 1):
-            if v == 0 or used[abs(v)]:
-                continue
-            prefix.append(v)
-            if keep is None or keep(prefix):
+
+def _extend(
+    prefix: list[int],
+    used: list[bool],
+    values: Sequence[int],
+    keep: Callable[[list[int]], bool] | None,
+) -> Iterator[tuple[int, ...]]:
+    """The windows that extend `prefix` by one of `values` and then any entries."""
+    n = len(used) - 1
+    for v in values:
+        if v == 0 or used[abs(v)]:
+            continue
+        prefix.append(v)
+        if keep is None or keep(prefix):
+            if len(prefix) == n:
+                yield tuple(prefix)
+            else:
                 used[abs(v)] = True
-                yield from rec(depth + 1)
+                yield from _extend(prefix, used, range(-n, n + 1), keep)
                 used[abs(v)] = False
-            prefix.pop()
-
-    try:
-        if n == 0:
-            if first is None and (keep is None or keep(prefix)):
-                yield ()
-        elif first is None:
-            yield from rec(0)
-        elif first != 0 and abs(first) <= n:
-            prefix.append(first)
-            if keep is None or keep(prefix):
-                used[abs(first)] = True
-                yield from rec(1)
-    finally:
-        rec = None  # breaks the closure cycle, also when the walk is abandoned
+        prefix.pop()
 
 
 def window_reduced_word(window: Sequence[int]) -> tuple[int, ...]:
@@ -190,27 +191,26 @@ def window_all_reduced_words(window: Sequence[int]) -> tuple[tuple[int, ...], ..
     Depth-first over right descents, memoized by window: each reduced word ends
     in a right descent and its prefix is a reduced word of the shorter element.
     """
-    memo: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    return _reduced_words(tuple(window), {})
 
-    def rec(cur: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        cached = memo.get(cur)
-        if cached is not None:
-            return cached
-        des = window_descents(cur)
-        if not des:
-            result: tuple[tuple[int, ...], ...] = ((),)
-        else:
-            words = []
-            for i in sorted(des):
-                shorter = window_apply_generator(cur, i)
-                words.extend(u + (i,) for u in rec(shorter))
-            result = tuple(words)
-        memo[cur] = result
-        return result
 
-    words = rec(tuple(window))
-    rec = None  # `rec` holds itself through its closure cell: break the cycle
-    return words
+def _reduced_words(
+    cur: tuple[int, ...], memo: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
+) -> tuple[tuple[int, ...], ...]:
+    cached = memo.get(cur)
+    if cached is not None:
+        return cached
+    des = window_descents(cur)
+    if not des:
+        result: tuple[tuple[int, ...], ...] = ((),)
+    else:
+        result = tuple(
+            u + (i,)
+            for i in sorted(des)
+            for u in _reduced_words(window_apply_generator(cur, i), memo)
+        )
+    memo[cur] = result
+    return result
 
 
 def parse_window(text: str) -> tuple[int, ...]:

@@ -79,19 +79,13 @@ def palindromic_compositions(total: int) -> Iterator[tuple[int, ...]]:
     if total < 0:
         raise ValueError("total must be nonnegative")
 
-    def rec(remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        yield (remaining,)
-        for outer in range(1, remaining // 2 + 1):
-            for inner in rec(remaining - 2 * outer):
-                yield (outer,) + inner + (outer,)
-
-    try:
-        yield from rec(total)
-    finally:
-        rec = None  # `rec` holds itself through its closure cell: break the cycle
+    if total == 0:
+        yield ()
+        return
+    yield (total,)
+    for outer in range(1, total // 2 + 1):
+        for inner in palindromic_compositions(total - 2 * outer):
+            yield (outer,) + inner + (outer,)
 
 
 def palindromic_composition_count(total: int) -> int:

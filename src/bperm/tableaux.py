@@ -131,24 +131,30 @@ def _fillings(
     shape = check_partition(shape)
     if sum(shape) % piece_size != 0:
         return
-    n = sum(shape) // piece_size
     rows: list[list[int]] = [[] for _ in shape]
+    yield from _fill(rows, [0] * len(shape), 1, sum(shape) // piece_size, shape, placements)
 
-    def rec(label: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if label > n:
-            yield tuple(tuple(row) for row in rows)
-            return
-        for piece in placements([len(row) for row in rows], shape):
-            for r in piece:
-                rows[r].append(label)
-            yield from rec(label + 1)
-            for r in piece:
-                rows[r].pop()
 
-    try:
-        yield from rec(1)
-    finally:
-        rec = None  # `rec` holds itself through its closure cell: break the cycle
+def _fill(
+    rows: list[list[int]],
+    lengths: list[int],
+    label: int,
+    last: int,
+    shape: Sequence[int],
+    placements: Callable[..., list[tuple[int, ...]]],
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The fillings that complete `rows`, of row lengths `lengths`, with labels `label`..`last`."""
+    if label > last:
+        yield tuple(tuple(row) for row in rows)
+        return
+    for piece in placements(lengths, shape):
+        for r in piece:
+            rows[r].append(label)
+            lengths[r] += 1
+        yield from _fill(rows, lengths, label + 1, last, shape, placements)
+        for r in piece:
+            rows[r].pop()
+            lengths[r] -= 1
 
 
 def domino_tableaux(shape: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -164,25 +170,24 @@ def domino_count(shape: Sequence[int]) -> int:
     shape = check_partition(shape)
     if sum(shape) % 2 != 0:
         return 0
-    memo: dict[tuple[int, ...], int] = {}
+    return _domino_count((0,) * len(shape), shape, {})
 
-    def count_from(partial: tuple[int, ...]) -> int:
-        if sum(partial) == sum(shape):
-            return 1
-        cached = memo.get(partial)
-        if cached is not None:
-            return cached
-        total = 0
-        for domino in _domino_placements(partial, shape):
-            grown = list(partial)
-            for r in domino:
-                grown[r] += 1
-            total += count_from(tuple(grown))
-        memo[partial] = total
-        return total
 
-    total = count_from((0,) * len(shape))
-    count_from = None  # it holds itself through its closure cell: break the cycle
+def _domino_count(
+    partial: tuple[int, ...], shape: tuple[int, ...], memo: dict[tuple[int, ...], int]
+) -> int:
+    if sum(partial) == sum(shape):
+        return 1
+    cached = memo.get(partial)
+    if cached is not None:
+        return cached
+    total = 0
+    for domino in _domino_placements(partial, shape):
+        grown = list(partial)
+        for r in domino:
+            grown[r] += 1
+        total += _domino_count(tuple(grown), shape, memo)
+    memo[partial] = total
     return total
 
 

@@ -14,6 +14,7 @@ from bperm.core import (
     parse_window,
     signed_group_order,
     signed_permutations,
+    window_all_reduced_words,
     window_apply_generator,
     window_length,
     window_reduced_word,
@@ -308,6 +309,31 @@ class TestLengthAndWords:
                 for word in words:
                     assert len(word) == w.length()
                     assert window_from_reduced_word(n, word) == w.window
+
+    def test_all_reduced_words_match_every_short_word(self):
+        # Oracle: every generator word of length <= 9 (the longest length in
+        # B_3), evaluated letter by letter as it grows.  The reduced words of
+        # w are the words of length l(w) that evaluate to w, each once.
+        for n in range(1, 4):
+            found = {}
+            stack = [((), tuple(range(1, n + 1)))]
+            while stack:
+                word, cur = stack.pop()
+                if len(word) == window_length(cur):
+                    found.setdefault(cur, []).append(word)
+                if len(word) == 9:
+                    continue
+                for i in range(n):
+                    grown = list(cur)
+                    if i == 0:
+                        grown[0] = -grown[0]
+                    else:
+                        grown[i - 1], grown[i] = grown[i], grown[i - 1]
+                    stack.append((word + (i,), tuple(grown)))
+            for w in iter_windows(n):
+                words = window_all_reduced_words(w)
+                assert len(set(words)) == len(words)
+                assert sorted(words) == sorted(found[w])
 
     def test_support_examples(self):
         assert SignedPermutation.identity(3).support() == frozenset()

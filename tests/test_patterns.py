@@ -1,7 +1,9 @@
 import functools
 import gc
+import types
 from itertools import combinations, permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,6 +37,7 @@ from bperm.patterns import (
     word_contains,
 )
 from bperm.tableaux import domino_count, domino_tableaux, standard_tableaux
+import bperm
 from bperm import fixtures
 
 
@@ -158,9 +161,27 @@ class TestProbeGarbage:
             assert next(domino_tableaux((4, 2))) == ((1, 1, 2, 2), (3, 3))
             assert len(list(standard_tableaux((2, 1)))) == 2
             assert len(list(palindromic_compositions(4))) == 4
+            window = next(iter_windows(5, first=-1, keep=lambda prefix: prefix[-1] > -5))
+            assert window == (-1, -4, -3, -2, 5)
+            assert next(standard_tableaux((3, 2))) == ((1, 2, 3), (4, 5))
+            assert next(palindromic_compositions(6)) == (6,)
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_no_nested_function_refers_to_itself(self):
+        # A nested function that calls itself by name holds itself through its
+        # closure cell, a reference cycle that outlives the call; recursive
+        # walks are module-level functions instead.
+        package = Path(bperm.__file__).parent
+        stack = [compile(path.read_text(), path.name, "exec") for path in package.glob("*.py")]
+        self_referring = []
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            if code.co_name in code.co_freevars:
+                self_referring.append(f"{code.co_filename}:{code.co_firstlineno} {code.co_name}")
+        assert self_referring == []
 
 
 class TestGlobalContains:
