@@ -70,7 +70,7 @@ def parse_size_range(text: str) -> range:
     return range(low, high + 1)
 
 
-def _cmd_count(args: argparse.Namespace, table_output: bool) -> int:
+def _cmd_count(args: argparse.Namespace) -> int:
     parse = parse_unsigned_patterns if args.mode == "global" else parse_signed_patterns
     counts = count_sequence(
         parse(args.patterns),
@@ -78,7 +78,7 @@ def _cmd_count(args: argparse.Namespace, table_output: bool) -> int:
         jobs=args.jobs,
         cache_path=os.environ.get("BPERM_CACHE"),
     )
-    if table_output and args.format == "csv":
+    if args.command == "sequence" and args.format == "csv":
         width = max(len(str(n)) for n in counts)
         print(f"# {args.patterns} ({args.mode}, brute-force)")
         for n, count in counts.items():
@@ -171,18 +171,22 @@ def build_parser() -> argparse.ArgumentParser:
             default="csv",
             help="output format (the sequence alias renders csv as a table)",
         )
+        p.set_defaults(run=_cmd_count)
 
     p = sub.add_parser("list", help="windows of one characterized family")
     p.add_argument("--property", required=True, choices=sorted(PROPERTIES))
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=_cmd_list)
 
     p = sub.add_parser("basis", help="classical basis of a global avoidance class")
     p.add_argument("--patterns", required=True)
+    p.set_defaults(run=_cmd_basis)
 
     p = sub.add_parser("tableaux", help="standard Young or domino tableaux of a shape")
     p.add_argument("--shape", required=True, help="partition, e.g. '4,2'")
     p.add_argument("--domino", action="store_true", help="domino tableaux instead of SYT")
     p.add_argument("--count", action="store_true", help="print only the count")
+    p.set_defaults(run=_cmd_tableaux)
 
     p = sub.add_parser("occurrences", help="global occurrences of a pattern in a window")
     p.add_argument("--pattern", required=True, help="unsigned pattern, e.g. '2,1,3'")
@@ -191,12 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="signed window; use the = form for leading minus, e.g. --window=-2,1,3,-4",
     )
+    p.set_defaults(run=_cmd_occurrences)
 
     p = sub.add_parser("verify", help="run the theorem/conjecture checks")
     p.add_argument("--check", choices=sorted(CHECKS), help="run one check only")
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -207,24 +213,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
-        if args.command == "count":
-            return _cmd_count(args, table_output=False)
-        if args.command == "sequence":
-            return _cmd_count(args, table_output=True)
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "basis":
-            return _cmd_basis(args)
-        if args.command == "tableaux":
-            return _cmd_tableaux(args)
-        if args.command == "occurrences":
-            return _cmd_occurrences(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (ValueError, KeyError) as exc:
+        return args.run(args)
+    except ValueError as exc:
         parser.exit(2, f"bperm: {exc}\n")
-    return 0
 
 
 if __name__ == "__main__":

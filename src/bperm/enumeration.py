@@ -20,7 +20,7 @@ from math import comb
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
-from .core import Permutation, SignedPermutation
+from .core import Permutation, SignedPermutation, format_window
 from .patterns import _containment_order, count_avoiders, word_contains
 from .tableaux import domino_count, syt_count
 
@@ -143,10 +143,7 @@ def _count_exhaustive(
 
 
 def normalized_pattern_key(pattern_words: Iterable[Sequence[int]]) -> str:
-    return ";".join(
-        ",".join(str(v) for v in word)
-        for word in sorted(tuple(w) for w in pattern_words)
-    )
+    return ";".join(map(format_window, sorted(tuple(w) for w in pattern_words)))
 
 
 def load_cache(path: str) -> dict[str, int]:

@@ -1,6 +1,8 @@
 """
 The verification registry: each check replays one counting identity or set
 equality across all sizes up to a cap, recording expected/observed pairs.
+A check is one function `run(max_n, jobs) -> rows`, decorated with
+`@_check(id, max_n, description)`, which enters it into `CHECKS`.
 
 Checks whose id starts with "thm-", "prop-", "lemma-", or "cor-" verify
 proved statements and report pass/fail; ids starting with "conj-" or "oq-"
@@ -104,6 +106,19 @@ class Check:
         return "conjecture" if self.id.startswith(("conj-", "oq-")) else "theorem"
 
 
+CHECKS: dict[str, Check] = {}
+
+
+def _check(check_id: str, max_n: int, description: str):
+    """Register the decorated function as check `check_id`, with default cap `max_n`."""
+
+    def register(run: Callable[[int, int], list[CheckRow]]):
+        CHECKS[check_id] = Check(check_id, description, max_n, run)
+        return run
+
+    return register
+
+
 def _set_row(n: int, reference: set, alternates: dict[str, set]) -> CheckRow:
     """A row whose expected and observed differ exactly when some set differs."""
     expected = str(len(reference))
@@ -160,7 +175,6 @@ def _check_family(
     structural: Callable[[SignedPermutation], bool],
     structural_name: str,
     max_n: int,
-    jobs: int,
 ) -> list[CheckRow]:
     """A family's global class = its classical list = its structural criterion."""
     rows = [_basis_row(classical_patterns, global_basis(global_patterns))]
@@ -174,6 +188,19 @@ def _check_family(
     return rows
 
 
+@_check("thm-boolean", 4, "global {321,3412} = classical 10-list = distinct-letter reduced words")
+def _check_boolean(max_n: int, jobs: int) -> list[CheckRow]:
+    return _check_family(
+        fixtures.BOOLEAN_GLOBAL, fixtures.BOOLEAN_CLASSICAL, is_boolean, "reduced-words", max_n
+    )
+
+
+@_check("thm-free", 5, "global {231,312,321} = classical 8-list = sparse support")
+def _check_free(max_n: int, jobs: int) -> list[CheckRow]:
+    return _check_family(fixtures.FREE_GLOBAL, fixtures.FREE_CLASSICAL, is_free, "support", max_n)
+
+
+@_check("thm-vexillary", 5, "global 2143-avoidance = classical 9-pattern list = computed basis")
 def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
     # Vexillarity has no structural criterion: whole-group filters by the
     # predicate and the classical list meet the pruned walk in rows of their own.
@@ -196,14 +223,10 @@ def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
     return rows + predicate_rows
 
 
+@_check("thm-smooth-bc", 5, "global {3412,4231} = classical 11-list = smooth in both types")
 def _check_smooth_bc(max_n: int, jobs: int) -> list[CheckRow]:
     rows = _check_family(
-        fixtures.SMOOTH_BC_GLOBAL,
-        fixtures.SMOOTH_BC_CLASSICAL,
-        is_smooth_BC,
-        "B-and-C",
-        max_n,
-        jobs,
+        fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL, is_smooth_BC, "B-and-C", max_n
     )
     # Smoothness in one type alone does not persist: each witness below is
     # smooth on one side yet globally contains a forbidden pattern.
@@ -223,6 +246,9 @@ def _check_smooth_bc(max_n: int, jobs: int) -> list[CheckRow]:
     return rows
 
 
+@_check(
+    "thm-central-binomial", 7, "|GAV_n(321)| = |GAV_n(123)| = C(2n,n), with two-row domino counts"
+)
 def _check_central_binomial(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     for n in range(1, max_n + 1):
@@ -242,6 +268,7 @@ def _check_central_binomial(max_n: int, jobs: int) -> list[CheckRow]:
     return rows
 
 
+@_check("thm-greene-counts", 4, "monotone global avoiders counted by squared domino-tableau sums")
 def _check_greene_counts(max_n: int, jobs: int) -> list[CheckRow]:
     # Avoiding 12..(k+1) bounds a shape's first row by k; avoiding
     # (j+1)..1 bounds its number of rows by j.
@@ -281,6 +308,7 @@ def _formula_row(
     return CheckRow(n, _labelled("formula", formulas), _labelled("formula", brutes))
 
 
+@_check("thm-fib-like", 6, "|GAV_n({132, 12..(k+1)})| satisfies the order-k recurrence")
 def _check_fib_like(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     for k in range(1, 11):
@@ -297,6 +325,9 @@ def _check_fib_like(max_n: int, jobs: int) -> list[CheckRow]:
     return rows
 
 
+@_check(
+    "thm-binomial-sum", 6, "|GAV_n({132, (k+1)k..1})| equals a binomial sum; 132-avoiders are 2^n"
+)
 def _check_binomial_sum(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     for n in range(1, max_n + 1):
@@ -333,6 +364,21 @@ def _check_es(max_kj: int, jobs: int, signed: bool) -> list[CheckRow]:
     return rows
 
 
+@_check(
+    "prop-es-unsigned", 6, "extremal monotone avoiders in S_kj counted by squared rectangle tableaux"
+)
+def _check_es_unsigned(max_kj: int, jobs: int) -> list[CheckRow]:
+    return _check_es(max_kj, jobs, signed=False)
+
+
+@_check(
+    "prop-es-signed", 6, "extremal monotone global avoiders counted by squared domino tableaux"
+)
+def _check_es_signed(max_kj: int, jobs: int) -> list[CheckRow]:
+    return _check_es(max_kj, jobs, signed=True)
+
+
+@_check("lemma-symmetry", 4, "dihedral symmetries preserve global avoidance counts")
 def _check_symmetry(max_n: int, jobs: int) -> list[CheckRow]:
     s3 = [Permutation(p) for p in iter_permutations((1, 2, 3))]
     subsets = [frozenset(c) for r in range(1, len(s3) + 1) for c in combinations(s3, r)]
@@ -351,6 +397,7 @@ def _check_symmetry(max_n: int, jobs: int) -> list[CheckRow]:
     return rows
 
 
+@_check("cor-iota", 4, "the doubling embedding hits exactly the rc-invariant permutations")
 def _check_iota(max_n: int, jobs: int) -> list[CheckRow]:
     test_patterns = [Permutation(p) for p in iter_permutations((1, 2, 3))]
     test_patterns += [Permutation(p) for p in iter_permutations((1, 2, 3, 4))]
@@ -386,6 +433,7 @@ _FEATURED_SETS: dict[str, tuple[Permutation, ...]] = {
 }
 
 
+@_check("prop-gl-basis", 4, "global classes equal classical classes of their computed bases")
 def _check_gl_basis(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     bases = {name: global_basis(patterns) for name, patterns in _FEATURED_SETS.items()}
@@ -414,6 +462,7 @@ def _check_gl_basis(max_n: int, jobs: int) -> list[CheckRow]:
     return rows
 
 
+@_check("conj-grassmannian", 5, "(bi)grassmannian = global avoidance of the conjectured lists")
 def _check_grassmannian(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     for n in range(1, max_n + 1):
@@ -429,16 +478,19 @@ def _check_grassmannian(max_n: int, jobs: int) -> list[CheckRow]:
     return rows
 
 
+@_check("conj-smooth-count", 5, "|GAV_n({3412,4231})| matches unsigned smooth counts one size up")
 def _check_smooth_count(max_n: int, jobs: int) -> list[CheckRow]:
     expected = lambda n: unsigned_avoider_count(n + 1, fixtures.SMOOTH_A_UNSIGNED)
     return _count_rows(max_n, jobs, expected, fixtures.SMOOTH_BC_GLOBAL)
 
 
+@_check("oq-gao-hanni", 6, "|GAV_n(2143)| = |GAV_n(1234)|")
 def _check_gao_hanni(max_n: int, jobs: int) -> list[CheckRow]:
     expected = lambda n: _count_exhaustive(n, fixtures.GAO_HANNI_LEFT, jobs=jobs)
     return _count_rows(max_n, jobs, expected, fixtures.GAO_HANNI_RIGHT)
 
 
+@_check("oq-a115197", 5, "|GAV_n({2413,3142})| matches the stored OEIS A115197 prefix")
 def _check_a115197(max_n: int, jobs: int) -> list[CheckRow]:
     # The stored prefix bounds the sizes compared, whatever max_n asks for.
     cap = min(max_n, len(fixtures.A115197_PREFIX) - 1)
@@ -454,6 +506,7 @@ def _uses_each_generator_at_most_twice(w: SignedPermutation) -> bool:
     )
 
 
+@_check("oq-two-boolean", 4, "each-generator-at-most-twice vs global {3421,4312,4321,456123}")
 def _check_two_boolean(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
     for n in range(1, max_n + 1):
@@ -461,135 +514,6 @@ def _check_two_boolean(max_n: int, jobs: int) -> list[CheckRow]:
         word_side = _members(n, _uses_each_generator_at_most_twice)
         rows.append(_set_row(n, word_side, {"global-patterns": pattern_side}))
     return rows
-
-
-# Structural predicates are looked up by name when called, as in
-# `_check_smooth_bc`, so that rebinding a module name reaches every call.
-CHECKS: dict[str, Check] = {
-    check.id: check
-    for check in [
-        Check(
-            "thm-vexillary",
-            "global 2143-avoidance = classical 9-pattern list = computed basis",
-            5,
-            _check_vexillary,
-        ),
-        Check(
-            "thm-boolean",
-            "global {321,3412} = classical 10-list = distinct-letter reduced words",
-            4,
-            partial(
-                _check_family,
-                fixtures.BOOLEAN_GLOBAL,
-                fixtures.BOOLEAN_CLASSICAL,
-                lambda w: is_boolean(w),
-                "reduced-words",
-            ),
-        ),
-        Check(
-            "thm-free",
-            "global {231,312,321} = classical 8-list = sparse support",
-            5,
-            partial(
-                _check_family,
-                fixtures.FREE_GLOBAL,
-                fixtures.FREE_CLASSICAL,
-                lambda w: is_free(w),
-                "support",
-            ),
-        ),
-        Check(
-            "thm-smooth-bc",
-            "global {3412,4231} = classical 11-list = smooth in both types",
-            5,
-            _check_smooth_bc,
-        ),
-        Check(
-            "thm-central-binomial",
-            "|GAV_n(321)| = |GAV_n(123)| = C(2n,n), with two-row domino counts",
-            7,
-            _check_central_binomial,
-        ),
-        Check(
-            "thm-greene-counts",
-            "monotone global avoiders counted by squared domino-tableau sums",
-            4,
-            _check_greene_counts,
-        ),
-        Check(
-            "thm-fib-like",
-            "|GAV_n({132, 12..(k+1)})| satisfies the order-k recurrence",
-            6,
-            _check_fib_like,
-        ),
-        Check(
-            "thm-binomial-sum",
-            "|GAV_n({132, (k+1)k..1})| equals a binomial sum; 132-avoiders are 2^n",
-            6,
-            _check_binomial_sum,
-        ),
-        Check(
-            "prop-es-unsigned",
-            "extremal monotone avoiders in S_kj counted by squared rectangle tableaux",
-            6,
-            partial(_check_es, signed=False),
-        ),
-        Check(
-            "prop-es-signed",
-            "extremal monotone global avoiders counted by squared domino tableaux",
-            6,
-            partial(_check_es, signed=True),
-        ),
-        Check(
-            "lemma-symmetry",
-            "dihedral symmetries preserve global avoidance counts",
-            4,
-            _check_symmetry,
-        ),
-        Check(
-            "cor-iota",
-            "the doubling embedding hits exactly the rc-invariant permutations",
-            4,
-            _check_iota,
-        ),
-        Check(
-            "prop-gl-basis",
-            "global classes equal classical classes of their computed bases",
-            4,
-            _check_gl_basis,
-        ),
-        Check(
-            "conj-grassmannian",
-            "(bi)grassmannian = global avoidance of the conjectured lists",
-            5,
-            _check_grassmannian,
-        ),
-        Check(
-            "conj-smooth-count",
-            "|GAV_n({3412,4231})| matches unsigned smooth counts one size up",
-            5,
-            _check_smooth_count,
-        ),
-        Check(
-            "oq-gao-hanni",
-            "|GAV_n(2143)| = |GAV_n(1234)|",
-            6,
-            _check_gao_hanni,
-        ),
-        Check(
-            "oq-a115197",
-            "|GAV_n({2413,3142})| matches the stored OEIS A115197 prefix",
-            5,
-            _check_a115197,
-        ),
-        Check(
-            "oq-two-boolean",
-            "each-generator-at-most-twice vs global {3421,4312,4321,456123}",
-            4,
-            _check_two_boolean,
-        ),
-    ]
-}
 
 
 def run_check(check_id: str, max_n: int | None = None, jobs: int = 1) -> CheckReport:

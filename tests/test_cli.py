@@ -174,6 +174,17 @@ class TestCount:
         assert captured.out == ""
         assert captured.err == f"bperm: memo {memo}: cannot read (Not a directory)\n"
 
+    def test_internal_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        # `--check` and `--property` are guarded by argparse choices, so a
+        # KeyError past parsing is a fault in the program and must propagate.
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr("bperm.cli.count_sequence", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["count", "--patterns", "3,2,1", "--n", "1..3"])
+        assert capsys.readouterr().err == ""
+
 
 class TestListBasisTableaux:
     def test_list_free_elements(self, capsys):

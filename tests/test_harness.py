@@ -1,6 +1,8 @@
 import json
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -20,6 +22,7 @@ from bperm.harness import (
 # Every check's status and rows from run_all(3).  Reshaping the harness code
 # must leave them as they are, so any change to a row shows up here.
 ROW_SNAPSHOT = Path(__file__).with_name("verify_rows_max_n_3.json")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,23 @@ class TestRegistry:
         for check_id, check in CHECKS.items():
             assert check.id == check_id
             assert 0 < check.max_n <= 8
+
+    def test_each_check_is_one_named_function(self):
+        # A check is declared once, as a decorated function of the module;
+        # a partial or lambda in the registry would be a second declaration.
+        runs = [check.run for check in CHECKS.values()]
+        for run in runs:
+            assert type(run) is FunctionType
+            assert run.__module__ == "bperm.harness"
+            assert getattr(bperm.harness, run.__name__) is run
+        assert len(set(runs)) == len(runs)
+
+    def test_readme_lists_exactly_the_registered_checks(self):
+        section = README.read_text(encoding="utf-8").split("## The checks", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        id_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        documented = [check_id for cell in id_cells for check_id in re.findall(r"`(.+?)`", cell)]
+        assert sorted(documented) == sorted(CHECKS)
 
     def test_kinds(self):
         assert CHECKS["thm-free"].kind == "theorem"
