@@ -1,13 +1,16 @@
 """
 Closed-form counting formulas and the exhaustive counting engine.
 
-`sequence` counts avoiders size by size with `patterns.count_avoiders`, so
-the pattern type picks the containment order (unsigned: global, signed:
-classical), and only prefixes that avoid every pattern are extended.  Work
-is partitioned over the 2n possible first window entries, one pruned subtree
-each (of unequal sizes), so from size 5 it can fan out to a process pool and
-still merge deterministically (an integer sum).  An optional on-disk memo
-keyed by normalized pattern set, order, and size caches counts between runs.
+`sequence` counts every size it is asked for in one pass: it grows the
+levels A_0..A_(N-1) of `patterns._levels` once, for the largest size N that
+the memo lacks, reads each smaller size as the size of its level, and counts
+N by the pruned walk, which searches only whole windows.  The pattern type
+picks the containment order (unsigned: global, signed: classical).  The walk
+at N is partitioned over the 2n possible first window entries, one pruned
+subtree each (of unequal sizes), so from size 5 it can fan out to a process
+pool, each task carrying the levels, and still merge deterministically (an
+integer sum).  An optional on-disk memo keyed by normalized pattern set,
+order, and size caches counts between runs.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -20,15 +23,16 @@ from math import comb
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
-from .core import Permutation, SignedPermutation, format_window
-from .patterns import _containment_order, count_avoiders, word_contains
+from .core import Permutation, SignedPermutation, format_window, iter_windows, signed_group_order
+from .patterns import _containment_order, _levels, _prefix_test, word_contains
 from .tableaux import domino_count, syt_count
 
 MAX_SIGNED_SIZE = 8
 MAX_UNSIGNED_SIZE = 9
-# A 2-process pool takes 11-20 ms to start.  Jobs 1 -> 2 at n=5: {3412,4231} 58 -> 56 ms,
-# {132,123} 6 -> 18 ms; at n=6: 406 -> 248 ms and 15 -> 28 ms.  Size 5 gains nothing, but
-# perfbench/test_perfbench.py needs a pool at n=5 to see pool metrics.
+# On a shared 2-vCPU VM a 2-process pool takes about 17 ms to start.  Jobs 1 -> 2, two runs:
+# {3412,4231} n=5 16-20 -> 34-49 ms, n=6 149-170 -> 153-192 ms, n=7 767-860 -> 503-562 ms;
+# {321} n=7 245-262 -> 179-185 ms; {132,123} n=7 14-19 -> 22-25 ms.  Only size 7 of a dense
+# class gains, but perfbench/test_perfbench.py needs a pool at n=5 to see pool metrics.
 POOL_MIN_SIZE = 5
 
 
@@ -120,22 +124,25 @@ def es_extremal_count(k: int, j: int, signed: bool) -> int:
 
 
 def _branch_count(args: tuple) -> int:
-    n, patterns, first = args
-    return count_avoiders(n, patterns, first=first)
+    n, patterns, first, levels = args
+    return sum(1 for _ in iter_windows(n, first=first, keep=_prefix_test(patterns, levels)))
 
 
 def _count_exhaustive(
     n: int,
     patterns: Sequence[Permutation] | Sequence[SignedPermutation],
+    *,
+    levels: Sequence[frozenset | None],
     jobs: int = 1,
 ) -> int:
     """
-    Size-n avoider count, one branch per first entry: serial when jobs <= 1
-    or n < POOL_MIN_SIZE, otherwise on a pool of up to `jobs` processes.
+    Size-n avoider count, given the levels A_0..A_(n-1) of `patterns._levels`,
+    one branch per first entry: serial when jobs <= 1 or n < POOL_MIN_SIZE,
+    otherwise on a pool of up to `jobs` processes, each task carrying the levels.
     """
     if n == 0:
-        return count_avoiders(0, patterns)
-    tasks = [(n, patterns, first) for first in range(-n, n + 1) if first != 0]
+        return _branch_count((0, patterns, None, levels))
+    tasks = [(n, patterns, first, levels) for first in range(-n, n + 1) if first != 0]
     if jobs <= 1 or n < POOL_MIN_SIZE:
         return sum(_branch_count(task) for task in tasks)
     with Pool(processes=min(jobs, len(tasks))) as pool:
@@ -208,8 +215,9 @@ def sequence(
     """
     Exact avoider counts `{n: count}` in ascending n, by exhaustive
     enumeration: global avoidance for unsigned patterns, classical for signed
-    ones.  The result is independent of `jobs`; sizes above the hard cap are
-    rejected.
+    ones.  The sizes the memo lacks are counted in one pass up to the largest
+    of them.  The result is independent of `jobs`; sizes above the hard cap
+    are rejected.
     """
     pattern_objects = tuple(patterns)
     pattern_words = tuple(p.oneline if isinstance(p, Permutation) else p.window
@@ -222,20 +230,20 @@ def sequence(
     order = _containment_order(pattern_objects)
     key_base = f"{normalized_pattern_key(pattern_words)}|{order}"
     cache = load_cache(cache_path) if cache_path else {}
-    dirty = False
-    counts: dict[int, int] = {}
-    for n in sizes:
-        key = f"{key_base}|{n}"
-        if key in cache:
-            count = cache[key]
-        else:
-            count = _count_exhaustive(n, pattern_objects, jobs=jobs)
-            cache[key] = count
-            dirty = True
-        counts[n] = count
-    if cache_path and dirty:
-        store_cache(cache_path, cache)
-    return counts
+    missing = [n for n in sizes if f"{key_base}|{n}" not in cache]
+    if missing:
+        # The levels up to the largest missing size hold every smaller one.
+        top = missing.pop()
+        levels = _levels(pattern_objects, top)
+        for n in missing:
+            level = levels[n]
+            cache[f"{key_base}|{n}"] = signed_group_order(n) if level is None else len(level)
+        cache[f"{key_base}|{top}"] = _count_exhaustive(
+            top, pattern_objects, levels=levels, jobs=jobs
+        )
+        if cache_path:
+            store_cache(cache_path, cache)
+    return {n: cache[f"{key_base}|{n}"] for n in sizes}
 
 
 def unsigned_avoider_count(n: int, patterns: Iterable[Permutation]) -> int:

@@ -12,17 +12,18 @@ failures make the command-line `verify` exit nonzero.
 
 Rows come from shared builders: `_set_row` (a reference set against named
 alternates), `_basis_row`, `_count_rows` (a reference count against a global
-class's count) and `_formula_row` (a closed form against brute force);
+class's count) and `_formula_rows` (a closed form against brute force);
 `_check_family` and `_check_es` each serve several checks.  The builders
 share only the row format: each compared route is computed apart.  Every
-signed count goes through `enumeration._count_exhaustive`, which alone picks
-serial or pool; `lemma-symmetry` reads a per-size table of classes.
+signed count goes through `enumeration.sequence`, called once per pattern
+set in a check for all the sizes that check needs, so each class is grown
+once per check; `sequence` alone picks serial or pool, and no count is kept
+between calls.  `lemma-symmetry` reads a per-size table of classes.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, permutations as iter_permutations
 from math import comb
 from typing import Callable, Iterable, Sequence
@@ -49,13 +50,13 @@ from .core import (
 from .enumeration import (
     MAX_SIGNED_SIZE,
     SizeCapExceededError,
-    _count_exhaustive,
     count_gav_132_and_decreasing,
     count_gav_132_and_increasing,
     es_bound,
     es_extremal_count,
     fib_like,
     palindromic_composition_count,
+    sequence,
     unsigned_avoider_count,
 )
 from .patterns import (
@@ -153,10 +154,8 @@ def _count_rows(
     patterns: Sequence[Permutation],
 ) -> list[CheckRow]:
     """Per size 1..max_n, a reference count against the global class's count."""
-    return [
-        CheckRow(n, str(expected(n)), str(_count_exhaustive(n, patterns, jobs=jobs)))
-        for n in range(1, max_n + 1)
-    ]
+    counts = sequence(patterns, range(1, max_n + 1), jobs=jobs)
+    return [CheckRow(n, str(expected(n)), str(count)) for n, count in counts.items()]
 
 
 def _canonical_pattern_text(patterns: Sequence[SignedPermutation]) -> str:
@@ -251,10 +250,12 @@ def _check_smooth_bc(max_n: int, jobs: int) -> list[CheckRow]:
 )
 def _check_central_binomial(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
-    for n in range(1, max_n + 1):
+    sizes = range(1, max_n + 1)
+    decreasing = sequence([_decreasing(3)], sizes, jobs=jobs)
+    increasing = sequence([Permutation.identity(3)], sizes, jobs=jobs)
+    for n in sizes:
         expected = str(comb(2 * n, n))
-        c_dec = _count_exhaustive(n, [_decreasing(3)], jobs=jobs)
-        c_inc = _count_exhaustive(n, [Permutation.identity(3)], jobs=jobs)
+        c_dec, c_inc = decreasing[n], increasing[n]
         observed = str(c_dec) if c_dec == c_inc else f"321:{c_dec},123:{c_inc}"
         rows.append(CheckRow(n, expected, observed))
     for n in range(1, min(max_n, 5) + 1):
@@ -272,18 +273,24 @@ def _check_central_binomial(max_n: int, jobs: int) -> list[CheckRow]:
 def _check_greene_counts(max_n: int, jobs: int) -> list[CheckRow]:
     # Avoiding 12..(k+1) bounds a shape's first row by k; avoiding
     # (j+1)..1 bounds its number of rows by j.
+    # Each pattern is counted at the sizes n with k <= 2n, all in one sequence.
     sides = (("rows", Permutation.identity, lambda shape: shape[0]), ("cols", _decreasing, len))
+    counts = {
+        (label, k): sequence([monotone(k + 1)], range((k + 1) // 2, max_n + 1), jobs=jobs)
+        for label, monotone, _ in sides
+        for k in range(1, 2 * max_n + 1)
+    }
     rows = []
     for n in range(1, max_n + 1):
         by_shape = {s: domino_count(s) for s in partitions(2 * n) if is_domino_tileable(s)}
         ks = range(1, 2 * n + 1)
-        for label, monotone, extent in sides:
-            counts = [_count_exhaustive(n, [monotone(k + 1)], jobs=jobs) for k in ks]
+        for label, _, extent in sides:
+            observed = [counts[label, k][n] for k in ks]
             sums = [
                 sum(c * c for shape, c in by_shape.items() if extent(shape) <= k)
                 for k in ks
             ]
-            rows.append(CheckRow(n, _labelled(label, sums), _labelled(label, counts)))
+            rows.append(CheckRow(n, _labelled(label, sums), _labelled(label, observed)))
     return rows
 
 
@@ -293,19 +300,24 @@ def _closed_form(k: int, n: int) -> int:
     return 2**n - 2 ** (n - k // 2 - 1)
 
 
-def _formula_row(
-    n: int,
+def _formula_rows(
+    max_n: int,
     jobs: int,
     formula: Callable[[int, int], int],
     monotone: Callable[[int], Permutation],
     ks: range,
-) -> CheckRow:
-    """formula(n, k) against a brute-force count of {132, monotone(k+1)}."""
-    formulas = [formula(n, k) for k in ks]
-    brutes = [
-        _count_exhaustive(n, [fixtures.PATTERN_132, monotone(k + 1)], jobs=jobs) for k in ks
+) -> list[CheckRow]:
+    """Per size 1..max_n, formula(n, k) against a brute-force count of {132, monotone(k+1)}."""
+    sizes = range(1, max_n + 1)
+    brutes = [sequence([fixtures.PATTERN_132, monotone(k + 1)], sizes, jobs=jobs) for k in ks]
+    return [
+        CheckRow(
+            n,
+            _labelled("formula", [formula(n, k) for k in ks]),
+            _labelled("formula", [brute[n] for brute in brutes]),
+        )
+        for n in sizes
     ]
-    return CheckRow(n, _labelled("formula", formulas), _labelled("formula", brutes))
 
 
 @_check("thm-fib-like", 6, "|GAV_n({132, 12..(k+1)})| satisfies the order-k recurrence")
@@ -315,10 +327,9 @@ def _check_fib_like(max_n: int, jobs: int) -> list[CheckRow]:
         expected = ",".join(str(_closed_form(k, i - k - 1)) for i in range(k + 1, 2 * k + 1))
         observed = ",".join(str(fib_like(k, i)) for i in range(k + 1, 2 * k + 1))
         rows.append(CheckRow(k, f"k={k}:{expected}", f"k={k}:{observed}"))
-    for n in range(1, max_n + 1):
-        rows.append(
-            _formula_row(n, jobs, count_gav_132_and_increasing, Permutation.identity, range(1, 5))
-        )
+    rows += _formula_rows(
+        max_n, jobs, count_gav_132_and_increasing, Permutation.identity, range(1, 5)
+    )
     fib_expected = "2,3,5,8,13,21"
     fib_observed = ",".join(str(count_gav_132_and_increasing(n, 2)) for n in range(1, 7))
     rows.append(CheckRow(6, fib_expected, fib_observed))
@@ -330,8 +341,11 @@ def _check_fib_like(max_n: int, jobs: int) -> list[CheckRow]:
 )
 def _check_binomial_sum(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
-    for n in range(1, max_n + 1):
-        rows.append(_formula_row(n, jobs, count_gav_132_and_decreasing, _decreasing, range(1, 6)))
+    formula_rows = _formula_rows(
+        max_n, jobs, count_gav_132_and_decreasing, _decreasing, range(1, 6)
+    )
+    for n, formula_row in enumerate(formula_rows, start=1):
+        rows.append(formula_row)
         pal = palindromic_composition_count(2 * n)
         members = [
             SignedPermutation(window) for window in avoiders(n, [fixtures.PATTERN_132])
@@ -352,14 +366,18 @@ def _check_binomial_sum(max_n: int, jobs: int) -> list[CheckRow]:
 
 def _check_es(max_kj: int, jobs: int, signed: bool) -> list[CheckRow]:
     """Extremal {12..(k+1), (j+1)..1}-avoiders at the Erdős–Szekeres bound, none above."""
-    count = partial(_count_exhaustive, jobs=jobs) if signed else unsigned_avoider_count
     rows = []
     for k in range(1, max_kj + 1):
         for j in range(1, max_kj // k + 1):
             patterns = [Permutation.identity(k + 1), _decreasing(j + 1)]
             bound = es_bound(k, j, signed=signed)
             extremal = es_extremal_count(k, j, signed=signed)
-            observed = f"{count(bound, patterns)};{count(bound + 1, patterns)}"
+            sizes = (bound, bound + 1)
+            if signed:
+                counts = sequence(patterns, sizes, jobs=jobs)
+            else:
+                counts = {n: unsigned_avoider_count(n, patterns) for n in sizes}
+            observed = f"{counts[bound]};{counts[bound + 1]}"
             rows.append(CheckRow(bound, f"k={k},j={j}:{extremal};0", f"k={k},j={j}:{observed}"))
     return rows
 
@@ -486,8 +504,8 @@ def _check_smooth_count(max_n: int, jobs: int) -> list[CheckRow]:
 
 @_check("oq-gao-hanni", 6, "|GAV_n(2143)| = |GAV_n(1234)|")
 def _check_gao_hanni(max_n: int, jobs: int) -> list[CheckRow]:
-    expected = lambda n: _count_exhaustive(n, fixtures.GAO_HANNI_LEFT, jobs=jobs)
-    return _count_rows(max_n, jobs, expected, fixtures.GAO_HANNI_RIGHT)
+    left = sequence(fixtures.GAO_HANNI_LEFT, range(1, max_n + 1), jobs=jobs)
+    return _count_rows(max_n, jobs, left.__getitem__, fixtures.GAO_HANNI_RIGHT)
 
 
 @_check("oq-a115197", 5, "|GAV_n({2413,3142})| matches the stored OEIS A115197 prefix")
@@ -516,6 +534,17 @@ def _check_two_boolean(max_n: int, jobs: int) -> list[CheckRow]:
     return rows
 
 
+def _valid_max_n(max_n: int) -> int:
+    """`max_n` itself, if it is a size a check can run to; else ValueError."""
+    if max_n < 0:
+        raise ValueError(f"max_n {max_n} is negative")
+    if max_n == 0:
+        raise ValueError("max_n 0 checks nothing")
+    if max_n > MAX_SIGNED_SIZE:
+        raise SizeCapExceededError(f"max_n {max_n} exceeds cap {MAX_SIGNED_SIZE}")
+    return max_n
+
+
 def run_check(check_id: str, max_n: int | None = None, jobs: int = 1) -> CheckReport:
     """
     Run one registered check across sizes 1..max_n.  Mismatches are recorded,
@@ -527,13 +556,7 @@ def run_check(check_id: str, max_n: int | None = None, jobs: int = 1) -> CheckRe
         check = CHECKS[check_id]
     except KeyError:
         raise UnknownCheckError(check_id) from None
-    cap = check.max_n if max_n is None else max_n
-    if cap < 0:
-        raise ValueError(f"max_n {cap} is negative")
-    if cap == 0:
-        raise ValueError("max_n 0 checks nothing")
-    if cap > MAX_SIGNED_SIZE:
-        raise SizeCapExceededError(f"max_n {cap} exceeds cap {MAX_SIGNED_SIZE}")
+    cap = _valid_max_n(check.max_n if max_n is None else max_n)
     start = time.perf_counter()
     try:
         rows = tuple(check.run(cap, jobs))
@@ -552,8 +575,10 @@ def run_all(max_n: int | None = None, jobs: int = 1) -> list[CheckReport]:
     """
     Run every registered check, ordered by id; each check runs at its own
     default cap, lowered to max_n when that is given.  Failures are collected,
-    not fatal.
+    not fatal; a bad max_n raises before any check runs, as in `run_check`.
     """
+    if max_n is not None:
+        _valid_max_n(max_n)
     reports = []
     for check_id in sorted(CHECKS):
         check = CHECKS[check_id]

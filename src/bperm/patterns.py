@@ -18,6 +18,13 @@ prefixes depth first and test each prefix: a prefix is a classical pattern of
 every window extending it, and its mirror word is the middle factor of theirs,
 so a prefix that contains a pattern is dropped with all its extensions.
 
+A prefix of length k re-ranked to a window of size k (`_standardize`) avoids
+a pattern exactly when the prefix does, so the walk of size n first builds
+the levels A_0..A_(n-1), the sets of smaller avoiders (`_levels`), and keeps
+a shorter prefix iff its standardization is in its level.  The containment
+search then runs on whole windows only.  A level where no pattern fits is
+None, and its prefixes are kept without being standardized.
+
 Global avoidance classes can always be rewritten as classical avoidance
 classes: `global_basis` computes, for a set P of unsigned patterns, the
 unique minimal antichain of signed patterns whose classical avoidance class
@@ -194,6 +201,59 @@ def _avoidance_test(
     return avoids_classically
 
 
+def _standardize(prefix: Sequence[int]) -> tuple[int, ...]:
+    """
+    The window of size len(prefix) with the prefix's signs and its absolute
+    values re-ranked to 1..len(prefix).  Re-ranking keeps the relative order
+    of the letters of the mirror word and of the absolute values, so the
+    window avoids a pattern, in either order, exactly when the prefix does.
+    """
+    ranks = sorted(map(abs, prefix))
+    return tuple(1 + ranks.index(v) if v > 0 else -1 - ranks.index(-v) for v in prefix)
+
+
+def _prefix_test(
+    patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...],
+    levels: Sequence[frozenset | None],
+) -> Callable[[Sequence[int]], bool]:
+    """
+    The prefix test of the walk over windows avoiding every pattern, given
+    the levels A_0..A_(k-1) of `_levels`.  A prefix shorter than k avoids iff
+    its standardization is in its level, or at once where the level is None;
+    a prefix of length k or more, a whole window in practice, is searched.
+    """
+    avoids = _avoidance_test(patterns)
+    depth = len(levels)
+
+    def keep(prefix: Sequence[int]) -> bool:
+        if len(prefix) >= depth:
+            return avoids(prefix)
+        level = levels[len(prefix)]
+        return level is None or _standardize(prefix) in level
+
+    return keep
+
+
+def _levels(
+    patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], n: int
+) -> list[frozenset | None]:
+    """
+    A_0..A_(n-1): for each size k < n, the set of size-k windows avoiding
+    every pattern, each walked with the levels below it.  Where no pattern
+    fits (every |p| > 2k globally, every |q| > k classically) every window
+    avoids, and the level is None: nothing is stored or standardized.
+    """
+    reach = 2 if _containment_order(patterns) == "global" else 1
+    shortest = min((p.size for p in patterns), default=sys.maxsize)
+    levels: list[frozenset | None] = []
+    for k in range(n):
+        if reach * k < shortest:
+            levels.append(None)
+        else:
+            levels.append(frozenset(iter_windows(k, keep=_prefix_test(patterns, levels))))
+    return levels
+
+
 def avoiders(
     n: int, patterns: Iterable[Permutation] | Iterable[SignedPermutation]
 ) -> Iterator[tuple[int, ...]]:
@@ -203,7 +263,8 @@ def avoiders(
     is closed under prefixes, so a prefix that contains a pattern is never
     extended.
     """
-    return iter_windows(n, keep=_avoidance_test(patterns))
+    patterns = tuple(patterns)
+    return iter_windows(n, keep=_prefix_test(patterns, _levels(patterns, n)))
 
 
 def count_avoiders(
@@ -212,7 +273,9 @@ def count_avoiders(
     first: int | None = None,
 ) -> int:
     """Number of windows `avoiders` yields; with `first`, of those starting with it."""
-    return sum(1 for _ in iter_windows(n, first=first, keep=_avoidance_test(patterns)))
+    patterns = tuple(patterns)
+    keep = _prefix_test(patterns, _levels(patterns, n))
+    return sum(1 for _ in iter_windows(n, first=first, keep=keep))
 
 
 def delete_window_entry(window: Sequence[int], index: int) -> tuple[int, ...]:

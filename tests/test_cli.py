@@ -399,6 +399,15 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "bperm: max_n 0 checks nothing\n"
 
+    @pytest.mark.parametrize("argv", [["verify"], ["verify", "--check", "thm-free"]])
+    def test_max_n_above_the_size_cap_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--max-n", "99"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err == "bperm: max_n 99 exceeds cap 8\n"
+
     def test_bad_range_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["count", "--patterns", "3,2,1", "--n", "4..1"])

@@ -1,12 +1,14 @@
 import os
 import stat
 import tempfile
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bperm import enumeration
+from bperm import enumeration, fixtures
+from bperm import patterns as patterns_module
 from bperm.core import Permutation, SignedPermutation
 from bperm.enumeration import (
     SizeCapExceededError,
@@ -23,7 +25,7 @@ from bperm.enumeration import (
     store_cache,
     unsigned_avoider_count,
 )
-from bperm.patterns import avoiders, count_avoiders, parse_unsigned_patterns
+from bperm.patterns import _levels, avoiders, count_avoiders, parse_unsigned_patterns
 from bperm.tableaux import domino_count, syt_count
 
 
@@ -41,6 +43,9 @@ def small_pattern_sets(draw):
         else:
             patterns.append(Permutation(tuple(values)))
     return patterns
+
+
+SMOOTH_BC_COUNTS = (2, 6, 22, 88, 366, 1552)
 
 
 def monotone_up(k):
@@ -190,10 +195,17 @@ class TestSequenceEngine:
         assert left == right
 
     def test_deterministic_across_worker_counts(self):
-        patterns = parse_unsigned_patterns("1,3,2")
-        serial = sequence(patterns, range(0, 6), jobs=1)
-        parallel = sequence(patterns, range(0, 6), jobs=2)
-        assert serial == parallel
+        # Only the largest size of a call is counted on the pool.
+        for patterns, counts in [
+            (parse_unsigned_patterns("1,3,2"), {5: 32, 6: 64}),
+            (fixtures.SMOOTH_BC_GLOBAL, {5: 366, 6: 1552}),
+            (fixtures.SMOOTH_BC_CLASSICAL, {5: 366, 6: 1552}),
+        ]:
+            for n, count in counts.items():
+                pooled = sequence(patterns, [n], jobs=2)
+                assert pooled == sequence(patterns, [n], jobs=1) == {n: count}
+            sizes = range(0, 7)
+            assert sequence(patterns, sizes, jobs=2) == sequence(patterns, sizes, jobs=1)
 
     def test_pool_starts_only_from_size_five(self, monkeypatch):
         started = []
@@ -212,16 +224,15 @@ class TestSequenceEngine:
                 return list(map(function, tasks))
 
         monkeypatch.setattr(enumeration, "Pool", RecordingPool)
-        patterns = [Permutation((3, 2, 1))]
-        assert _count_exhaustive(4, patterns, jobs=2) == 70
-        assert _count_exhaustive(5, patterns, jobs=1) == 252
+        patterns = (Permutation((3, 2, 1)),)
+        levels = {n: _levels(patterns, n) for n in (4, 5)}
+        assert _count_exhaustive(4, patterns, levels=levels[4], jobs=2) == 70
+        assert _count_exhaustive(5, patterns, levels=levels[5], jobs=1) == 252
         assert started == []
-        assert _count_exhaustive(5, patterns, jobs=2) == 252
+        assert _count_exhaustive(5, patterns, levels=levels[5], jobs=2) == 252
         assert started == [2]
 
     def test_classical_mode(self):
-        from bperm import fixtures
-
         classical = sequence(fixtures.VEXILLARY_CLASSICAL, range(1, 5))
         assert classical == sequence(fixtures.VEXILLARY_GLOBAL, range(1, 5))
 
@@ -250,6 +261,48 @@ class TestSequenceEngine:
             assert sequence(patterns, sizes, jobs=2, cache_path=path) == expected
             with open(path, encoding="utf-8") as handle:
                 assert handle.read() == cold
+
+    @pytest.mark.parametrize(
+        "patterns", [fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL],
+        ids=["global", "classical"],
+    )
+    @pytest.mark.parametrize("dropped", [5, 3], ids=["largest-missing", "middle-missing"])
+    def test_partly_warm_memo_gives_the_cold_counts_and_file(self, tmp_path, patterns, dropped):
+        path = str(tmp_path / "counts.memo")
+        cold = sequence(patterns, range(1, 6), cache_path=path)
+        with open(path, encoding="utf-8") as handle:
+            cold_text = handle.read()
+        kept = [line for line in cold_text.splitlines() if line.split("|")[2] != str(dropped)]
+        assert len(kept) == 4
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(kept) + "\n")
+        assert sequence(patterns, range(1, 6), cache_path=path) == cold
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == cold_text
+
+    @pytest.mark.parametrize(
+        "patterns, kernel, probes",
+        [
+            (fixtures.SMOOTH_BC_GLOBAL, "word_contains", 9255),
+            (fixtures.SMOOTH_BC_CLASSICAL, "signed_word_contains", 32779),
+        ],
+        ids=["global", "classical"],
+    )
+    def test_kernel_probes_are_pinned(self, monkeypatch, patterns, kernel, probes):
+        # The levels are grown once for all sizes, and only whole windows are
+        # searched: rebuilding the levels per size, or searching inner
+        # prefixes, changes these counts.
+        calls = Counter()
+        for name in ("word_contains", "signed_word_contains"):
+            original = getattr(patterns_module, name)
+
+            def counted(word, pattern, original=original, name=name):
+                calls[name] += 1
+                return original(word, pattern)
+
+            monkeypatch.setattr(patterns_module, name, counted)
+        assert sequence(patterns, range(1, 7), jobs=1) == dict(zip(range(1, 7), SMOOTH_BC_COUNTS))
+        assert calls == {kernel: probes}
 
     def test_size_cap(self):
         with pytest.raises(SizeCapExceededError):

@@ -216,6 +216,13 @@ class TestRunAll:
         with pytest.raises(ValueError, match="max_n 0 checks nothing"):
             run_all(0)
 
+    def test_max_n_above_the_size_cap_is_rejected_before_any_check_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(bperm.harness, "run_check", lambda *args: ran.append(args))
+        with pytest.raises(SizeCapExceededError, match="max_n 99 exceeds cap 8"):
+            run_all(99)
+        assert ran == []
+
 
 class TestReportSerialization:
     def test_json_schema(self):

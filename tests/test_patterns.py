@@ -18,8 +18,10 @@ from bperm.core import (
     signed_permutations,
 )
 from bperm.enumeration import palindromic_compositions, sequence
+from bperm import patterns as patterns_module
 from bperm.patterns import (
     PatternTooLargeError,
+    _levels,
     apply_symmetry_to_set,
     avoiders,
     classical_contains,
@@ -340,13 +342,13 @@ def _group_patterns(n, k, signed):
 
 
 def avoiders_oracle(n, patterns):
-    """Windows of size n avoiding every pattern, by `_group_patterns`."""
+    """The windows of the unpruned walk of size n avoiding every pattern, by `_group_patterns`."""
     words = [
         (p.window, _group_patterns(n, p.size, True)) if isinstance(p, SignedPermutation)
         else (p.oneline, _group_patterns(n, p.size, False))
         for p in patterns
     ]
-    return {w for w in _group(n) if not any(word in table[w] for word, table in words)}
+    return [w for w in iter_windows(n) if not any(word in table[w] for word, table in words)]
 
 
 @st.composite
@@ -366,7 +368,14 @@ def pattern_sets(draw):
 
 
 class TestAvoidersOracle:
+    # The examples pin the empty set and patterns too long to fit below size n
+    # (longer than 2k globally, than k classically), beside ones that fit.
     @given(patterns=pattern_sets(), n=st.integers(min_value=0, max_value=5))
+    @example(patterns=[], n=5)
+    @example(patterns=[Permutation((3, 2, 1)), Permutation((1, 2, 3, 4, 5, 6))], n=4)
+    @example(patterns=[Permutation((2, 1, 3, 4))], n=1)
+    @example(patterns=[SignedPermutation((1, -2, 3, -4, 5))], n=4)
+    @example(patterns=[SignedPermutation((-2, 1)), SignedPermutation((2, -1, 3, 4))], n=5)
     @settings(max_examples=80, deadline=None)
     def test_matches_brute_force_in_both_orders(self, patterns, n):
         expected = avoiders_oracle(n, patterns)
@@ -381,6 +390,19 @@ class TestAvoidersOracle:
     def test_empty_set_is_whole_group(self):
         for n in range(5):
             assert count_avoiders(n, []) == 2**n * factorial(n)
+
+    def test_no_level_is_stored_or_standardized_where_no_pattern_fits(self, monkeypatch):
+        def standardize(prefix):
+            raise AssertionError(f"standardized {prefix}")
+
+        monkeypatch.setattr(patterns_module, "_standardize", standardize)
+        assert _levels((), 6) == [None] * 6
+        assert sequence([], range(6)) == {n: 2**n * factorial(n) for n in range(6)}
+        assert count_avoiders(5, []) == 3840
+        # A global pattern of size 5 first fits at size 3, a classical one of size 3 at 3.
+        for patterns in [(Permutation((1, 2, 3, 4, 5)),), (SignedPermutation((1, -2, 3)),)]:
+            assert _levels(patterns, 3) == [None] * 3
+            assert count_avoiders(3, patterns) == len(avoiders_oracle(3, patterns))
 
     def test_mixed_types_rejected(self):
         mixed = [Permutation((2, 1)), SignedPermutation((-1,))]
