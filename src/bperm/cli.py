@@ -25,10 +25,11 @@ from typing import Callable, Sequence
 
 from . import fixtures
 from .classes import is_bigrassmannian, is_grassmannian
-from .core import Permutation, SignedPermutation, format_window, iter_windows, window_descents
+from .core import Permutation, SignedPermutation, format_window, window_descents
 from .enumeration import MAX_SIGNED_SIZE, sequence as count_sequence
 from .harness import CHECKS, any_theorem_failed, run_all, run_check
 from .patterns import (
+    _grown,
     avoiders,
     count_global_occurrences,
     global_basis,
@@ -43,9 +44,10 @@ from .tableaux import (
     syt_count,
 )
 
-# Each family's pattern list, walked by `avoiders`, or, for the two families
+# Each family's pattern list, listed by `avoiders`, or, for the two families
 # that are not pattern classes, a predicate tested on each window with at most
-# one descent (a class closed under prefixes that holds both families).
+# one descent (a class grown size by size, as deleting the last entry and
+# re-ranking keeps a window's other descents, that holds both families).
 PROPERTIES: dict[str, Sequence | Callable[[SignedPermutation], bool]] = {
     "vexillary": fixtures.VEXILLARY_GLOBAL,
     "boolean": fixtures.BOOLEAN_GLOBAL,
@@ -98,8 +100,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must be between 0 and {MAX_SIGNED_SIZE}, not {args.n}")
     family = PROPERTIES[args.property]
     if callable(family):
-        walk = iter_windows(args.n, keep=lambda prefix: len(window_descents(prefix)) <= 1)
-        windows = (window for window in walk if family(SignedPermutation(window)))
+        level = [()]
+        for k in range(1, args.n + 1):
+            level = list(_grown(level, k, lambda window: len(window_descents(window)) <= 1))
+        windows = (window for window in sorted(level) if family(SignedPermutation(window)))
     else:
         windows = avoiders(args.n, family)
     for window in windows:

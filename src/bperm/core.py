@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 MAX_WINDOW_SIZE = 16
 MAX_ONELINE_SIZE = 2 * MAX_WINDOW_SIZE
@@ -111,55 +111,31 @@ def window_apply_generator(window: Sequence[int], i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def iter_windows(
-    n: int,
-    first: int | None = None,
-    keep: Callable[[list[int]], bool] | None = None,
-) -> Iterator[tuple[int, ...]]:
+def iter_windows(n: int) -> Iterator[tuple[int, ...]]:
     """
-    All signed-permutation windows of size n, in lexicographic order.
-
-    With `first`, only windows whose first entry is that value (so none of
-    size 0); the 2n choices of first entry partition the group into
-    equal-size branches.
-
-    With `keep`, a prefix that `keep` rejects is not extended: `keep` is asked
-    about each nonempty prefix, the whole window included, and about the empty
-    prefix only at n = 0.  It must not hold on to the list it is given (the
-    walk reuses it).  This equals filtering the windows by `keep` only when
-    `keep` is closed under prefixes, i.e. rejects every extension of a prefix
-    it rejects, as avoiding a pattern is in both containment orders.
+    All signed-permutation windows of size n, in lexicographic order.  The
+    avoidance engine grows classes from smaller ones (`patterns._grown`) and
+    streams the whole group through here only where no pattern fits.
     """
     if n == 0:
-        if first is None and (keep is None or keep([])):
-            yield ()
+        yield ()
         return
-    if first is None:
-        values: Sequence[int] = range(-n, n + 1)
-    else:
-        values = (first,) if 0 < abs(first) <= n else ()
-    yield from _extend([], [False] * (n + 1), values, keep)
+    yield from _extend([], [False] * (n + 1))
 
 
-def _extend(
-    prefix: list[int],
-    used: list[bool],
-    values: Sequence[int],
-    keep: Callable[[list[int]], bool] | None,
-) -> Iterator[tuple[int, ...]]:
-    """The windows that extend `prefix` by one of `values` and then any entries."""
+def _extend(prefix: list[int], used: list[bool]) -> Iterator[tuple[int, ...]]:
+    """The windows that extend `prefix` by entries whose absolute values are not `used`."""
     n = len(used) - 1
-    for v in values:
+    for v in range(-n, n + 1):
         if v == 0 or used[abs(v)]:
             continue
         prefix.append(v)
-        if keep is None or keep(prefix):
-            if len(prefix) == n:
-                yield tuple(prefix)
-            else:
-                used[abs(v)] = True
-                yield from _extend(prefix, used, range(-n, n + 1), keep)
-                used[abs(v)] = False
+        if len(prefix) == n:
+            yield tuple(prefix)
+        else:
+            used[abs(v)] = True
+            yield from _extend(prefix, used)
+            used[abs(v)] = False
         prefix.pop()
 
 

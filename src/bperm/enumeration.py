@@ -4,13 +4,12 @@ Closed-form counting formulas and the exhaustive counting engine.
 `sequence` counts every size it is asked for in one pass: it grows the
 levels A_0..A_(N-1) of `patterns._levels` once, for the largest size N that
 the memo lacks, reads each smaller size as the size of its level, and counts
-N by the pruned walk, which searches only whole windows.  The pattern type
-picks the containment order (unsigned: global, signed: classical).  The walk
-at N is partitioned over the 2n possible first window entries, one pruned
-subtree each (of unequal sizes), so from size 5 it can fan out to a process
-pool, each task carrying the levels, and still merge deterministically (an
-integer sum).  An optional on-disk memo keyed by normalized pattern set,
-order, and size caches counts between runs.
+N by growing it from A_(N-1) without storing it.  The pattern type picks the
+containment order (unsigned: global, signed: classical).  From size 5 the
+growth of N can fan out to a process pool, each task growing a strided slice
+of A_(N-1), and still merge deterministically (an integer sum).  An optional
+on-disk memo keyed by normalized pattern set, order, and size caches counts
+between runs.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -23,8 +22,8 @@ from math import comb
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
-from .core import Permutation, SignedPermutation, format_window, iter_windows, signed_group_order
-from .patterns import _containment_order, _levels, _prefix_test, word_contains
+from .core import Permutation, SignedPermutation, format_window, signed_group_order
+from .patterns import _avoidance_test, _containment_order, _fits, _grown, _levels, word_contains
 from .tableaux import domino_count, syt_count
 
 MAX_SIGNED_SIZE = 8
@@ -124,8 +123,8 @@ def es_extremal_count(k: int, j: int, signed: bool) -> int:
 
 
 def _branch_count(args: tuple) -> int:
-    n, patterns, first, levels = args
-    return sum(1 for _ in iter_windows(n, first=first, keep=_prefix_test(patterns, levels)))
+    n, patterns, chunk = args
+    return sum(1 for _ in _grown(chunk, n, _avoidance_test(patterns)))
 
 
 def _count_exhaustive(
@@ -136,15 +135,19 @@ def _count_exhaustive(
     jobs: int = 1,
 ) -> int:
     """
-    Size-n avoider count, given the levels A_0..A_(n-1) of `patterns._levels`,
-    one branch per first entry: serial when jobs <= 1 or n < POOL_MIN_SIZE,
-    otherwise on a pool of up to `jobs` processes, each task carrying the levels.
+    Size-n avoider count, grown from the last of the levels A_0..A_(n-1) of
+    `patterns._levels`; with no pattern fitting at n, the order of B_n.
+    Serial when jobs <= 1, n < POOL_MIN_SIZE or A_(n-1) is None, otherwise
+    on a pool of up to `jobs` processes, one task per strided slice of the
+    sorted A_(n-1): 2n slices, so at most 2n processes for any `jobs`.
     """
-    if n == 0:
-        return _branch_count((0, patterns, None, levels))
-    tasks = [(n, patterns, first, levels) for first in range(-n, n + 1) if first != 0]
-    if jobs <= 1 or n < POOL_MIN_SIZE:
-        return sum(_branch_count(task) for task in tasks)
+    if not _fits(patterns, n):
+        return signed_group_order(n)
+    previous = levels[-1] if levels else None
+    if jobs <= 1 or n < POOL_MIN_SIZE or previous is None:
+        return _branch_count((n, patterns, previous))
+    ordered = sorted(previous)
+    tasks = [(n, patterns, ordered[start::2 * n]) for start in range(2 * n)]
     with Pool(processes=min(jobs, len(tasks))) as pool:
         return sum(pool.map(_branch_count, tasks))
 
@@ -156,9 +159,9 @@ def normalized_pattern_key(pattern_words: Iterable[Sequence[int]]) -> str:
 def load_cache(path: str) -> dict[str, int]:
     """
     Read a memo file of "patterns|order|n|count" lines.  Malformed lines are
-    skipped with one warning on stderr and dropped from the file at once, so
-    their counts are recomputed and later reads do not warn again.  A missing
-    file is an empty memo; any other unreadable path raises ValueError.
+    skipped with one warning on stderr; their counts are recomputed, and
+    `sequence` rewrites the file without them.  A missing file is an empty
+    memo; any other unreadable path raises ValueError.
     """
     cache: dict[str, int] = {}
     skipped = 0
@@ -179,8 +182,20 @@ def load_cache(path: str) -> dict[str, int]:
         raise ValueError(f"memo {path}: cannot read ({exc.strerror})") from exc
     if skipped:
         print(f"bperm: memo {path}: skipped {skipped} malformed line(s)", file=sys.stderr)
-        store_cache(path, cache)
     return cache
+
+
+def _memo_text(cache: dict[str, int]) -> str:
+    return "".join(f"{key}|{cache[key]}\n" for key in sorted(cache))
+
+
+def _memo_is_clean(path: str, cache: dict[str, int]) -> bool:
+    """Whether the memo file holds exactly the lines of `cache`, and no malformed one."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read() == _memo_text(cache)
+    except FileNotFoundError:
+        return not cache
 
 
 def store_cache(path: str, cache: dict[str, int]) -> None:
@@ -193,8 +208,7 @@ def store_cache(path: str, cache: dict[str, int]) -> None:
         mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".bperm-cache-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for key in sorted(cache):
-                handle.write(f"{key}|{cache[key]}\n")
+            handle.write(_memo_text(cache))
         os.chmod(tmp_path, mode)
         os.replace(tmp_path, path)
     except OSError as exc:
@@ -233,16 +247,16 @@ def sequence(
     missing = [n for n in sizes if f"{key_base}|{n}" not in cache]
     if missing:
         # The levels up to the largest missing size hold every smaller one.
-        top = missing.pop()
+        *below, top = missing
         levels = _levels(pattern_objects, top)
-        for n in missing:
+        for n in below:
             level = levels[n]
             cache[f"{key_base}|{n}"] = signed_group_order(n) if level is None else len(level)
         cache[f"{key_base}|{top}"] = _count_exhaustive(
             top, pattern_objects, levels=levels, jobs=jobs
         )
-        if cache_path:
-            store_cache(cache_path, cache)
+    if cache_path and (missing or not _memo_is_clean(cache_path, cache)):
+        store_cache(cache_path, cache)
     return {n: cache[f"{key_base}|{n}"] for n in sizes}
 
 

@@ -202,7 +202,7 @@ def _check_free(max_n: int, jobs: int) -> list[CheckRow]:
 @_check("thm-vexillary", 5, "global 2143-avoidance = classical 9-pattern list = computed basis")
 def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
     # Vexillarity has no structural criterion: whole-group filters by the
-    # predicate and the classical list meet the pruned walk in rows of their own.
+    # predicate and the classical list meet the grown classes in rows of their own.
     rows = [_basis_row(fixtures.VEXILLARY_CLASSICAL, global_basis(fixtures.VEXILLARY_GLOBAL))]
     predicate_rows = []
     for n in range(1, max_n + 1):

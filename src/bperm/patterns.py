@@ -13,17 +13,16 @@ Two notions of containment are implemented:
 The pattern type names the order: a set of `Permutation` patterns is avoided
 globally, a set of `SignedPermutation` patterns classically.  `avoiders` and
 `count_avoiders` answer "which (how many) windows of size n avoid P?" for
-either kind; a set mixing the two kinds is rejected.  Both walk window
-prefixes depth first and test each prefix: a prefix is a classical pattern of
-every window extending it, and its mirror word is the middle factor of theirs,
-so a prefix that contains a pattern is dropped with all its extensions.
+either kind; a set mixing the two kinds is rejected.
 
-A prefix of length k re-ranked to a window of size k (`_standardize`) avoids
-a pattern exactly when the prefix does, so the walk of size n first builds
-the levels A_0..A_(n-1), the sets of smaller avoiders (`_levels`), and keeps
-a shorter prefix iff its standardization is in its level.  The containment
-search then runs on whole windows only.  A level where no pattern fits is
-None, and its prefixes are kept without being standardized.
+Deleting the last entry of a window and re-ranking the rest gives a window of
+size n - 1 that occurs in it, as a classical pattern and in the middle of its
+mirror word, so each avoider of size n grows from an avoider of size n - 1
+(a generating tree, West 1995).  `_grown` builds the candidates of size n from
+the avoiders of size n - 1 and searches each whole window once; `_levels`
+grows the classes A_0..A_(n-1) that way, each from the one below.  Where no
+pattern fits (`_fits`) every window avoids: that level is None, and nothing
+is grown or stored.
 
 Global avoidance classes can always be rewritten as classical avoidance
 classes: `global_basis` computes, for a set P of unsigned patterns, the
@@ -49,6 +48,7 @@ from .core import (
     iter_windows,
     mirror_of_window,
     parse_window,
+    signed_group_order,
 )
 
 MAX_BASIS_PATTERN_SIZE = 8
@@ -201,37 +201,38 @@ def _avoidance_test(
     return avoids_classically
 
 
-def _standardize(prefix: Sequence[int]) -> tuple[int, ...]:
+def _fits(
+    patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], k: int
+) -> bool:
     """
-    The window of size len(prefix) with the prefix's signs and its absolute
-    values re-ranked to 1..len(prefix).  Re-ranking keeps the relative order
-    of the letters of the mirror word and of the absolute values, so the
-    window avoids a pattern, in either order, exactly when the prefix does.
+    Whether some pattern fits in a window of size k: one of size at most 2k
+    globally, at most k classically.  Where none fits, every window avoids.
+    Only the empty pattern fits at size 0, and no window avoids it.
     """
-    ranks = sorted(map(abs, prefix))
-    return tuple(1 + ranks.index(v) if v > 0 else -1 - ranks.index(-v) for v in prefix)
+    reach = 2 if _containment_order(patterns) == "global" else 1
+    return any(p.size <= reach * k for p in patterns)
 
 
-def _prefix_test(
-    patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...],
-    levels: Sequence[frozenset | None],
-) -> Callable[[Sequence[int]], bool]:
+def _grown(
+    previous: Iterable[tuple[int, ...]] | None,
+    k: int,
+    test: Callable[[tuple[int, ...]], bool],
+) -> Iterator[tuple[int, ...]]:
     """
-    The prefix test of the walk over windows avoiding every pattern, given
-    the levels A_0..A_(k-1) of `_levels`.  A prefix shorter than k avoids iff
-    its standardization is in its level, or at once where the level is None;
-    a prefix of length k or more, a whole window in practice, is searched.
+    The size-k windows passing `test` that grow from a window of `previous`
+    (size k - 1; None: all of B_(k-1)): pick a in 1..k, shift the absolute
+    values from a up by one, and append a or -a.  A size-k window grows from
+    one window only, its first k - 1 entries re-ranked, so where `test` holds
+    for that window whenever it holds for the whole one, growth from the
+    windows of size k - 1 passing `test` yields each passing window once.
     """
-    avoids = _avoidance_test(patterns)
-    depth = len(levels)
-
-    def keep(prefix: Sequence[int]) -> bool:
-        if len(prefix) >= depth:
-            return avoids(prefix)
-        level = levels[len(prefix)]
-        return level is None or _standardize(prefix) in level
-
-    return keep
+    for window in iter_windows(k - 1) if previous is None else previous:
+        for a in range(1, k + 1):
+            head = tuple(v + 1 if v >= a else v - 1 if v <= -a else v for v in window)
+            for last in (a, -a):
+                grown = (*head, last)
+                if test(grown):
+                    yield grown
 
 
 def _levels(
@@ -239,18 +240,13 @@ def _levels(
 ) -> list[frozenset | None]:
     """
     A_0..A_(n-1): for each size k < n, the set of size-k windows avoiding
-    every pattern, each walked with the levels below it.  Where no pattern
-    fits (every |p| > 2k globally, every |q| > k classically) every window
-    avoids, and the level is None: nothing is stored or standardized.
+    every pattern, grown from the level below; None where no pattern fits.
     """
-    reach = 2 if _containment_order(patterns) == "global" else 1
-    shortest = min((p.size for p in patterns), default=sys.maxsize)
+    test = _avoidance_test(patterns)
     levels: list[frozenset | None] = []
     for k in range(n):
-        if reach * k < shortest:
-            levels.append(None)
-        else:
-            levels.append(frozenset(iter_windows(k, keep=_prefix_test(patterns, levels))))
+        fits = _fits(patterns, k)
+        levels.append(frozenset(_grown(levels[-1] if k else None, k, test)) if fits else None)
     return levels
 
 
@@ -259,23 +255,18 @@ def avoiders(
 ) -> Iterator[tuple[int, ...]]:
     """
     Windows of size n avoiding every pattern, in lexicographic order:
-    globally for unsigned patterns, classically for signed ones.  Avoidance
-    is closed under prefixes, so a prefix that contains a pattern is never
-    extended.
+    globally for unsigned patterns, classically for signed ones.
     """
-    patterns = tuple(patterns)
-    return iter_windows(n, keep=_prefix_test(patterns, _levels(patterns, n)))
+    level = _levels(tuple(patterns), n + 1)[n]
+    return iter_windows(n) if level is None else iter(sorted(level))
 
 
 def count_avoiders(
-    n: int,
-    patterns: Iterable[Permutation] | Iterable[SignedPermutation],
-    first: int | None = None,
+    n: int, patterns: Iterable[Permutation] | Iterable[SignedPermutation]
 ) -> int:
-    """Number of windows `avoiders` yields; with `first`, of those starting with it."""
-    patterns = tuple(patterns)
-    keep = _prefix_test(patterns, _levels(patterns, n))
-    return sum(1 for _ in iter_windows(n, first=first, keep=keep))
+    """Number of windows `avoiders` yields."""
+    level = _levels(tuple(patterns), n + 1)[n]
+    return signed_group_order(n) if level is None else len(level)
 
 
 def delete_window_entry(window: Sequence[int], index: int) -> tuple[int, ...]:

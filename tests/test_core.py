@@ -357,16 +357,3 @@ class TestEnumeration:
         assert windows == sorted(windows)
         assert windows[0] == (-2, -1)
         assert windows[-1] == (2, 1)
-
-    def test_size_zero_has_no_first_entry(self):
-        assert list(iter_windows(0)) == [()]
-        for first in (-1, 0, 1):
-            assert list(iter_windows(0, first=first)) == []
-
-    def test_first_entry_branches_partition_group(self):
-        n = 3
-        merged = []
-        for first in range(-n, n + 1):
-            if first != 0:
-                merged.extend(iter_windows(n, first=first))
-        assert sorted(merged) == list(iter_windows(n))

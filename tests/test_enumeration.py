@@ -311,6 +311,19 @@ class TestSequenceEngine:
     def test_size_zero(self):
         assert sequence([Permutation((2, 1))], [0]) == {0: 1}
 
+    def test_nothing_is_grown_or_searched_where_no_pattern_fits_at_the_top(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grew or searched where no pattern fits")
+
+        for module, name in [(patterns_module, "_grown"), (enumeration, "_grown"),
+                             (patterns_module, "word_contains"),
+                             (patterns_module, "signed_word_contains")]:
+            monkeypatch.setattr(module, name, refuse)
+        orders = {0: 1, 1: 2, 2: 8, 3: 48, 4: 384, 5: 3840, 6: 46080, 7: 645120, 8: 10321920}
+        assert sequence([], range(9)) == orders
+        assert sequence([], range(9), jobs=2) == orders
+        assert count_avoiders(8, []) == orders[8]
+
 
 class TestMemoCache:
     def test_round_trip(self, tmp_path):
@@ -320,6 +333,29 @@ class TestMemoCache:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert load_cache(str(tmp_path / "absent.txt")) == {}
+
+    def test_memo_is_written_once_per_call_and_only_when_it_changes(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "counts.memo")
+        patterns = [Permutation((3, 2, 1))]
+        sequence(patterns, range(1, 4), cache_path=path)
+        with open(path, encoding="utf-8") as handle:
+            cold = handle.read()
+        lines = cold.splitlines()
+        lines[1] = "junk"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        calls = []
+        original = enumeration.store_cache
+        monkeypatch.setattr(
+            enumeration, "store_cache", lambda *args: calls.append(args) or original(*args)
+        )
+        assert sequence(patterns, range(1, 4), cache_path=path) == {1: 2, 2: 6, 3: 20}
+        assert len(calls) == 1
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == cold
+        # A clean memo holding every requested count is not rewritten.
+        assert sequence(patterns, range(1, 4), cache_path=path) == {1: 2, 2: 6, 3: 20}
+        assert len(calls) == 1
 
     def test_sequence_populates_and_reuses_cache(self, tmp_path):
         path = str(tmp_path / "counts.txt")

@@ -17,6 +17,7 @@ from bperm.core import (
     rank_word,
     signed_permutations,
 )
+from bperm import enumeration
 from bperm.enumeration import palindromic_compositions, sequence
 from bperm import patterns as patterns_module
 from bperm.patterns import (
@@ -163,8 +164,8 @@ class TestProbeGarbage:
             assert next(domino_tableaux((4, 2))) == ((1, 1, 2, 2), (3, 3))
             assert len(list(standard_tableaux((2, 1)))) == 2
             assert len(list(palindromic_compositions(4))) == 4
-            window = next(iter_windows(5, first=-1, keep=lambda prefix: prefix[-1] > -5))
-            assert window == (-1, -4, -3, -2, 5)
+            grown = next(patterns_module._grown(None, 5, lambda window: window[-1] > -5))
+            assert grown == (-5, -4, -3, -2, 1)
             assert next(standard_tableaux((3, 2))) == ((1, 2, 3), (4, 5))
             assert next(palindromic_compositions(6)) == (6,)
             assert gc.collect() == 0
@@ -342,7 +343,7 @@ def _group_patterns(n, k, signed):
 
 
 def avoiders_oracle(n, patterns):
-    """The windows of the unpruned walk of size n avoiding every pattern, by `_group_patterns`."""
+    """The windows of size n avoiding every pattern, filtered from B_n by `_group_patterns`."""
     words = [
         (p.window, _group_patterns(n, p.size, True)) if isinstance(p, SignedPermutation)
         else (p.oneline, _group_patterns(n, p.size, False))
@@ -381,28 +382,34 @@ class TestAvoidersOracle:
         expected = avoiders_oracle(n, patterns)
         assert list(avoiders(n, patterns)) == sorted(expected)
         assert count_avoiders(n, patterns) == len(expected)
-        if n:
-            branches = [f for f in range(-n, n + 1) if f != 0]
-            assert sum(count_avoiders(n, patterns, first=f) for f in branches) == len(expected)
-        else:  # size 0 has no first entry, so no branch holds its one window
-            assert count_avoiders(0, patterns, first=1) == 0
 
     def test_empty_set_is_whole_group(self):
         for n in range(5):
             assert count_avoiders(n, []) == 2**n * factorial(n)
 
-    def test_no_level_is_stored_or_standardized_where_no_pattern_fits(self, monkeypatch):
-        def standardize(prefix):
-            raise AssertionError(f"standardized {prefix}")
+    def test_nothing_is_grown_where_no_pattern_fits(self, monkeypatch):
+        def grown(previous, k, test):
+            raise AssertionError(f"grew size {k}")
 
-        monkeypatch.setattr(patterns_module, "_standardize", standardize)
+        for module in (patterns_module, enumeration):
+            monkeypatch.setattr(module, "_grown", grown)
         assert _levels((), 6) == [None] * 6
         assert sequence([], range(6)) == {n: 2**n * factorial(n) for n in range(6)}
         assert count_avoiders(5, []) == 3840
         # A global pattern of size 5 first fits at size 3, a classical one of size 3 at 3.
         for patterns in [(Permutation((1, 2, 3, 4, 5)),), (SignedPermutation((1, -2, 3)),)]:
             assert _levels(patterns, 3) == [None] * 3
+        monkeypatch.undo()
+        for patterns in [(Permutation((1, 2, 3, 4, 5)),), (SignedPermutation((1, -2, 3)),)]:
             assert count_avoiders(3, patterns) == len(avoiders_oracle(3, patterns))
+
+    def test_the_empty_pattern_is_in_every_window(self):
+        # The one pattern that fits at size 0: A_0 is grown from the empty
+        # B_(-1), and that is right, as no window avoids it.
+        for n in range(4):
+            assert count_avoiders(n, [Permutation(())]) == 0
+            assert list(avoiders(n, [SignedPermutation(())])) == []
+        assert sequence([Permutation(())], range(4)) == dict.fromkeys(range(4), 0)
 
     def test_mixed_types_rejected(self):
         mixed = [Permutation((2, 1)), SignedPermutation((-1,))]
@@ -415,24 +422,31 @@ class TestAvoidersOracle:
 
 
 class TestPrunedWalk:
-    """`iter_windows` with a prefix test walks exactly the windows a filter keeps."""
+    """
+    `_grown` from the windows of size k - 1 passing a test, a test that holds
+    for a window's first k - 1 entries re-ranked whenever it holds for the
+    window, yields exactly the size-k windows a filter keeps, each once.
+    """
 
     @pytest.mark.parametrize(
-        "keep",
+        "test",
         [
-            lambda prefix: (2, 1, 3) not in _patterns_in(prefix, 3, signed=False),
-            lambda prefix: not _patterns_in(prefix, 4, signed=False) & {(3, 4, 1, 2), (4, 2, 3, 1)},
-            lambda prefix: (-2, 1) not in _patterns_in(prefix, 2, signed=True),
-            lambda prefix: not {(1, -2, 3), (-1, -2, -3)} & _patterns_in(prefix, 3, signed=True),
-            lambda prefix: False,
+            lambda window: (2, 1, 3) not in _patterns_in(window, 3, signed=False),
+            lambda window: not _patterns_in(window, 4, signed=False) & {(3, 4, 1, 2), (4, 2, 3, 1)},
+            lambda window: (-2, 1) not in _patterns_in(window, 2, signed=True),
+            lambda window: not {(1, -2, 3), (-1, -2, -3)} & _patterns_in(window, 3, signed=True),
+            lambda window: False,
         ],
         ids=["global-213", "global-3412-4231", "classical-(-2,1)", "classical-pair", "none"],
     )
-    def test_pruning_equals_filtering(self, keep):
-        for n in range(5):
-            for first in [None, *range(-n - 1, n + 2)]:
-                pruned = list(iter_windows(n, first, keep))
-                assert pruned == list(filter(keep, iter_windows(n, first)))
+    def test_pruning_equals_filtering(self, test):
+        test = functools.lru_cache(maxsize=None)(test)  # each window is tested up to three times
+        for k in range(1, 6):
+            filtered = list(filter(test, iter_windows(k)))
+            below = list(filter(test, iter_windows(k - 1)))
+            # Sorting keeps repeats, so a window grown twice fails the comparison.
+            assert sorted(patterns_module._grown(below, k, test)) == filtered
+            assert sorted(patterns_module._grown(None, k, test)) == filtered
 
 
 class TestDeleteEntry:
