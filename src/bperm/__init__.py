@@ -34,7 +34,6 @@ from .core import (
     signed_permutations,
 )
 from .enumeration import (
-    SizeCapExceededError,
     count_gav_132_and_decreasing,
     count_gav_132_and_increasing,
     es_bound,
@@ -56,9 +55,9 @@ from .harness import (
 )
 from .patterns import (
     PatternTooLargeError,
+    SizeCapExceededError,
     avoiders,
     classical_contains,
-    count_avoiders,
     count_global_occurrences,
     global_basis,
     global_contains,

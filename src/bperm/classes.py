@@ -5,9 +5,9 @@ Each predicate here takes one route, the family's definition: a criterion on
 reduced words or descents (boolean, free, Grassmannian), smoothness in type B
 and in type C by Billey's classical lists (smooth in both types), or the
 defining patterns (vexillary: global 2143; colayered: 132 and 213).  The
-other characterizations are pattern lists in `bperm.fixtures`, walked by
-`patterns.avoiders`; the harness compares the two as set equalities over
-whole groups.
+other characterizations are pattern lists in `bperm.fixtures`, whose classes
+`patterns.avoiders(patterns, sizes)` grows; the harness compares each class,
+size by size, with the predicate's members filtered from the whole group.
 
 A colayered permutation (one avoiding 132 and 213) decomposes into increasing
 runs on strictly descending value blocks; recording the run lengths maps the

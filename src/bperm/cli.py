@@ -26,9 +26,10 @@ from typing import Callable, Sequence
 from . import fixtures
 from .classes import is_bigrassmannian, is_grassmannian
 from .core import Permutation, SignedPermutation, format_window, window_descents
-from .enumeration import MAX_SIGNED_SIZE, sequence as count_sequence
+from .enumeration import sequence as count_sequence
 from .harness import CHECKS, any_theorem_failed, run_all, run_check
 from .patterns import (
+    MAX_SIGNED_SIZE,
     _grown,
     avoiders,
     count_global_occurrences,
@@ -105,7 +106,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
             level = list(_grown(level, k, lambda window: len(window_descents(window)) <= 1))
         windows = (window for window in sorted(level) if family(SignedPermutation(window)))
     else:
-        windows = avoiders(args.n, family)
+        windows = sorted(avoiders(family, [args.n])[args.n])
     for window in windows:
         print(format_window(window))
     return 0

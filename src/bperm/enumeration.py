@@ -1,15 +1,16 @@
 """
 Closed-form counting formulas and the exhaustive counting engine.
 
-`sequence` counts every size it is asked for in one pass: it grows the
-levels A_0..A_(N-1) of `patterns._levels` once, for the largest size N that
-the memo lacks, reads each smaller size as the size of its level, and counts
-N by growing it from A_(N-1) without storing it.  The pattern type picks the
-containment order (unsigned: global, signed: classical).  From size 5 the
-growth of N can fan out to a process pool, each task growing a strided slice
-of A_(N-1), and still merge deterministically (an integer sum).  An optional
-on-disk memo keyed by normalized pattern set, order, and size caches counts
-between runs.
+`sequence(patterns, sizes)` counts every size it is asked for in one pass, as
+`patterns.avoiders(patterns, sizes)` lists them: it takes the levels
+A_0..A_(N-1) from the generator `patterns._levels` once, for the largest size
+N that the memo lacks, keeps the size of each smaller level it is asked for,
+and counts N by growing it from A_(N-1) without storing it.  The pattern type
+picks the containment order (unsigned: global, signed: classical).  From
+size 5 the growth of N can fan out to a process pool, each task growing a
+strided slice of A_(N-1), and still merge deterministically (an integer sum).
+An optional on-disk memo keyed by normalized pattern set, order, and size
+caches counts between runs.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -23,20 +24,18 @@ from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
 from .core import Permutation, SignedPermutation, format_window, signed_group_order
-from .patterns import _avoidance_test, _containment_order, _fits, _grown, _levels, word_contains
+from .patterns import (
+    SizeCapExceededError, _avoidance_test, _containment_order, _fits, _grown, _levels,
+    _valid_sizes, word_contains,
+)
 from .tableaux import domino_count, syt_count
 
-MAX_SIGNED_SIZE = 8
 MAX_UNSIGNED_SIZE = 9
 # On a shared 2-vCPU VM a 2-process pool takes about 17 ms to start.  Jobs 1 -> 2, two runs:
 # {3412,4231} n=5 16-20 -> 34-49 ms, n=6 149-170 -> 153-192 ms, n=7 767-860 -> 503-562 ms;
 # {321} n=7 245-262 -> 179-185 ms; {132,123} n=7 14-19 -> 22-25 ms.  Only size 7 of a dense
 # class gains, but perfbench/test_perfbench.py needs a pool at n=5 to see pool metrics.
 POOL_MIN_SIZE = 5
-
-
-class SizeCapExceededError(ValueError):
-    """Exhaustive enumeration was requested beyond the supported size."""
 
 
 def fib_like(k: int, i: int) -> int:
@@ -131,11 +130,11 @@ def _count_exhaustive(
     n: int,
     patterns: Sequence[Permutation] | Sequence[SignedPermutation],
     *,
-    levels: Sequence[frozenset | None],
+    previous: frozenset | None,
     jobs: int = 1,
 ) -> int:
     """
-    Size-n avoider count, grown from the last of the levels A_0..A_(n-1) of
+    Size-n avoider count, grown from `previous`, the level A_(n-1) of
     `patterns._levels`; with no pattern fitting at n, the order of B_n.
     Serial when jobs <= 1, n < POOL_MIN_SIZE or A_(n-1) is None, otherwise
     on a pool of up to `jobs` processes, one task per strided slice of the
@@ -143,7 +142,6 @@ def _count_exhaustive(
     """
     if not _fits(patterns, n):
         return signed_group_order(n)
-    previous = levels[-1] if levels else None
     if jobs <= 1 or n < POOL_MIN_SIZE or previous is None:
         return _branch_count((n, patterns, previous))
     ordered = sorted(previous)
@@ -222,7 +220,7 @@ def store_cache(path: str, cache: dict[str, int]) -> None:
 
 def sequence(
     patterns: Iterable[Permutation] | Iterable[SignedPermutation],
-    n_range: Iterable[int],
+    sizes: Iterable[int],
     jobs: int = 1,
     cache_path: str | None = None,
 ) -> dict[int, int]:
@@ -230,30 +228,26 @@ def sequence(
     Exact avoider counts `{n: count}` in ascending n, by exhaustive
     enumeration: global avoidance for unsigned patterns, classical for signed
     ones.  The sizes the memo lacks are counted in one pass up to the largest
-    of them.  The result is independent of `jobs`; sizes above the hard cap
-    are rejected.
+    of them.  The result is independent of `jobs`.  A negative size, or one
+    above `patterns.MAX_SIGNED_SIZE`, is rejected before anything is grown.
     """
     pattern_objects = tuple(patterns)
     pattern_words = tuple(p.oneline if isinstance(p, Permutation) else p.window
                           for p in pattern_objects)
-    sizes = sorted(set(n_range))
-    if any(n < 0 for n in sizes):
-        raise ValueError("sizes must be nonnegative")
-    if any(n > MAX_SIGNED_SIZE for n in sizes):
-        raise SizeCapExceededError(f"sizes beyond {MAX_SIGNED_SIZE} are not supported")
+    sizes = _valid_sizes(sizes)
     order = _containment_order(pattern_objects)
     key_base = f"{normalized_pattern_key(pattern_words)}|{order}"
     cache = load_cache(cache_path) if cache_path else {}
     missing = [n for n in sizes if f"{key_base}|{n}" not in cache]
     if missing:
-        # The levels up to the largest missing size hold every smaller one.
+        # The levels below the largest missing size hold every smaller one.
         *below, top = missing
-        levels = _levels(pattern_objects, top)
-        for n in below:
-            level = levels[n]
-            cache[f"{key_base}|{n}"] = signed_group_order(n) if level is None else len(level)
+        level = None  # ends as A_(top - 1); None also at top 0
+        for n, level in enumerate(_levels(pattern_objects, top)):
+            if n in below:
+                cache[f"{key_base}|{n}"] = signed_group_order(n) if level is None else len(level)
         cache[f"{key_base}|{top}"] = _count_exhaustive(
-            top, pattern_objects, levels=levels, jobs=jobs
+            top, pattern_objects, previous=level, jobs=jobs
         )
     if cache_path and (missing or not _memo_is_clean(cache_path, cache)):
         store_cache(cache_path, cache)

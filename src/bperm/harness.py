@@ -14,11 +14,12 @@ Rows come from shared builders: `_set_row` (a reference set against named
 alternates), `_basis_row`, `_count_rows` (a reference count against a global
 class's count) and `_formula_rows` (a closed form against brute force);
 `_check_family` and `_check_es` each serve several checks.  The builders
-share only the row format: each compared route is computed apart.  Every
-signed count goes through `enumeration.sequence`, called once per pattern
-set in a check for all the sizes that check needs, so each class is grown
-once per check; `sequence` alone picks serial or pool, and no count is kept
-between calls.  `lemma-symmetry` reads a per-size table of classes.
+share only the row format: each compared route is computed apart.  Each
+pattern route is one call per check for all the sizes that check needs:
+`patterns.avoiders(patterns, sizes)` for its members, `enumeration.sequence`
+for its counts, so each class is grown once per check and the per-size loops
+read the returned dicts.  `sequence` alone picks serial or pool, and nothing
+is kept between checks.  Predicate routes (`_members`) filter whole groups.
 """
 from __future__ import annotations
 
@@ -48,8 +49,6 @@ from .core import (
     signed_permutations,
 )
 from .enumeration import (
-    MAX_SIGNED_SIZE,
-    SizeCapExceededError,
     count_gav_132_and_decreasing,
     count_gav_132_and_increasing,
     es_bound,
@@ -60,6 +59,8 @@ from .enumeration import (
     unsigned_avoider_count,
 )
 from .patterns import (
+    MAX_SIGNED_SIZE,
+    SizeCapExceededError,
     apply_symmetry_to_set,
     avoiders,
     classical_contains,
@@ -177,13 +178,12 @@ def _check_family(
 ) -> list[CheckRow]:
     """A family's global class = its classical list = its structural criterion."""
     rows = [_basis_row(classical_patterns, global_basis(global_patterns))]
-    for n in range(1, max_n + 1):
-        reference = set(avoiders(n, global_patterns))
-        alternates = {
-            "classical": set(avoiders(n, classical_patterns)),
-            structural_name: _members(n, structural),
-        }
-        rows.append(_set_row(n, reference, alternates))
+    sizes = range(1, max_n + 1)
+    reference = avoiders(global_patterns, sizes)
+    classical = avoiders(classical_patterns, sizes)
+    for n in sizes:
+        alternates = {"classical": classical[n], structural_name: _members(n, structural)}
+        rows.append(_set_row(n, reference[n], alternates))
     return rows
 
 
@@ -205,10 +205,11 @@ def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
     # predicate and the classical list meet the grown classes in rows of their own.
     rows = [_basis_row(fixtures.VEXILLARY_CLASSICAL, global_basis(fixtures.VEXILLARY_GLOBAL))]
     predicate_rows = []
-    for n in range(1, max_n + 1):
-        reference = set(avoiders(n, fixtures.VEXILLARY_GLOBAL))
-        classical = set(avoiders(n, fixtures.VEXILLARY_CLASSICAL))
-        rows.append(_set_row(n, reference, {"classical": classical}))
+    sizes = range(1, max_n + 1)
+    reference = avoiders(fixtures.VEXILLARY_GLOBAL, sizes)
+    classical = avoiders(fixtures.VEXILLARY_CLASSICAL, sizes)
+    for n in sizes:
+        rows.append(_set_row(n, reference[n], {"classical": classical[n]}))
         via_predicates = {
             "predicate-global": _members(n, is_vexillary),
             "predicate-classical": _members(
@@ -218,7 +219,7 @@ def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
                 ),
             ),
         }
-        predicate_rows.append(_set_row(n, reference, via_predicates))
+        predicate_rows.append(_set_row(n, reference[n], via_predicates))
     return rows + predicate_rows
 
 
@@ -344,12 +345,11 @@ def _check_binomial_sum(max_n: int, jobs: int) -> list[CheckRow]:
     formula_rows = _formula_rows(
         max_n, jobs, count_gav_132_and_decreasing, _decreasing, range(1, 6)
     )
+    gav_132 = avoiders([fixtures.PATTERN_132], range(1, max_n + 1))
     for n, formula_row in enumerate(formula_rows, start=1):
         rows.append(formula_row)
         pal = palindromic_composition_count(2 * n)
-        members = [
-            SignedPermutation(window) for window in avoiders(n, [fixtures.PATTERN_132])
-        ]
+        members = [SignedPermutation(window) for window in gav_132[n]]
         compositions = {signed_composition(w) for w in members}
         bijective = len(compositions) == len(members) and all(
             comp == tuple(reversed(comp)) for comp in compositions
@@ -402,15 +402,16 @@ def _check_symmetry(max_n: int, jobs: int) -> list[CheckRow]:
     subsets = [frozenset(c) for r in range(1, len(s3) + 1) for c in combinations(s3, r)]
     expected = f"symmetric:{len(subsets) * len(DihedralSymmetry)};rc-stable:{len(subsets)}"
     rows = []
-    for n in range(1, max_n + 1):
-        # Each symmetric image and rc-reduction of a subset is again a subset, so
-        # each side of a comparison is the class computed from its own pattern set.
-        classes = {p: set(avoiders(n, p)) for p in subsets}
+    sizes = range(1, max_n + 1)
+    # Each symmetric image and rc-reduction of a subset is again a subset, so
+    # each side of a comparison is the class computed from its own pattern set.
+    classes = {p: avoiders(p, sizes) for p in subsets}
+    for n in sizes:
         symmetric_ok = sum(
-            len(classes[apply_symmetry_to_set(p, symmetry)]) == len(classes[p])
+            len(classes[apply_symmetry_to_set(p, symmetry)][n]) == len(classes[p][n])
             for p in subsets for symmetry in DihedralSymmetry
         )
-        rc_ok = sum(classes[rc_reduce(p)] == classes[p] for p in subsets)
+        rc_ok = sum(classes[rc_reduce(p)][n] == classes[p][n] for p in subsets)
         rows.append(CheckRow(n, expected, f"symmetric:{symmetric_ok};rc-stable:{rc_ok}"))
     return rows
 
@@ -453,7 +454,6 @@ _FEATURED_SETS: dict[str, tuple[Permutation, ...]] = {
 
 @_check("prop-gl-basis", 4, "global classes equal classical classes of their computed bases")
 def _check_gl_basis(max_n: int, jobs: int) -> list[CheckRow]:
-    rows = []
     bases = {name: global_basis(patterns) for name, patterns in _FEATURED_SETS.items()}
     antichain_ok = all(
         not classical_contains(a, b)
@@ -462,19 +462,13 @@ def _check_gl_basis(max_n: int, jobs: int) -> list[CheckRow]:
         for b in basis
         if a != b
     )
-    rows.append(
-        CheckRow(0, "antichain", "antichain" if antichain_ok else "not-antichain")
-    )
-    for n in range(1, max_n + 1):
-        names_bad = []
-        sizes = []
-        for name, patterns in _FEATURED_SETS.items():
-            reference = set(avoiders(n, patterns))
-            via_basis = set(avoiders(n, bases[name]))
-            sizes.append(len(reference))
-            if reference != via_basis:
-                names_bad.append(name)
-        expected = ",".join(map(str, sizes))
+    rows = [CheckRow(0, "antichain", "antichain" if antichain_ok else "not-antichain")]
+    sizes = range(1, max_n + 1)
+    references = {name: avoiders(patterns, sizes) for name, patterns in _FEATURED_SETS.items()}
+    via_bases = {name: avoiders(basis, sizes) for name, basis in bases.items()}
+    for n in sizes:
+        names_bad = [name for name in bases if references[name][n] != via_bases[name][n]]
+        expected = ",".join(str(len(references[name][n])) for name in bases)
         observed = expected if not names_bad else expected + ";bad=" + ",".join(names_bad)
         rows.append(CheckRow(n, expected, observed))
     return rows
@@ -483,14 +477,15 @@ def _check_gl_basis(max_n: int, jobs: int) -> list[CheckRow]:
 @_check("conj-grassmannian", 5, "(bi)grassmannian = global avoidance of the conjectured lists")
 def _check_grassmannian(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
-    for n in range(1, max_n + 1):
+    sizes = range(1, max_n + 1)
+    patterns = avoiders(fixtures.GRASSMANNIAN_GLOBAL, sizes)
+    bipatterns = avoiders(fixtures.BIGRASSMANNIAN_GLOBAL, sizes)
+    for n in sizes:
         group = list(signed_permutations(n))
         descents = {w.window for w in group if is_grassmannian(w)}
         bidescents = {w.window for w in group if is_bigrassmannian(w)}
-        patterns = set(avoiders(n, fixtures.GRASSMANNIAN_GLOBAL))
-        bipatterns = set(avoiders(n, fixtures.BIGRASSMANNIAN_GLOBAL))
-        gr = _set_row(n, descents, {"global-patterns": patterns})
-        bigr = _set_row(n, bidescents, {"global-patterns": bipatterns})
+        gr = _set_row(n, descents, {"global-patterns": patterns[n]})
+        bigr = _set_row(n, bidescents, {"global-patterns": bipatterns[n]})
         expected = f"gr:{gr.expected};bigr:{bigr.expected}"
         rows.append(CheckRow(n, expected, f"gr:{gr.observed};bigr:{bigr.observed}"))
     return rows
@@ -527,10 +522,11 @@ def _uses_each_generator_at_most_twice(w: SignedPermutation) -> bool:
 @_check("oq-two-boolean", 4, "each-generator-at-most-twice vs global {3421,4312,4321,456123}")
 def _check_two_boolean(max_n: int, jobs: int) -> list[CheckRow]:
     rows = []
-    for n in range(1, max_n + 1):
-        pattern_side = set(avoiders(n, fixtures.TWO_BOOLEAN_GLOBAL))
+    sizes = range(1, max_n + 1)
+    pattern_side = avoiders(fixtures.TWO_BOOLEAN_GLOBAL, sizes)
+    for n in sizes:
         word_side = _members(n, _uses_each_generator_at_most_twice)
-        rows.append(_set_row(n, word_side, {"global-patterns": pattern_side}))
+        rows.append(_set_row(n, word_side, {"global-patterns": pattern_side[n]}))
     return rows
 
 

@@ -11,18 +11,20 @@ Two notions of containment are implemented:
   anywhere in the 2n-letter mirror word of w.
 
 The pattern type names the order: a set of `Permutation` patterns is avoided
-globally, a set of `SignedPermutation` patterns classically.  `avoiders` and
-`count_avoiders` answer "which (how many) windows of size n avoid P?" for
-either kind; a set mixing the two kinds is rejected.
+globally, a set of `SignedPermutation` patterns classically; a set mixing the
+two kinds is rejected.  `avoiders(patterns, sizes)` answers "which windows of
+size n avoid P?" for every requested size in one pass, as
+`enumeration.sequence(patterns, sizes)` answers "how many?".  Both check the
+sizes with `_valid_sizes` before growing anything.
 
 Deleting the last entry of a window and re-ranking the rest gives a window of
 size n - 1 that occurs in it, as a classical pattern and in the middle of its
 mirror word, so each avoider of size n grows from an avoider of size n - 1
 (a generating tree, West 1995).  `_grown` builds the candidates of size n from
-the avoiders of size n - 1 and searches each whole window once; `_levels`
-grows the classes A_0..A_(n-1) that way, each from the one below.  Where no
-pattern fits (`_fits`) every window avoids: that level is None, and nothing
-is grown or stored.
+the avoiders of size n - 1 and searches each whole window once; the generator
+`_levels` yields the classes A_0..A_(n-1) that way, each grown from the one
+before it, and keeps only the last.  Where no pattern fits (`_fits`) every
+window avoids: that level is None, and nothing is grown or stored.
 
 Global avoidance classes can always be rewritten as classical avoidance
 classes: `global_basis` computes, for a set P of unsigned patterns, the
@@ -48,15 +50,19 @@ from .core import (
     iter_windows,
     mirror_of_window,
     parse_window,
-    signed_group_order,
 )
 
 MAX_BASIS_PATTERN_SIZE = 8
+MAX_SIGNED_SIZE = 8
 _BOUNDS = (-sys.maxsize, 0, sys.maxsize)  # floor, floor under signs, ceiling
 
 
 class PatternTooLargeError(ValueError):
     """A basis computation was requested for patterns above the supported size."""
+
+
+class SizeCapExceededError(ValueError):
+    """Exhaustive enumeration was requested beyond the supported size."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -127,11 +133,6 @@ def _search(word: Sequence[int], pattern: Sequence[int], signed: bool, stop: int
         frames.append((scan, low, high, word[i], found))
 
 
-def _occurrences(word: Sequence[int], pattern: Sequence[int], stop: int | None = None) -> int:
-    """Index subsets of `word` order-isomorphic to `pattern`, counted up to `stop`."""
-    return _search(word, pattern, False, stop)
-
-
 def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff some subsequence of `word` is order-isomorphic to `pattern`."""
     return _search(word, pattern, False, 1) > 0
@@ -158,7 +159,7 @@ def global_contains(w: SignedPermutation, p: Permutation) -> bool:
 
 def count_global_occurrences(w: SignedPermutation, p: Permutation) -> int:
     """Number of distinct global occurrences of p in w (by index subset)."""
-    return _occurrences(w.mirror_word(), p.oneline)
+    return _search(w.mirror_word(), p.oneline, False, None)
 
 
 def _containment_order(
@@ -237,36 +238,44 @@ def _grown(
 
 def _levels(
     patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], n: int
-) -> list[frozenset | None]:
+) -> Iterator[frozenset | None]:
     """
-    A_0..A_(n-1): for each size k < n, the set of size-k windows avoiding
-    every pattern, grown from the level below; None where no pattern fits.
+    A_0..A_(n-1), one at a time: for each size k < n, the set of size-k
+    windows avoiding every pattern, grown from the level before it; None
+    where no pattern fits.
     """
     test = _avoidance_test(patterns)
-    levels: list[frozenset | None] = []
+    level = None
     for k in range(n):
-        fits = _fits(patterns, k)
-        levels.append(frozenset(_grown(levels[-1] if k else None, k, test)) if fits else None)
-    return levels
+        level = frozenset(_grown(level, k, test)) if _fits(patterns, k) else None
+        yield level
+
+
+def _valid_sizes(sizes: Iterable[int]) -> list[int]:
+    """The distinct sizes, ascending, if none is negative or above MAX_SIGNED_SIZE."""
+    sizes = sorted(set(sizes))
+    if sizes and sizes[0] < 0:
+        raise ValueError("sizes must be nonnegative")
+    if sizes and sizes[-1] > MAX_SIGNED_SIZE:
+        raise SizeCapExceededError(f"sizes beyond {MAX_SIGNED_SIZE} are not supported")
+    return sizes
 
 
 def avoiders(
-    n: int, patterns: Iterable[Permutation] | Iterable[SignedPermutation]
-) -> Iterator[tuple[int, ...]]:
+    patterns: Iterable[Permutation] | Iterable[SignedPermutation], sizes: Iterable[int]
+) -> dict[int, frozenset[tuple[int, ...]]]:
     """
-    Windows of size n avoiding every pattern, in lexicographic order:
-    globally for unsigned patterns, classically for signed ones.
+    `{n: windows of size n avoiding every pattern}` in ascending n: globally
+    for unsigned patterns, classically for signed ones.  The class is grown
+    once, up to the largest size.
     """
-    level = _levels(tuple(patterns), n + 1)[n]
-    return iter_windows(n) if level is None else iter(sorted(level))
-
-
-def count_avoiders(
-    n: int, patterns: Iterable[Permutation] | Iterable[SignedPermutation]
-) -> int:
-    """Number of windows `avoiders` yields."""
-    level = _levels(tuple(patterns), n + 1)[n]
-    return signed_group_order(n) if level is None else len(level)
+    wanted = _valid_sizes(sizes)
+    levels = _levels(tuple(patterns), wanted[-1] + 1 if wanted else 0)
+    return {
+        n: frozenset(iter_windows(n)) if level is None else level
+        for n, level in enumerate(levels)
+        if n in wanted
+    }
 
 
 def delete_window_entry(window: Sequence[int], index: int) -> tuple[int, ...]:

@@ -52,10 +52,11 @@ def whole_group_members(n, predicate):
 
 def assert_matches_pattern_lists(predicate, *pattern_lists):
     """Up to size 4, the predicate's members are each list's avoiders."""
+    classes = [avoiders(patterns, range(1, 5)) for patterns in pattern_lists]
     for n in range(1, 5):
         expected = whole_group_members(n, predicate)
-        for patterns in pattern_lists:
-            assert set(avoiders(n, patterns)) == expected
+        for members in classes:
+            assert members[n] == expected
 
 
 def colayered_by_runs(v):

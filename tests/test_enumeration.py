@@ -25,7 +25,7 @@ from bperm.enumeration import (
     store_cache,
     unsigned_avoider_count,
 )
-from bperm.patterns import _levels, avoiders, count_avoiders, parse_unsigned_patterns
+from bperm.patterns import _levels, avoiders, parse_unsigned_patterns
 from bperm.tableaux import domino_count, syt_count
 
 
@@ -84,8 +84,8 @@ class TestFibLike:
 class TestCountFormulas:
     def test_increasing_example(self):
         assert count_gav_132_and_increasing(2, 2) == 3
-        members = set(avoiders(2, parse_unsigned_patterns("1,3,2;1,2,3")))
-        assert members == {(1, -2), (-1, -2), (-2, -1)}
+        members = avoiders(parse_unsigned_patterns("1,3,2;1,2,3"), [2])
+        assert members == {2: {(1, -2), (-1, -2), (-2, -1)}}
 
     def test_increasing_small_n_powers_of_two(self):
         for k in range(1, 8):
@@ -105,13 +105,13 @@ class TestCountFormulas:
 
     def test_formulas_match_brute_force(self):
         p132 = Permutation((1, 3, 2))
-        for n in range(1, 6):
-            for k in range(1, 5):
-                brute_inc = count_avoiders(n, [p132, monotone_up(k + 1)])
-                assert count_gav_132_and_increasing(n, k) == brute_inc
-            for k in range(1, 6):
-                brute_dec = count_avoiders(n, [p132, monotone_down(k + 1)])
-                assert count_gav_132_and_decreasing(n, k) == brute_dec
+        sizes = range(1, 6)
+        for k in range(1, 5):
+            formula = {n: count_gav_132_and_increasing(n, k) for n in sizes}
+            assert sequence([p132, monotone_up(k + 1)], sizes) == formula
+        for k in range(1, 6):
+            formula = {n: count_gav_132_and_decreasing(n, k) for n in sizes}
+            assert sequence([p132, monotone_down(k + 1)], sizes) == formula
 
 
 class TestPalindromicCompositions:
@@ -171,13 +171,12 @@ class TestErdosSzekeres:
         for k, j in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (3, 2), (2, 3)]:
             patterns = [monotone_up(k + 1), monotone_down(j + 1)]
             bound = es_bound(k, j, signed=True)
-            count = count_avoiders(bound, patterns)
-            assert count == es_extremal_count(k, j, signed=True)
-            assert count_avoiders(bound + 1, patterns) == 0
+            extremal = es_extremal_count(k, j, signed=True)
+            assert sequence(patterns, [bound, bound + 1]) == {bound: extremal, bound + 1: 0}
 
     def test_signed_two_by_two_avoiders(self):
-        members = set(avoiders(2, [monotone_up(3), monotone_down(3)]))
-        assert members == {(2, 1), (2, -1), (-2, 1), (-2, -1)}
+        members = avoiders([monotone_up(3), monotone_down(3)], [2])
+        assert members == {2: {(2, 1), (2, -1), (-2, 1), (-2, -1)}}
         assert domino_count((2, 2)) == 2
 
 
@@ -225,11 +224,11 @@ class TestSequenceEngine:
 
         monkeypatch.setattr(enumeration, "Pool", RecordingPool)
         patterns = (Permutation((3, 2, 1)),)
-        levels = {n: _levels(patterns, n) for n in (4, 5)}
-        assert _count_exhaustive(4, patterns, levels=levels[4], jobs=2) == 70
-        assert _count_exhaustive(5, patterns, levels=levels[5], jobs=1) == 252
+        *_, a3, a4 = _levels(patterns, 5)
+        assert _count_exhaustive(4, patterns, previous=a3, jobs=2) == 70
+        assert _count_exhaustive(5, patterns, previous=a4, jobs=1) == 252
         assert started == []
-        assert _count_exhaustive(5, patterns, levels=levels[5], jobs=2) == 252
+        assert _count_exhaustive(5, patterns, previous=a4, jobs=2) == 252
         assert started == [2]
 
     def test_classical_mode(self):
@@ -322,7 +321,7 @@ class TestSequenceEngine:
         orders = {0: 1, 1: 2, 2: 8, 3: 48, 4: 384, 5: 3840, 6: 46080, 7: 645120, 8: 10321920}
         assert sequence([], range(9)) == orders
         assert sequence([], range(9), jobs=2) == orders
-        assert count_avoiders(8, []) == orders[8]
+        assert len(avoiders([], [5])[5]) == orders[5]
 
 
 class TestMemoCache:

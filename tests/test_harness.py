@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 from types import FunctionType
@@ -7,6 +8,7 @@ from types import FunctionType
 import pytest
 
 import bperm.harness
+import bperm.patterns
 from bperm.classes import NotColayeredError
 from bperm.enumeration import SizeCapExceededError
 from bperm.harness import (
@@ -188,6 +190,28 @@ class TestRunCheck:
         parallel = run_check(check_id, 5, jobs=2)
         assert serial.rows == parallel.rows
         assert serial.status == parallel.status == "pass"
+
+    @pytest.mark.parametrize(
+        "check_id, max_n, grown_per_size",
+        [
+            # Two pattern routes, {3412, 4231} and the classical 11-list, each
+            # first fitting at size 2; the structural route grows nothing.
+            ("thm-smooth-bc", 5, {k: 2 for k in range(2, 6)}),
+            # One route per nonempty set of S_3 patterns, 63 in all, from size 2.
+            ("lemma-symmetry", 4, {k: 63 for k in range(2, 5)}),
+        ],
+    )
+    def test_each_pattern_route_is_grown_once(self, monkeypatch, check_id, max_n, grown_per_size):
+        grown = Counter()
+        original = bperm.patterns._grown
+
+        def counted(previous, k, test):
+            grown[k] += 1
+            return original(previous, k, test)
+
+        monkeypatch.setattr(bperm.patterns, "_grown", counted)
+        assert run_check(check_id, max_n).status == "pass"
+        assert grown == grown_per_size
 
 
 class TestRunAll:

@@ -26,7 +26,6 @@ from bperm.patterns import (
     apply_symmetry_to_set,
     avoiders,
     classical_contains,
-    count_avoiders,
     count_global_occurrences,
     delete_window_entry,
     format_pattern_set,
@@ -158,8 +157,8 @@ class TestProbeGarbage:
             assert word_contains((2, 4, 1, 3), (2, 1))
             assert signed_word_contains((-2, 1, 3), (1, 2))
             assert len(SignedPermutation((-3, -2, -1)).all_reduced_words()) == 2
-            assert count_avoiders(5, smooth) == 366
-            assert next(avoiders(5, smooth)) == (-5, 1, 2, 3, 4)
+            assert min(avoiders(smooth, [5])[5]) == (-5, 1, 2, 3, 4)
+            assert next(_levels(tuple(smooth), 4)) is None  # a generator left part way
             assert domino_count((4, 2, 2)) == len(list(domino_tableaux((4, 2, 2))))
             assert next(domino_tableaux((4, 2))) == ((1, 1, 2, 2), (3, 3))
             assert len(list(standard_tableaux((2, 1)))) == 2
@@ -230,7 +229,7 @@ class TestGlobalContains:
         # If p is contained in q, avoiding p is harder than avoiding q.
         smaller = [Permutation(w) for k in (2, 3) for w in permutations(range(1, k + 1))]
         larger = [Permutation(w) for k in (3, 4) for w in permutations(range(1, k + 1))]
-        classes = {q: set(avoiders(3, [q])) for q in smaller + larger}
+        classes = {q: avoiders([q], [3])[3] for q in smaller + larger}
         for p in smaller:
             for q in larger:
                 if p.size < q.size and unsigned_contains(q, p):
@@ -270,34 +269,32 @@ class TestOccurrenceCounting:
 
 class TestGav:
     def test_gav_132_at_size_two(self):
-        members = set(avoiders(2, [Permutation((1, 3, 2))]))
-        assert members == {(1, 2), (1, -2), (-1, -2), (-2, -1)}
-        assert count_avoiders(2, [Permutation((1, 3, 2))]) == 4
+        members = avoiders([Permutation((1, 3, 2))], [2])
+        assert members == {2: {(1, 2), (1, -2), (-1, -2), (-2, -1)}}
 
     def test_gav_321_count(self):
-        assert count_avoiders(3, [Permutation((3, 2, 1))]) == 20
+        assert len(avoiders([Permutation((3, 2, 1))], [3])[3]) == 20
 
     def test_gav_monotone_empty(self):
-        assert list(avoiders(1, parse_unsigned_patterns("1,2;2,1"))) == []
+        assert avoiders(parse_unsigned_patterns("1,2;2,1"), [1]) == {1: frozenset()}
 
-    def test_streams_in_lexicographic_order(self):
-        windows = list(avoiders(3, [Permutation((3, 2, 1))]))
-        assert windows == sorted(windows)
+    def test_sizes_come_in_ascending_order(self):
+        assert list(avoiders([Permutation((3, 2, 1))], [3, 1, 2, 1])) == [1, 2, 3]
 
     def test_gav_of_nothing_is_whole_group(self):
-        assert count_avoiders(3, []) == 48
+        assert len(avoiders([], [3])[3]) == 48
 
 
 class TestClassicalAvoiders:
     def test_positive_windows_only(self):
-        assert list(avoiders(1, [SignedPermutation((-1,))])) == [(1,)]
+        assert avoiders([SignedPermutation((-1,))], [1]) == {1: {(1,)}}
 
     def test_empty_pattern_set(self):
-        assert sum(1 for _ in avoiders(2, [])) == 8
+        assert len(avoiders([], [2])[2]) == 8
 
     def test_vexillary_classical_equals_global(self):
-        lhs = set(avoiders(4, fixtures.VEXILLARY_CLASSICAL))
-        rhs = set(avoiders(4, fixtures.VEXILLARY_GLOBAL))
+        lhs = avoiders(fixtures.VEXILLARY_CLASSICAL, range(5))
+        rhs = avoiders(fixtures.VEXILLARY_GLOBAL, range(5))
         assert lhs == rhs
 
 
@@ -368,24 +365,34 @@ def pattern_sets(draw):
     return patterns
 
 
+# Unsorted size lists with repeats, each holding 0.
+size_lists = st.lists(st.integers(min_value=0, max_value=5), max_size=4).flatmap(
+    lambda sizes: st.permutations([0, *sizes])
+)
+
+
 class TestAvoidersOracle:
-    # The examples pin the empty set and patterns too long to fit below size n
-    # (longer than 2k globally, than k classically), beside ones that fit.
-    @given(patterns=pattern_sets(), n=st.integers(min_value=0, max_value=5))
-    @example(patterns=[], n=5)
-    @example(patterns=[Permutation((3, 2, 1)), Permutation((1, 2, 3, 4, 5, 6))], n=4)
-    @example(patterns=[Permutation((2, 1, 3, 4))], n=1)
-    @example(patterns=[SignedPermutation((1, -2, 3, -4, 5))], n=4)
-    @example(patterns=[SignedPermutation((-2, 1)), SignedPermutation((2, -1, 3, 4))], n=5)
+    # The examples pin the empty set and patterns too long to fit below some
+    # size (longer than 2k globally, than k classically), beside ones that fit.
+    @given(patterns=pattern_sets(), sizes=size_lists)
+    @example(patterns=[], sizes=[5, 0, 5])
+    @example(patterns=[Permutation((3, 2, 1)), Permutation((1, 2, 3, 4, 5, 6))], sizes=[4, 0, 2])
+    @example(patterns=[Permutation((2, 1, 3, 4))], sizes=[1, 0, 1])
+    @example(patterns=[SignedPermutation((1, -2, 3, -4, 5))], sizes=[4, 4, 0])
+    @example(patterns=[SignedPermutation((-2, 1)), SignedPermutation((2, -1, 3, 4))], sizes=[5, 0])
     @settings(max_examples=80, deadline=None)
-    def test_matches_brute_force_in_both_orders(self, patterns, n):
-        expected = avoiders_oracle(n, patterns)
-        assert list(avoiders(n, patterns)) == sorted(expected)
-        assert count_avoiders(n, patterns) == len(expected)
+    def test_matches_brute_force_in_both_orders(self, patterns, sizes):
+        members = avoiders(patterns, sizes)
+        counts = sequence(patterns, sizes)
+        assert list(members) == sorted(set(sizes))
+        for n, windows in members.items():
+            assert windows == frozenset(avoiders_oracle(n, patterns))
+            assert len(windows) == counts[n]
 
     def test_empty_set_is_whole_group(self):
-        for n in range(5):
-            assert count_avoiders(n, []) == 2**n * factorial(n)
+        orders = {n: 2**n * factorial(n) for n in range(5)}
+        assert {n: len(windows) for n, windows in avoiders([], range(5)).items()} == orders
+        assert sequence([], range(5)) == orders
 
     def test_nothing_is_grown_where_no_pattern_fits(self, monkeypatch):
         def grown(previous, k, test):
@@ -393,32 +400,46 @@ class TestAvoidersOracle:
 
         for module in (patterns_module, enumeration):
             monkeypatch.setattr(module, "_grown", grown)
-        assert _levels((), 6) == [None] * 6
+        assert list(_levels((), 6)) == [None] * 6
         assert sequence([], range(6)) == {n: 2**n * factorial(n) for n in range(6)}
-        assert count_avoiders(5, []) == 3840
+        assert len(avoiders([], [5])[5]) == 3840
         # A global pattern of size 5 first fits at size 3, a classical one of size 3 at 3.
         for patterns in [(Permutation((1, 2, 3, 4, 5)),), (SignedPermutation((1, -2, 3)),)]:
-            assert _levels(patterns, 3) == [None] * 3
+            assert list(_levels(patterns, 3)) == [None] * 3
         monkeypatch.undo()
         for patterns in [(Permutation((1, 2, 3, 4, 5)),), (SignedPermutation((1, -2, 3)),)]:
-            assert count_avoiders(3, patterns) == len(avoiders_oracle(3, patterns))
+            assert avoiders(patterns, [3])[3] == frozenset(avoiders_oracle(3, patterns))
 
     def test_the_empty_pattern_is_in_every_window(self):
         # The one pattern that fits at size 0: A_0 is grown from the empty
         # B_(-1), and that is right, as no window avoids it.
-        for n in range(4):
-            assert count_avoiders(n, [Permutation(())]) == 0
-            assert list(avoiders(n, [SignedPermutation(())])) == []
+        for empty in [Permutation(()), SignedPermutation(())]:
+            assert avoiders([empty], range(4)) == dict.fromkeys(range(4), frozenset())
         assert sequence([Permutation(())], range(4)) == dict.fromkeys(range(4), 0)
 
     def test_mixed_types_rejected(self):
         mixed = [Permutation((2, 1)), SignedPermutation((-1,))]
-        with pytest.raises(ValueError):
-            avoiders(2, mixed)
-        with pytest.raises(ValueError):
-            count_avoiders(2, mixed)
-        with pytest.raises(ValueError):
-            sequence(mixed, range(1, 3))
+        for sizes in ([2], []):
+            with pytest.raises(ValueError):
+                avoiders(mixed, sizes)
+            with pytest.raises(ValueError):
+                sequence(mixed, sizes)
+
+    @pytest.mark.parametrize("engine", [avoiders, sequence])
+    @pytest.mark.parametrize(
+        "sizes, error",
+        [([-1], ValueError), ([3, -1, 2], ValueError),
+         ([9], bperm.SizeCapExceededError), ([2, 9, 1], bperm.SizeCapExceededError)],
+    )
+    def test_bad_sizes_are_rejected_before_any_growth(self, monkeypatch, engine, sizes, error):
+        def grown(previous, k, test):
+            raise AssertionError(f"grew size {k}")
+
+        for module in (patterns_module, enumeration):
+            monkeypatch.setattr(module, "_grown", grown)
+        with pytest.raises(error, match="sizes"):
+            engine([Permutation((2, 1))], sizes)
+        assert bperm.SizeCapExceededError is enumeration.SizeCapExceededError
 
 
 class TestPrunedWalk:
@@ -510,8 +531,7 @@ class TestGlobalBasis:
         ]
         for patterns in featured:
             basis = global_basis(patterns)
-            for n in range(6):
-                assert set(avoiders(n, patterns)) == set(avoiders(n, basis))
+            assert avoiders(patterns, range(6)) == avoiders(basis, range(6))
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -522,8 +542,7 @@ class TestGlobalBasis:
             k = data.draw(st.integers(min_value=2, max_value=4))
             patterns.append(Permutation(tuple(data.draw(st.permutations(range(1, k + 1))))))
         basis = global_basis(patterns)
-        for n in range(4):
-            assert set(avoiders(n, patterns)) == set(avoiders(n, basis))
+        assert avoiders(patterns, range(4)) == avoiders(basis, range(4))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -539,28 +558,26 @@ class TestSymmetries:
         pats = [Permutation((1, 3, 2))]
         for symmetry in DihedralSymmetry:
             image = apply_symmetry_to_set(pats, symmetry)
-            assert count_avoiders(3, image) == count_avoiders(3, pats)
+            assert sequence(image, [3]) == sequence(pats, [3])
 
     def test_complement_of_12(self):
         pats = [Permutation((1, 2))]
         image = apply_symmetry_to_set(pats, DihedralSymmetry.COMPLEMENT)
-        assert (count_avoiders(2, pats), count_avoiders(2, image)) == (1, 1)
+        assert sequence(pats, [2]) == sequence(image, [2]) == {2: 1}
 
     def test_all_s3_s4_patterns_all_symmetries(self):
         patterns = [Permutation(p) for p in permutations((1, 2, 3))]
         patterns += [Permutation(p) for p in permutations((1, 2, 3, 4))]
-        for n in range(1, 5):
-            for p in patterns:
-                base = count_avoiders(n, [p])
-                for symmetry in DihedralSymmetry:
-                    assert count_avoiders(n, [p.apply_symmetry(symmetry)]) == base
+        for p in patterns:
+            base = sequence([p], range(1, 5))
+            for symmetry in DihedralSymmetry:
+                assert sequence([p.apply_symmetry(symmetry)], range(1, 5)) == base
 
     def test_rc_identified_sets_have_equal_classes(self):
         # 123 and its rc are literally equal; 132's rc is 213.
         p132 = Permutation((1, 3, 2))
         p213 = Permutation((2, 1, 3))
-        for n in range(4):
-            assert set(avoiders(n, [p132])) == set(avoiders(n, [p213, p132]))
+        assert avoiders([p132], range(4)) == avoiders([p213, p132], range(4))
 
 
 class TestRcReduce:
@@ -579,8 +596,7 @@ class TestRcReduce:
     def test_reduction_preserves_avoidance_class(self):
         patterns = parse_unsigned_patterns("2,3,1;3,1,2;2,1,4,3")
         reduced = rc_reduce(patterns)
-        for n in range(5):
-            assert set(avoiders(n, patterns)) == set(avoiders(n, reduced))
+        assert avoiders(patterns, range(5)) == avoiders(reduced, range(5))
 
 
 class TestTextGrammar:
