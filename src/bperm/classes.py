@@ -2,7 +2,8 @@
 Characterized families of signed permutations.
 
 Each predicate here takes one route, the family's definition: a criterion on
-reduced words or descents (boolean, free, Grassmannian), smoothness in type B
+length and support (boolean, free; the support is read off the window by
+parabolic subgroups) or on descents (Grassmannian), smoothness in type B
 and in type C by Billey's classical lists (smooth in both types), or the
 defining patterns (vexillary: global 2143; colayered: 132 and 213).  The
 other characterizations are pattern lists in `bperm.fixtures`, whose classes

@@ -14,7 +14,10 @@ in one-line notation as words on {1, ..., m}.
 The group of signed permutations is generated by s_0, ..., s_{n-1}, acting on
 windows by right multiplication: s_0 negates w(1) and s_i (i >= 1) swaps
 w(i) and w(i+1).  Position 0 is a (right) descent iff w(1) < 0; position
-i >= 1 is a descent iff w(i) > w(i+1).
+i >= 1 is a descent iff w(i) > w(i+1).  The support (the generators in a
+reduced word) generates the smallest parabolic subgroup containing w, and all
+generators but s_i (i >= 1) generate B_i x S_(n-i) (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Ch. 2 and 8.1): it is read off the window.
 
 Windows render as comma-separated signed decimal integers ("-2,1,3,-4"); the
 same grammar is used by the command-line interface.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 MAX_WINDOW_SIZE = 16
@@ -137,27 +141,6 @@ def _extend(prefix: list[int], used: list[bool]) -> Iterator[tuple[int, ...]]:
             yield from _extend(prefix, used)
             used[abs(v)] = False
         prefix.pop()
-
-
-def window_reduced_word(window: Sequence[int]) -> tuple[int, ...]:
-    """
-    A reduced word for the window, by repeatedly clearing the rightmost descent.
-
-    The word (l_1, ..., l_k) represents the product s_{l_1} ... s_{l_k};
-    multiplying each descent away strictly decreases the length, so the loop
-    terminates with exactly length(w) letters.
-    """
-    cur = tuple(window)
-    letters: list[int] = []
-    while True:
-        des = window_descents(cur)
-        if not des:
-            break
-        i = max(des)
-        cur = window_apply_generator(cur, i)
-        letters.append(i)
-    letters.reverse()
-    return tuple(letters)
 
 
 def window_all_reduced_words(window: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -333,7 +316,10 @@ class SignedPermutation:
         return frozenset(window_all_reduced_words(self.window))
 
     def support(self) -> frozenset[int]:
-        return frozenset(window_reduced_word(self.window))
+        """The support has s_i iff some |w(j)| > i with j <= i, or some w(j) < 0 with j > i."""
+        last_negative = max((j for j, v in enumerate(self.window, 1) if v < 0), default=0)
+        reach = accumulate((abs(v) for v in self.window[:-1]), max, initial=0)
+        return frozenset(i for i, top in enumerate(reach) if top > i or last_negative > i)
 
 
 def signed_permutations(n: int) -> Iterator[SignedPermutation]:

@@ -267,10 +267,15 @@ def avoiders(
     """
     `{n: windows of size n avoiding every pattern}` in ascending n: globally
     for unsigned patterns, classically for signed ones.  The class is grown
-    once, up to the largest size.
+    once, up to the largest size.  All of B_8, where no pattern fits, is refused.
     """
     wanted = _valid_sizes(sizes)
-    levels = _levels(tuple(patterns), wanted[-1] + 1 if wanted else 0)
+    patterns = tuple(patterns)
+    if MAX_SIGNED_SIZE in wanted and not _fits(patterns, MAX_SIGNED_SIZE):
+        raise SizeCapExceededError(
+            f"no pattern fits, so the answer is all of B_{MAX_SIGNED_SIZE}; `sequence` counts it"
+        )
+    levels = _levels(patterns, wanted[-1] + 1 if wanted else 0)
     return {
         n: frozenset(iter_windows(n)) if level is None else level
         for n, level in enumerate(levels)

@@ -6,7 +6,8 @@ Partitions are plain tuples of weakly decreasing positive integers.  A
 standard domino tableau of shape lambda (|lambda| = 2n) is a tiling of the
 Young diagram by n dominoes labelled 1..n such that the cells covered by the
 first i dominoes form a Young diagram for every i; equivalently, labels
-increase along rows and columns.
+increase along rows and columns.  The 2-core, empty exactly for the shapes
+that dominoes tile, comes from a checkerboard charge that dominoes preserve.
 
 All counts are exact integers.  The hook-length formula multiplies the
 numerator out in full and divides once at the end, with the divisibility
@@ -193,28 +194,13 @@ def _domino_count(
 
 def two_core(shape: Sequence[int]) -> tuple[int, ...]:
     """
-    The 2-core: what remains after repeatedly removing border dominoes.
-    The result is independent of removal order.
+    The 2-core, the staircase (k, k - 1, ..., 1) left by removing border
+    dominoes.  A domino covers one cell of each colour of (i + j) mod 2, so
+    the charge #even - #odd (row i adds (-1)^i if its length is odd) is the
+    core's: k = 2d - 1 for charge d > 0, else -2d.
     """
-    parts = list(check_partition(shape))
-    while True:
-        for i in range(len(parts)):
-            below = parts[i + 1] if i + 1 < len(parts) else 0
-            if parts[i] - 2 >= below:
-                parts[i] -= 2
-                break
-            if (
-                i + 1 < len(parts)
-                and parts[i] == parts[i + 1]
-                and parts[i + 1] - 1 >= (parts[i + 2] if i + 2 < len(parts) else 0)
-            ):
-                parts[i] -= 1
-                parts[i + 1] -= 1
-                break
-        else:
-            break
-        parts = [p for p in parts if p > 0]
-    return tuple(parts)
+    charge = sum(row_len % 2 * (-1) ** i for i, row_len in enumerate(check_partition(shape)))
+    return tuple(range(2 * charge - 1 if charge > 0 else -2 * charge, 0, -1))
 
 
 def is_domino_tileable(shape: Sequence[int]) -> bool:

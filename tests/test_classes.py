@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from bperm import fixtures
+from bperm import core, fixtures
 from bperm.classes import (
     Not132AvoidingError,
     NotColayeredError,
@@ -142,6 +142,18 @@ class TestFree:
 
     def test_methods_agree_up_to_size_4(self):
         assert_matches_pattern_lists(is_free, fixtures.FREE_GLOBAL, fixtures.FREE_CLASSICAL)
+
+
+def test_boolean_and_free_apply_no_generator(monkeypatch):
+    # The support is read off the window, not off a reduced word built one
+    # generator at a time: B_4 has 34 boolean and 8 free elements.
+    def apply(window, i):
+        raise AssertionError(f"applied s_{i} to {window}")
+
+    monkeypatch.setattr(core, "window_apply_generator", apply)
+    group = list(signed_permutations(4))
+    assert sum(map(is_boolean, group)) == 34
+    assert sum(map(is_free, group)) == 8
 
 
 class TestSmooth:

@@ -1,4 +1,5 @@
 from itertools import permutations
+from typing import Sequence
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,8 +17,8 @@ from bperm.core import (
     signed_permutations,
     window_all_reduced_words,
     window_apply_generator,
+    window_descents,
     window_length,
-    window_reduced_word,
 )
 
 
@@ -27,6 +28,27 @@ def window_from_reduced_word(n, letters):
     for i in letters:
         cur = window_apply_generator(cur, i)
     return cur
+
+
+def window_reduced_word(window: Sequence[int]) -> tuple[int, ...]:
+    """
+    A reduced word for the window, by repeatedly clearing the rightmost descent.
+
+    The word (l_1, ..., l_k) represents the product s_{l_1} ... s_{l_k};
+    multiplying each descent away strictly decreases the length, so the loop
+    terminates with exactly length(w) letters.
+    """
+    cur = tuple(window)
+    letters: list[int] = []
+    while True:
+        des = window_descents(cur)
+        if not des:
+            break
+        i = max(des)
+        cur = window_apply_generator(cur, i)
+        letters.append(i)
+    letters.reverse()
+    return tuple(letters)
 
 
 @st.composite
@@ -334,6 +356,13 @@ class TestLengthAndWords:
                 words = window_all_reduced_words(w)
                 assert len(set(words)) == len(words)
                 assert sorted(words) == sorted(found[w])
+
+    def test_support_matches_a_reduced_word_exhaustive(self):
+        # The formula reads the support off the window; the oracle collects
+        # the letters of one reduced word, built by clearing descents.
+        for n in range(7):
+            for w in signed_permutations(n):
+                assert w.support() == frozenset(window_reduced_word(w.window))
 
     def test_support_examples(self):
         assert SignedPermutation.identity(3).support() == frozenset()

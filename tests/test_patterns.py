@@ -441,6 +441,23 @@ class TestAvoidersOracle:
             engine([Permutation((2, 1))], sizes)
         assert bperm.SizeCapExceededError is enumeration.SizeCapExceededError
 
+    @pytest.mark.parametrize(
+        "patterns",
+        [[], [Permutation(tuple(range(1, 18)))], [SignedPermutation(tuple(range(1, 10)))]],
+    )
+    def test_the_whole_top_group_is_refused_before_anything_is_built(self, monkeypatch, patterns):
+        # Where no pattern fits at MAX_SIGNED_SIZE, the members there are all
+        # 10,321,920 windows of B_8: `avoiders` refuses them, `sequence` counts them.
+        def build(*args):
+            raise AssertionError("built windows")
+
+        monkeypatch.setattr(patterns_module, "iter_windows", build)
+        for module in (patterns_module, enumeration):
+            monkeypatch.setattr(module, "_grown", build)
+        with pytest.raises(bperm.SizeCapExceededError, match="all of B_8.*`sequence` counts"):
+            avoiders(patterns, [2, patterns_module.MAX_SIGNED_SIZE])
+        assert sequence(patterns, [8]) == {8: 10321920}
+
 
 class TestPrunedWalk:
     """

@@ -22,6 +22,32 @@ from bperm.tableaux import (
 )
 
 
+def two_core_by_removal(shape):
+    """
+    The 2-core: what remains after repeatedly removing border dominoes.
+    The result is independent of removal order.
+    """
+    parts = list(check_partition(shape))
+    while True:
+        for i in range(len(parts)):
+            below = parts[i + 1] if i + 1 < len(parts) else 0
+            if parts[i] - 2 >= below:
+                parts[i] -= 2
+                break
+            if (
+                i + 1 < len(parts)
+                and parts[i] == parts[i + 1]
+                and parts[i + 1] - 1 >= (parts[i + 2] if i + 2 < len(parts) else 0)
+            ):
+                parts[i] -= 1
+                parts[i + 1] -= 1
+                break
+        else:
+            break
+        parts = [p for p in parts if p > 0]
+    return tuple(parts)
+
+
 def lis_oracle(word):
     """Brute force over all subsequences."""
     best = 0
@@ -253,8 +279,14 @@ class TestTileability:
         assert two_core((2, 1)) == (2, 1)
         assert two_core((3, 2, 1)) == (3, 2, 1)
 
+    def test_two_core_matches_border_domino_removal(self):
+        # The charge formula against removing border dominoes one at a time.
+        for total in range(21):
+            for shape in partitions(total):
+                assert two_core(shape) == two_core_by_removal(shape)
+
     def test_agrees_with_domino_count(self):
-        for total in range(1, 11):
+        for total in range(1, 17):
             for shape in partitions(total):
                 assert is_domino_tileable(shape) == (domino_count(shape) > 0)
 
