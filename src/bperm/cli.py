@@ -63,11 +63,12 @@ PROPERTIES: dict[str, Sequence | Callable[[SignedPermutation], bool]] = {
 
 def parse_size_range(text: str) -> range:
     """Parse "A..B" (inclusive) or a single size "N"."""
-    if ".." in text:
-        low_text, high_text = text.split("..", 1)
-        low, high = int(low_text), int(high_text)
-    else:
-        low = high = int(text)
+    low_text, dots, high_text = text.partition("..")
+    try:
+        low = int(low_text)
+        high = int(high_text) if dots else low
+    except ValueError as exc:
+        raise ValueError(f"bad size range {text!r}") from exc
     if low < 0 or high < low:
         raise ValueError(f"bad size range {text!r}")
     return range(low, high + 1)

@@ -9,14 +9,14 @@ first i dominoes form a Young diagram for every i; equivalently, labels
 increase along rows and columns.  The 2-core, empty exactly for the shapes
 that dominoes tile, comes from a checkerboard charge that dominoes preserve.
 
-All counts are exact integers.  The hook-length formula multiplies the
-numerator out in full and divides once at the end, with the divisibility
-asserted.
+All counts are exact integers from the hook-length formula, which multiplies
+the numerator out in full and divides once, with the divisibility asserted;
+domino counts apply it to the 2-quotient, and only listings search.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
 from .core import SignedPermutation
@@ -38,9 +38,11 @@ def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
 def parse_partition(text: str) -> tuple[int, ...]:
     """Parse comma-separated parts, e.g. "4,2"."""
     text = text.strip()
-    if not text:
-        return ()
-    return check_partition(tuple(int(p) for p in text.split(",")))
+    try:
+        parts = tuple(int(p) for p in text.split(",")) if text else ()
+    except ValueError as exc:
+        raise InvalidPartitionError(f"cannot parse shape {text!r}") from exc
+    return check_partition(parts)
 
 
 def partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -58,8 +60,6 @@ def syt_count(shape: Sequence[int]) -> int:
     """Number of standard Young tableaux of the given shape (hook lengths)."""
     shape = check_partition(shape)
     n = sum(shape)
-    if n == 0:
-        return 1
     hook_product = 1
     for i, row_len in enumerate(shape):
         for j in range(row_len):
@@ -167,29 +167,22 @@ def domino_tableaux(shape: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...
 
 
 def domino_count(shape: Sequence[int]) -> int:
-    """Number of standard domino tableaux of `shape` (0 for odd size)."""
+    """
+    Number of standard domino tableaux of `shape`: 0 unless the 2-core is
+    empty, else C(n, |q0|) f(q0) f(q1) over the 2-quotient (q0, q1) of runner
+    beads b // 2, with n = |shape| / 2 and f by hook lengths (Stanton-White).
+    """
     shape = check_partition(shape)
-    if sum(shape) % 2 != 0:
+    if two_core(shape):
         return 0
-    return _domino_count((0,) * len(shape), shape, {})
-
-
-def _domino_count(
-    partial: tuple[int, ...], shape: tuple[int, ...], memo: dict[tuple[int, ...], int]
-) -> int:
-    if sum(partial) == sum(shape):
-        return 1
-    cached = memo.get(partial)
-    if cached is not None:
-        return cached
-    total = 0
-    for domino in _domino_placements(partial, shape):
-        grown = list(partial)
-        for r in domino:
-            grown[r] += 1
-        total += _domino_count(tuple(grown), shape, memo)
-    memo[partial] = total
-    return total
+    padded = shape + (0,) * (len(shape) % 2)
+    beta = [part + len(padded) - 1 - i for i, part in enumerate(padded)]
+    q = []
+    for parity in (0, 1):
+        beads = [b // 2 for b in beta if b % 2 == parity]
+        parts = (bead - (len(beads) - 1 - j) for j, bead in enumerate(beads))
+        q.append(tuple(p for p in parts if p))
+    return comb(sum(shape) // 2, sum(q[0])) * syt_count(q[0]) * syt_count(q[1])
 
 
 def two_core(shape: Sequence[int]) -> tuple[int, ...]:

@@ -174,6 +174,23 @@ class TestCount:
         assert captured.out == ""
         assert captured.err == f"bperm: memo {memo}: cannot read (Not a directory)\n"
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["count", "--patterns", "3,2,1", "--n", "1..a"], "bad size range '1..a'"),
+            (["sequence", "--patterns", "3,2,1", "--n", "x"], "bad size range 'x'"),
+            (["tableaux", "--shape", "3,a"], "cannot parse shape '3,a'"),
+            (["tableaux", "--shape", "3,,1", "--count"], "cannot parse shape '3,,1'"),
+        ],
+    )
+    def test_parse_error_names_the_argument(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err == f"bperm: {text}\n"
+
     def test_internal_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
         # `--check` and `--property` are guarded by argparse choices, so a
         # KeyError past parsing is a fault in the program and must propagate.
@@ -226,6 +243,18 @@ class TestListBasisTableaux:
         lines = out.splitlines()
         assert len(lines) == 9
         assert lines[0] == "2,1"
+
+    def test_basis_above_cap_is_usage_error(self, capsys, monkeypatch):
+        def no_windows(n):
+            raise AssertionError("basis scanned windows")
+
+        monkeypatch.setattr("bperm.patterns.iter_windows", no_windows)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["basis", "--patterns", "1,2,3,4,5,6,7,8"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err == "bperm: pattern size 8 exceeds basis cap 7\n"
 
     def test_tableaux_standard(self, capsys):
         code, out = run_cli(capsys, "tableaux", "--shape", "2,1")

@@ -569,6 +569,15 @@ class TestGlobalBasis:
         with pytest.raises(PatternTooLargeError):
             global_basis([Permutation(tuple(range(1, 10)))])
 
+    def test_size_8_is_rejected_before_any_window(self, monkeypatch):
+        # Scanning B_1..B_8 would take minutes.
+        def no_windows(n):
+            raise AssertionError("global_basis scanned windows")
+
+        monkeypatch.setattr(patterns_module, "iter_windows", no_windows)
+        with pytest.raises(PatternTooLargeError, match="size 8 exceeds basis cap 7"):
+            global_basis([Permutation(tuple(range(1, 9)))])
+
 
 class TestSymmetries:
     def test_symmetry_class_counts_equal(self):

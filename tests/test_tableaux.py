@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bperm.core import SignedPermutation, signed_permutations
 from bperm.tableaux import (
     InvalidPartitionError,
+    _domino_placements,
     check_partition,
     domino_count,
     domino_tableaux,
@@ -46,6 +47,31 @@ def two_core_by_removal(shape):
             break
         parts = [p for p in parts if p > 0]
     return tuple(parts)
+
+
+def domino_count_by_placement(shape):
+    """Number of standard domino tableaux of `shape` (0 for odd size), placing dominoes."""
+    shape = check_partition(shape)
+    if sum(shape) % 2 != 0:
+        return 0
+    return _placement_count((0,) * len(shape), shape, {})
+
+
+def _placement_count(partial, shape, memo):
+    """Completions of the partial diagram, memoized over every sub-diagram reached."""
+    if sum(partial) == sum(shape):
+        return 1
+    cached = memo.get(partial)
+    if cached is not None:
+        return cached
+    total = 0
+    for domino in _domino_placements(partial, shape):
+        grown = list(partial)
+        for r in domino:
+            grown[r] += 1
+        total += _placement_count(tuple(grown), shape, memo)
+    memo[partial] = total
+    return total
 
 
 def lis_oracle(word):
@@ -112,6 +138,8 @@ class TestPartitions:
     def test_parse(self):
         assert parse_partition("4,2") == (4, 2)
         assert parse_partition("") == ()
+        with pytest.raises(InvalidPartitionError, match="cannot parse shape '3,a'"):
+            parse_partition("3,a")
 
     def test_enumeration_counts(self):
         # Partition numbers p(0..8) = 1,1,2,3,5,7,11,15,22.
@@ -236,6 +264,22 @@ class TestDominoTableaux:
                 shape = (2 * n - k, k) if k else (2 * n,)
                 assert domino_count(shape) == comb(n, k // 2)
 
+    def test_hook_formula_matches_placement_recursion(self):
+        for total in range(21):
+            for shape in partitions(total):
+                assert domino_count(shape) == domino_count_by_placement(shape)
+
+    def test_counts_without_placing_a_domino(self, monkeypatch):
+        # Placing dominoes one at a time does not finish the 16 x 16 square in minutes.
+        def no_placements(partial, shape):
+            raise AssertionError("domino_count placed a domino")
+
+        monkeypatch.setattr("bperm.tableaux._domino_placements", no_placements)
+        assert domino_count((2, 2)) == 2
+        assert domino_count((3, 3, 1, 1)) == 8
+        assert domino_count((60, 40)) == comb(50, 20)
+        assert domino_count((16,) * 16) > 0
+
     def test_sum_of_squares_is_group_order(self):
         # Same-shape domino tableau pairs are equinumerous with signed permutations.
         for n in range(1, 5):
@@ -288,7 +332,7 @@ class TestTileability:
     def test_agrees_with_domino_count(self):
         for total in range(1, 17):
             for shape in partitions(total):
-                assert is_domino_tileable(shape) == (domino_count(shape) > 0)
+                assert is_domino_tileable(shape) == (domino_count_by_placement(shape) > 0)
 
 
 class TestCatalanMultidim:
