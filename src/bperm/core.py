@@ -24,10 +24,10 @@ same grammar is used by the command-line interface.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from math import factorial
 from typing import Iterator, Sequence
 
 MAX_WINDOW_SIZE = 16
@@ -328,9 +328,6 @@ def signed_permutations(n: int) -> Iterator[SignedPermutation]:
         yield SignedPermutation(window)
 
 
-@functools.lru_cache(maxsize=None)
 def signed_group_order(n: int) -> int:
-    order = 1
-    for i in range(1, n + 1):
-        order *= 2 * i
-    return order
+    """|B_n| = 2^n n!."""
+    return 2**n * factorial(n)

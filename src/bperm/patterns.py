@@ -32,7 +32,8 @@ unique minimal antichain of signed patterns whose classical avoidance class
 coincides with the global avoidance class of P.
 
 One search, `_search`, decides or counts in both orders: a plan made once per
-pattern bounds each entry by its nearest smaller and larger earlier entries.
+pattern bounds each entry by its nearest smaller and larger earlier entries,
+and `_match` recurses once per entry, as deep as the pattern is long.
 
 Pattern-set text grammar (shared with the CLI): patterns separated by ";",
 entries by ",", e.g. "3,4,1,2;4,2,3,1" (unsigned) or "-2,1;-1,-2" (signed).
@@ -97,43 +98,37 @@ def _plan(pattern: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
 def _search(word: Sequence[int], pattern: Sequence[int], signed: bool, stop: int | None) -> int:
     """
     Index subsets of `word` (distinct letters below sys.maxsize in absolute
-    value) matching `pattern`, counted up to `stop` (None: all): order-
-    isomorphic to it or, if `signed`, in absolute value with the same signs.
+    value) matching `pattern`: order-isomorphic to it or, if `signed`, in
+    absolute value with the same signs.  `stop` is 1 (decide) or None (count):
+    `_match` adds up nested counts, which could overshoot any other stop.
     A letter matched to an entry of sign s is stored times s, so under signs
     the floor 0 rejects a wrong sign and one test serves both orders.
     """
     if not pattern:
         return 1
-    n = len(word)
-    steps = _plan(tuple(pattern), signed)
-    matched = [*_BOUNDS]
-    frames = []  # the suspended scans of the earlier entries, one per depth
-    found, i = 0, -1
-    while True:
-        low_slot, high_slot, sign, rest, cut_low, cut_high = steps[len(frames)]
-        low = sign * matched[low_slot]
-        high = sign * matched[high_slot]
-        scan = iter(range(i + 1, n - rest))
-        while True:
-            for i in scan:
-                if low < word[i] < high:
-                    break
+    return _match(word, _plan(tuple(pattern), signed), [*_BOUNDS], 0, stop)
+
+
+def _match(word: Sequence[int], steps: tuple, matched: list[int], start: int, stop: int | None) -> int:
+    """`_search` for the entries from len(matched) - 3 on, at indices from `start`."""
+    low_slot, high_slot, sign, rest, cut_low, cut_high = steps[len(matched) - 3]
+    low, high = sign * matched[low_slot], sign * matched[high_slot]
+    found = 0
+    for i in range(start, len(word) - rest):
+        v = word[i]
+        if low < v < high:
+            if not rest:
+                found += 1
             else:
-                if not frames:
-                    return found
+                matched.append(sign * v)
+                below = _match(word, steps, matched, i + 1, stop)
                 matched.pop()
-                scan, low, high, v, before = frames.pop()
-                _, _, sign, rest, cut_low, cut_high = steps[len(frames)]
-                if found == before:
+                found += below
+                if not below:
                     low, high = (v if cut_low else low), (v if cut_high else high)
-                continue
-            if rest:
-                break
-            found += 1
             if found == stop:
                 return found
-        matched.append(sign * word[i])
-        frames.append((scan, low, high, word[i], found))
+    return found
 
 
 def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:

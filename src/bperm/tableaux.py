@@ -75,7 +75,7 @@ def standard_tableaux(shape: Sequence[int]) -> Iterator[tuple[tuple[int, ...], .
     All standard Young tableaux of `shape`, as row tuples.  Labels are placed
     in increasing order at addable corners, so every prefix is a Young diagram.
     """
-    return _fillings(shape, 1, _cell_placements)
+    return _fillings(shape, _cell_placements)
 
 
 def rs_shape(word: Sequence[int]) -> tuple[int, ...]:
@@ -122,37 +122,29 @@ def _domino_placements(partial: Sequence[int], shape: Sequence[int]) -> list[tup
 
 
 def _fillings(
-    shape: Sequence[int], piece_size: int, placements: Callable[..., list[tuple[int, ...]]]
+    shape: Sequence[int], placements: Callable[..., list[tuple[int, ...]]]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """
-    Fill `shape` with pieces of `piece_size` cells labelled 1, 2, ... in turn,
-    where `placements` allows on the diagram so far.  No filling exists when
-    `piece_size` does not divide the size, so that case ends before the search.
-    """
-    shape = check_partition(shape)
-    if sum(shape) % piece_size != 0:
-        return
-    rows: list[list[int]] = [[] for _ in shape]
-    yield from _fill(rows, [0] * len(shape), 1, sum(shape) // piece_size, shape, placements)
+    """Fill `shape` with pieces labelled 1, 2, ... in turn, where `placements` allows."""
+    shape = list(check_partition(shape))  # a list, as `_fill` compares it with `lengths`
+    yield from _fill([[] for _ in shape], [0] * len(shape), 1, shape, placements)
 
 
 def _fill(
     rows: list[list[int]],
     lengths: list[int],
     label: int,
-    last: int,
-    shape: Sequence[int],
+    shape: list[int],
     placements: Callable[..., list[tuple[int, ...]]],
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The fillings that complete `rows`, of row lengths `lengths`, with labels `label`..`last`."""
-    if label > last:
+    """The fillings that complete `rows`, of row lengths `lengths`, from label `label` on."""
+    if lengths == shape:
         yield tuple(tuple(row) for row in rows)
         return
     for piece in placements(lengths, shape):
         for r in piece:
             rows[r].append(label)
             lengths[r] += 1
-        yield from _fill(rows, lengths, label + 1, last, shape, placements)
+        yield from _fill(rows, lengths, label + 1, shape, placements)
         for r in piece:
             rows[r].pop()
             lengths[r] -= 1
@@ -161,9 +153,10 @@ def _fill(
 def domino_tableaux(shape: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """
     All standard domino tableaux of `shape`, each exactly once, as row tuples
-    in which both cells of domino i hold label i.
+    in which both cells of domino i hold label i; none unless the 2-core is empty.
     """
-    return _fillings(shape, 2, _domino_placements)
+    if not two_core(shape):
+        yield from _fillings(shape, _domino_placements)
 
 
 def domino_count(shape: Sequence[int]) -> int:

@@ -51,15 +51,16 @@ def contains_oracle(word, pattern):
     return False
 
 
-def signed_contains_oracle(window, pattern):
-    k = len(pattern)
-    for positions in combinations(range(len(window)), k):
+def signed_occurrence_oracle(window, pattern):
+    """Exhaustive count of the position subsets matching `pattern` in order and sign."""
+    count = 0
+    for positions in combinations(range(len(window)), len(pattern)):
         values = [window[i] for i in positions]
         if any((v > 0) != (p > 0) for v, p in zip(values, pattern)):
             continue
         if rank_word([abs(v) for v in values]) == tuple(abs(p) for p in pattern):
-            return True
-    return False
+            count += 1
+    return count
 
 
 @st.composite
@@ -135,15 +136,18 @@ class TestClassicalContains:
         window, pattern = pair
         assert classical_contains(
             SignedPermutation(window), SignedPermutation(pattern)
-        ) == signed_contains_oracle(window, pattern)
+        ) == (signed_occurrence_oracle(window, pattern) > 0)
 
     def test_matches_oracle_on_every_small_window(self):
         # Where the search may skip letters after a failure, a wrong skip
-        # shows on a few percent of small cases: check all of them.
+        # shows on a few percent of small cases: check all of them, deciding
+        # and counting.
         patterns = [q for k in (1, 2, 3) for q in iter_windows(k)]
         for window in (w for n in range(5) for w in iter_windows(n)):
             for q in patterns:
-                assert signed_word_contains(window, q) == signed_contains_oracle(window, q)
+                count = signed_occurrence_oracle(window, q)
+                assert patterns_module._search(window, q, True, None) == count
+                assert signed_word_contains(window, q) == (count > 0)
 
 
 class TestProbeGarbage:
@@ -265,6 +269,27 @@ class TestOccurrenceCounting:
         count = count_global_occurrences(w, p)
         assert count == expected
         assert global_contains(w, p) == (count > 0)
+
+
+class TestLongestPatterns:
+    # The search recurses once per pattern entry: patterns as long as a
+    # mirror word (32 letters) reach the deepest level, in both orders and
+    # both modes.
+    def test_global_count_at_depth_32(self):
+        w = SignedPermutation.identity(16)  # mirror word -16..-1, 1..16
+        assert count_global_occurrences(w, Permutation.identity(32)) == 1
+        assert count_global_occurrences(w, Permutation.identity(31)) == 32
+
+    def test_unsigned_decide_at_depth_32(self):
+        word = tuple(range(1, 33))
+        assert word_contains(word, word)
+        assert not word_contains(word, word[::-1])
+
+    def test_signed_at_depth_16(self):
+        window = SignedPermutation.identity(16).window
+        assert signed_word_contains(window, window)
+        assert patterns_module._search(window, window, True, None) == 1
+        assert not signed_word_contains(window, tuple(-v for v in window))
 
 
 class TestGav:
@@ -497,7 +522,7 @@ class TestDeleteEntry:
         window, _ = pair
         for j in range(len(window)):
             smaller = delete_window_entry(window, j)
-            assert signed_contains_oracle(window, smaller)
+            assert signed_occurrence_oracle(window, smaller) > 0
 
 
 class TestGlobalBasis:

@@ -248,6 +248,16 @@ class TestDominoTableaux:
             assert time.perf_counter() - start < 0.5
             assert domino_count(shape) == 0
 
+    def test_untileable_shapes_list_nothing_without_a_search(self, monkeypatch):
+        # A nonempty 2-core ends the listing before any filling is tried; the
+        # filling tree of (21, 20, 1) takes seconds to search and holds nothing.
+        def no_fill(*args):
+            raise AssertionError("domino_tableaux searched an untileable shape")
+
+        monkeypatch.setattr("bperm.tableaux._fill", no_fill)
+        for shape in [(21, 20, 1), (3, 2, 1), (5,)]:
+            assert list(domino_tableaux(shape)) == []
+
     def test_invalid_odd_shape_raises_at_first_next(self):
         tableaux = domino_tableaux((1, 2))
         with pytest.raises(InvalidPartitionError):
