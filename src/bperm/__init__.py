@@ -34,6 +34,8 @@ from .core import (
     signed_permutations,
 )
 from .enumeration import (
+    SizeCapExceededError,
+    avoiders,
     count_gav_132_and_decreasing,
     count_gav_132_and_increasing,
     es_bound,
@@ -55,8 +57,6 @@ from .harness import (
 )
 from .patterns import (
     PatternTooLargeError,
-    SizeCapExceededError,
-    avoiders,
     classical_contains,
     count_global_occurrences,
     global_basis,

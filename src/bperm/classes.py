@@ -7,7 +7,7 @@ parabolic subgroups) or on descents (Grassmannian), smoothness in type B
 and in type C by Billey's classical lists (smooth in both types), or the
 defining patterns (vexillary: global 2143; colayered: 132 and 213).  The
 other characterizations are pattern lists in `bperm.fixtures`, whose classes
-`patterns.avoiders(patterns, sizes)` grows; the harness compares each class,
+`enumeration.avoiders(patterns, sizes)` grows; the harness compares each class,
 size by size, with the predicate's members filtered from the whole group.
 
 A colayered permutation (one avoiding 132 and 213) decomposes into increasing

@@ -26,12 +26,9 @@ from typing import Callable, Sequence
 from . import fixtures
 from .classes import is_bigrassmannian, is_grassmannian
 from .core import Permutation, SignedPermutation, format_window, window_descents
-from .enumeration import sequence as count_sequence
+from .enumeration import MAX_SIGNED_SIZE, _grown, avoiders, sequence as count_sequence
 from .harness import CHECKS, any_theorem_failed, run_all, run_check
 from .patterns import (
-    MAX_SIGNED_SIZE,
-    _grown,
-    avoiders,
     count_global_occurrences,
     global_basis,
     parse_signed_patterns,

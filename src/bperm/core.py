@@ -118,7 +118,7 @@ def window_apply_generator(window: Sequence[int], i: int) -> tuple[int, ...]:
 def iter_windows(n: int) -> Iterator[tuple[int, ...]]:
     """
     All signed-permutation windows of size n, in lexicographic order.  The
-    avoidance engine grows classes from smaller ones (`patterns._grown`) and
+    avoidance engine grows classes from smaller ones (`enumeration._grown`) and
     streams the whole group through here only where no pattern fits.
     """
     if n == 0:

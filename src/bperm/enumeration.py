@@ -1,16 +1,25 @@
 """
-Closed-form counting formulas and the exhaustive counting engine.
+The avoidance-class engine, closed-form counting formulas, and the memo.
 
-`sequence(patterns, sizes)` counts every size it is asked for in one pass, as
-`patterns.avoiders(patterns, sizes)` lists them: it takes the levels
-A_0..A_(N-1) from the generator `patterns._levels` once, for the largest size
-N that the memo lacks, keeps the size of each smaller level it is asked for,
-and counts N by growing it from A_(N-1) without storing it.  The pattern type
-picks the containment order (unsigned: global, signed: classical).  From
-size 5 the growth of N can fan out to a process pool, each task growing a
-strided slice of A_(N-1), and still merge deterministically (an integer sum).
-An optional on-disk memo keyed by normalized pattern set, order, and size
-caches counts between runs.
+`avoiders(patterns, sizes)` answers "which windows of size n avoid P?" and
+`sequence(patterns, sizes)` "how many?", each for every size it is asked for
+in one pass; both check the sizes with `_valid_sizes` before growing
+anything.  The pattern type picks the containment order (unsigned: global,
+signed: classical).  Deleting the last entry of a window and re-ranking the
+rest gives a window of size n - 1 that occurs in it, as a classical pattern
+and in the middle of its mirror word, so each avoider of size n grows from an
+avoider of size n - 1 (a generating tree, West 1995).  `_grown` builds the
+candidates of size n from the avoiders of size n - 1 and searches each whole
+window once; the generator `_levels` yields the classes A_0..A_(n-1) that
+way, each grown from the one before it.  Where no pattern fits (`_fits`)
+every window avoids: that level is None, and nothing is grown or stored.
+
+`avoiders` keeps the levels it is asked for.  `sequence` keeps the size of
+each, up to the largest size N that the memo lacks, and counts N by growing
+it from A_(N-1) without storing it.  From size 5 that growth can fan out to
+a process pool, each task growing a strided slice of A_(N-1), and still
+merge deterministically (an integer sum).  An optional on-disk memo keyed by
+normalized pattern set, order, and size caches counts between runs.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -21,21 +30,25 @@ import sys
 import tempfile
 from math import comb
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Permutation, SignedPermutation, format_window, signed_group_order
-from .patterns import (
-    SizeCapExceededError, _avoidance_test, _containment_order, _fits, _grown, _levels,
-    _valid_sizes, word_contains,
+from .core import (
+    Permutation, SignedPermutation, format_window, iter_windows, signed_group_order,
 )
+from .patterns import _avoidance_test, _containment_order, word_contains
 from .tableaux import domino_count, syt_count
 
+MAX_SIGNED_SIZE = 8
 MAX_UNSIGNED_SIZE = 9
 # On a shared 2-vCPU VM a 2-process pool takes about 17 ms to start.  Jobs 1 -> 2, two runs:
 # {3412,4231} n=5 16-20 -> 34-49 ms, n=6 149-170 -> 153-192 ms, n=7 767-860 -> 503-562 ms;
 # {321} n=7 245-262 -> 179-185 ms; {132,123} n=7 14-19 -> 22-25 ms.  Only size 7 of a dense
 # class gains, but perfbench/test_perfbench.py needs a pool at n=5 to see pool metrics.
 POOL_MIN_SIZE = 5
+
+
+class SizeCapExceededError(ValueError):
+    """Exhaustive enumeration was requested beyond the supported size."""
 
 
 def fib_like(k: int, i: int) -> int:
@@ -121,6 +134,87 @@ def es_extremal_count(k: int, j: int, signed: bool) -> int:
     return domino_count(shape) ** 2
 
 
+def _fits(
+    patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], k: int
+) -> bool:
+    """
+    Whether some pattern fits in a window of size k: one of size at most 2k
+    globally, at most k classically.  Where none fits, every window avoids.
+    Only the empty pattern fits at size 0, and no window avoids it.
+    """
+    reach = 2 if _containment_order(patterns) == "global" else 1
+    return any(p.size <= reach * k for p in patterns)
+
+
+def _grown(
+    previous: Iterable[tuple[int, ...]] | None,
+    k: int,
+    test: Callable[[tuple[int, ...]], bool],
+) -> Iterator[tuple[int, ...]]:
+    """
+    The size-k windows passing `test` that grow from a window of `previous`
+    (size k - 1; None: all of B_(k-1)): pick a in 1..k, shift the absolute
+    values from a up by one, and append a or -a.  A size-k window grows from
+    one window only, its first k - 1 entries re-ranked, so where `test` holds
+    for that window whenever it holds for the whole one, growth from the
+    windows of size k - 1 passing `test` yields each passing window once.
+    """
+    for window in iter_windows(k - 1) if previous is None else previous:
+        for a in range(1, k + 1):
+            head = tuple(v + 1 if v >= a else v - 1 if v <= -a else v for v in window)
+            for last in (a, -a):
+                grown = (*head, last)
+                if test(grown):
+                    yield grown
+
+
+def _levels(
+    patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], n: int
+) -> Iterator[frozenset | None]:
+    """
+    A_0..A_(n-1), one at a time: for each size k < n, the set of size-k
+    windows avoiding every pattern, grown from the level before it; None
+    where no pattern fits.
+    """
+    test = _avoidance_test(patterns)
+    level = None
+    for k in range(n):
+        level = frozenset(_grown(level, k, test)) if _fits(patterns, k) else None
+        yield level
+
+
+def _valid_sizes(sizes: Iterable[int]) -> list[int]:
+    """The distinct sizes, ascending, if none is negative or above MAX_SIGNED_SIZE."""
+    sizes = sorted(set(sizes))
+    if sizes and sizes[0] < 0:
+        raise ValueError("sizes must be nonnegative")
+    if sizes and sizes[-1] > MAX_SIGNED_SIZE:
+        raise SizeCapExceededError(f"sizes beyond {MAX_SIGNED_SIZE} are not supported")
+    return sizes
+
+
+def avoiders(
+    patterns: Iterable[Permutation] | Iterable[SignedPermutation], sizes: Iterable[int]
+) -> dict[int, frozenset[tuple[int, ...]]]:
+    """
+    `{n: windows of size n avoiding every pattern}` in ascending n: globally
+    for unsigned patterns, classically for signed ones.  The class is grown
+    once, up to the largest size.  All of B_8, where no pattern fits, is refused.
+    """
+    wanted = _valid_sizes(sizes)
+    patterns = tuple(patterns)
+    if MAX_SIGNED_SIZE in wanted and not _fits(patterns, MAX_SIGNED_SIZE):
+        raise SizeCapExceededError(
+            f"no pattern fits, so the answer is all of B_{MAX_SIGNED_SIZE}; `sequence` counts it"
+        )
+    levels = _levels(patterns, wanted[-1] + 1 if wanted else 0)
+    return {
+        n: frozenset(iter_windows(n)) if level is None else level
+        for n, level in enumerate(levels)
+        if n in wanted
+    }
+
+
 def _branch_count(args: tuple) -> int:
     n, patterns, chunk = args
     return sum(1 for _ in _grown(chunk, n, _avoidance_test(patterns)))
@@ -135,7 +229,7 @@ def _count_exhaustive(
 ) -> int:
     """
     Size-n avoider count, grown from `previous`, the level A_(n-1) of
-    `patterns._levels`; with no pattern fitting at n, the order of B_n.
+    `_levels`; with no pattern fitting at n, the order of B_n.
     Serial when jobs <= 1, n < POOL_MIN_SIZE or A_(n-1) is None, otherwise
     on a pool of up to `jobs` processes, one task per strided slice of the
     sorted A_(n-1): 2n slices, so at most 2n processes for any `jobs`.
@@ -229,7 +323,7 @@ def sequence(
     enumeration: global avoidance for unsigned patterns, classical for signed
     ones.  The sizes the memo lacks are counted in one pass up to the largest
     of them.  The result is independent of `jobs`.  A negative size, or one
-    above `patterns.MAX_SIGNED_SIZE`, is rejected before anything is grown.
+    above `MAX_SIGNED_SIZE`, is rejected before anything is grown.
     """
     pattern_objects = tuple(patterns)
     pattern_words = tuple(p.oneline if isinstance(p, Permutation) else p.window

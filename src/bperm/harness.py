@@ -16,7 +16,7 @@ class's count) and `_formula_rows` (a closed form against brute force);
 `_check_family` and `_check_es` each serve several checks.  The builders
 share only the row format: each compared route is computed apart.  Each
 pattern route is one call per check for all the sizes that check needs:
-`patterns.avoiders(patterns, sizes)` for its members, `enumeration.sequence`
+`enumeration.avoiders(patterns, sizes)` for its members, `enumeration.sequence`
 for its counts, so each class is grown once per check and the per-size loops
 read the returned dicts.  `sequence` alone picks serial or pool, and nothing
 is kept between checks.  Predicate routes (`_members`) filter whole groups.
@@ -49,6 +49,9 @@ from .core import (
     signed_permutations,
 )
 from .enumeration import (
+    MAX_SIGNED_SIZE,
+    SizeCapExceededError,
+    avoiders,
     count_gav_132_and_decreasing,
     count_gav_132_and_increasing,
     es_bound,
@@ -59,10 +62,7 @@ from .enumeration import (
     unsigned_avoider_count,
 )
 from .patterns import (
-    MAX_SIGNED_SIZE,
-    SizeCapExceededError,
     apply_symmetry_to_set,
-    avoiders,
     classical_contains,
     format_pattern_set,
     global_basis,
@@ -422,18 +422,21 @@ def _check_iota(max_n: int, jobs: int) -> list[CheckRow]:
     test_patterns += [Permutation(p) for p in iter_permutations((1, 2, 3, 4))]
     rows = []
     for n in range(1, max_n + 1):
-        image = {w.iota().oneline for w in signed_permutations(n)}
-        rc_invariant = {
-            word
-            for word in iter_permutations(range(1, 2 * n + 1))
-            if all(word[i] + word[2 * n - 1 - i] == 2 * n + 1 for i in range(n))
-        }
+        image, transport_ok = set(), True
+        for w in signed_permutations(n):
+            iota = w.iota()
+            image.add(iota.oneline)
+            transport_ok = transport_ok and all(
+                global_contains(w, p) == unsigned_contains(iota, p) for p in test_patterns
+            )
+        # A word is rc-invariant iff its second half is the reversed complement
+        # of its first: each is drawn from its first half, not from all of S_2n.
+        rc_invariant = set()
+        for head in iter_permutations(range(1, 2 * n + 1), n):
+            word = head + tuple(2 * n + 1 - v for v in reversed(head))
+            if len(set(word)) == 2 * n:
+                rc_invariant.add(word)
         order = signed_group_order(n)
-        transport_ok = all(
-            global_contains(w, p) == unsigned_contains(w.iota(), p)
-            for w in signed_permutations(n)
-            for p in test_patterns
-        )
         expected = f"image:{order};transport:ok"
         observed = (
             f"image:{len(image)};transport:{'ok' if transport_ok else 'broken'}"

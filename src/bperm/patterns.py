@@ -1,5 +1,5 @@
 """
-Pattern containment for signed permutations, and avoidance classes.
+Pattern containment for signed permutations.
 
 Two notions of containment are implemented:
 
@@ -12,19 +12,7 @@ Two notions of containment are implemented:
 
 The pattern type names the order: a set of `Permutation` patterns is avoided
 globally, a set of `SignedPermutation` patterns classically; a set mixing the
-two kinds is rejected.  `avoiders(patterns, sizes)` answers "which windows of
-size n avoid P?" for every requested size in one pass, as
-`enumeration.sequence(patterns, sizes)` answers "how many?".  Both check the
-sizes with `_valid_sizes` before growing anything.
-
-Deleting the last entry of a window and re-ranking the rest gives a window of
-size n - 1 that occurs in it, as a classical pattern and in the middle of its
-mirror word, so each avoider of size n grows from an avoider of size n - 1
-(a generating tree, West 1995).  `_grown` builds the candidates of size n from
-the avoiders of size n - 1 and searches each whole window once; the generator
-`_levels` yields the classes A_0..A_(n-1) that way, each grown from the one
-before it, and keeps only the last.  Where no pattern fits (`_fits`) every
-window avoids: that level is None, and nothing is grown or stored.
+two kinds is rejected.
 
 Global avoidance classes can always be rewritten as classical avoidance
 classes: `global_basis` computes, for a set P of unsigned patterns, the
@@ -42,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     DihedralSymmetry,
@@ -57,16 +45,11 @@ from .core import (
 # 2-vCPU VM: m = 5 takes 0.07 s, m = 6 1.0 s, m = 7 19 s at 32 MB peak RSS;
 # B_8 is 16 times B_7, so m = 8 would take minutes.
 MAX_BASIS_PATTERN_SIZE = 7
-MAX_SIGNED_SIZE = 8
 _BOUNDS = (-sys.maxsize, 0, sys.maxsize)  # floor, floor under signs, ceiling
 
 
 class PatternTooLargeError(ValueError):
     """A basis computation was requested for patterns above the supported size."""
-
-
-class SizeCapExceededError(ValueError):
-    """Exhaustive enumeration was requested beyond the supported size."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,87 +181,6 @@ def _avoidance_test(
         return not any(signed_word_contains(window, q) for q in signed_words)
 
     return avoids_classically
-
-
-def _fits(
-    patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], k: int
-) -> bool:
-    """
-    Whether some pattern fits in a window of size k: one of size at most 2k
-    globally, at most k classically.  Where none fits, every window avoids.
-    Only the empty pattern fits at size 0, and no window avoids it.
-    """
-    reach = 2 if _containment_order(patterns) == "global" else 1
-    return any(p.size <= reach * k for p in patterns)
-
-
-def _grown(
-    previous: Iterable[tuple[int, ...]] | None,
-    k: int,
-    test: Callable[[tuple[int, ...]], bool],
-) -> Iterator[tuple[int, ...]]:
-    """
-    The size-k windows passing `test` that grow from a window of `previous`
-    (size k - 1; None: all of B_(k-1)): pick a in 1..k, shift the absolute
-    values from a up by one, and append a or -a.  A size-k window grows from
-    one window only, its first k - 1 entries re-ranked, so where `test` holds
-    for that window whenever it holds for the whole one, growth from the
-    windows of size k - 1 passing `test` yields each passing window once.
-    """
-    for window in iter_windows(k - 1) if previous is None else previous:
-        for a in range(1, k + 1):
-            head = tuple(v + 1 if v >= a else v - 1 if v <= -a else v for v in window)
-            for last in (a, -a):
-                grown = (*head, last)
-                if test(grown):
-                    yield grown
-
-
-def _levels(
-    patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], n: int
-) -> Iterator[frozenset | None]:
-    """
-    A_0..A_(n-1), one at a time: for each size k < n, the set of size-k
-    windows avoiding every pattern, grown from the level before it; None
-    where no pattern fits.
-    """
-    test = _avoidance_test(patterns)
-    level = None
-    for k in range(n):
-        level = frozenset(_grown(level, k, test)) if _fits(patterns, k) else None
-        yield level
-
-
-def _valid_sizes(sizes: Iterable[int]) -> list[int]:
-    """The distinct sizes, ascending, if none is negative or above MAX_SIGNED_SIZE."""
-    sizes = sorted(set(sizes))
-    if sizes and sizes[0] < 0:
-        raise ValueError("sizes must be nonnegative")
-    if sizes and sizes[-1] > MAX_SIGNED_SIZE:
-        raise SizeCapExceededError(f"sizes beyond {MAX_SIGNED_SIZE} are not supported")
-    return sizes
-
-
-def avoiders(
-    patterns: Iterable[Permutation] | Iterable[SignedPermutation], sizes: Iterable[int]
-) -> dict[int, frozenset[tuple[int, ...]]]:
-    """
-    `{n: windows of size n avoiding every pattern}` in ascending n: globally
-    for unsigned patterns, classically for signed ones.  The class is grown
-    once, up to the largest size.  All of B_8, where no pattern fits, is refused.
-    """
-    wanted = _valid_sizes(sizes)
-    patterns = tuple(patterns)
-    if MAX_SIGNED_SIZE in wanted and not _fits(patterns, MAX_SIGNED_SIZE):
-        raise SizeCapExceededError(
-            f"no pattern fits, so the answer is all of B_{MAX_SIGNED_SIZE}; `sequence` counts it"
-        )
-    levels = _levels(patterns, wanted[-1] + 1 if wanted else 0)
-    return {
-        n: frozenset(iter_windows(n)) if level is None else level
-        for n, level in enumerate(levels)
-        if n in wanted
-    }
 
 
 def delete_window_entry(window: Sequence[int], index: int) -> tuple[int, ...]:

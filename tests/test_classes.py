@@ -20,8 +20,8 @@ from bperm.classes import (
     signed_composition,
 )
 from bperm.core import Permutation, SignedPermutation, signed_permutations
-from bperm.enumeration import palindromic_compositions
-from bperm.patterns import avoiders, classical_contains, global_contains
+from bperm.enumeration import avoiders, palindromic_compositions
+from bperm.patterns import classical_contains, global_contains
 
 
 def lis(word):

@@ -13,6 +13,8 @@ from bperm.core import Permutation, SignedPermutation
 from bperm.enumeration import (
     SizeCapExceededError,
     _count_exhaustive,
+    _levels,
+    avoiders,
     count_gav_132_and_decreasing,
     count_gav_132_and_increasing,
     es_bound,
@@ -25,7 +27,7 @@ from bperm.enumeration import (
     store_cache,
     unsigned_avoider_count,
 )
-from bperm.patterns import _levels, avoiders, parse_unsigned_patterns
+from bperm.patterns import parse_unsigned_patterns
 from bperm.tableaux import domino_count, syt_count
 
 
@@ -314,8 +316,7 @@ class TestSequenceEngine:
         def refuse(*args):
             raise AssertionError("grew or searched where no pattern fits")
 
-        for module, name in [(patterns_module, "_grown"), (enumeration, "_grown"),
-                             (patterns_module, "word_contains"),
+        for module, name in [(enumeration, "_grown"), (patterns_module, "word_contains"),
                              (patterns_module, "signed_word_contains")]:
             monkeypatch.setattr(module, name, refuse)
         orders = {0: 1, 1: 2, 2: 8, 3: 48, 4: 384, 5: 3840, 6: 46080, 7: 645120, 8: 10321920}

@@ -7,8 +7,8 @@ from types import FunctionType
 
 import pytest
 
+import bperm.enumeration
 import bperm.harness
-import bperm.patterns
 from bperm.classes import NotColayeredError
 from bperm.enumeration import SizeCapExceededError
 from bperm.harness import (
@@ -203,15 +203,31 @@ class TestRunCheck:
     )
     def test_each_pattern_route_is_grown_once(self, monkeypatch, check_id, max_n, grown_per_size):
         grown = Counter()
-        original = bperm.patterns._grown
+        original = bperm.enumeration._grown
 
         def counted(previous, k, test):
             grown[k] += 1
             return original(previous, k, test)
 
-        monkeypatch.setattr(bperm.patterns, "_grown", counted)
+        monkeypatch.setattr(bperm.enumeration, "_grown", counted)
         assert run_check(check_id, max_n).status == "pass"
         assert grown == grown_per_size
+
+    def test_iota_draws_first_halves_not_all_of_s_2n(self, monkeypatch):
+        # The 30 test patterns of sizes 3 and 4, then P(2n, n) first halves of
+        # rc-invariant words for n = 1..4; all of S_2n would be 41,096 tuples.
+        drawn = 0
+        original = bperm.harness.iter_permutations
+
+        def counted(*args):
+            nonlocal drawn
+            for word in original(*args):
+                drawn += 1
+                yield word
+
+        monkeypatch.setattr(bperm.harness, "iter_permutations", counted)
+        assert run_check("cor-iota", 4).status == "pass"
+        assert drawn == 30 + 2 + 12 + 120 + 1680
 
 
 class TestRunAll:

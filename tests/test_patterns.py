@@ -18,13 +18,11 @@ from bperm.core import (
     signed_permutations,
 )
 from bperm import enumeration
-from bperm.enumeration import palindromic_compositions, sequence
+from bperm.enumeration import _levels, avoiders, palindromic_compositions, sequence
 from bperm import patterns as patterns_module
 from bperm.patterns import (
     PatternTooLargeError,
-    _levels,
     apply_symmetry_to_set,
-    avoiders,
     classical_contains,
     count_global_occurrences,
     delete_window_entry,
@@ -167,7 +165,7 @@ class TestProbeGarbage:
             assert next(domino_tableaux((4, 2))) == ((1, 1, 2, 2), (3, 3))
             assert len(list(standard_tableaux((2, 1)))) == 2
             assert len(list(palindromic_compositions(4))) == 4
-            grown = next(patterns_module._grown(None, 5, lambda window: window[-1] > -5))
+            grown = next(enumeration._grown(None, 5, lambda window: window[-1] > -5))
             assert grown == (-5, -4, -3, -2, 1)
             assert next(standard_tableaux((3, 2))) == ((1, 2, 3), (4, 5))
             assert next(palindromic_compositions(6)) == (6,)
@@ -423,8 +421,7 @@ class TestAvoidersOracle:
         def grown(previous, k, test):
             raise AssertionError(f"grew size {k}")
 
-        for module in (patterns_module, enumeration):
-            monkeypatch.setattr(module, "_grown", grown)
+        monkeypatch.setattr(enumeration, "_grown", grown)
         assert list(_levels((), 6)) == [None] * 6
         assert sequence([], range(6)) == {n: 2**n * factorial(n) for n in range(6)}
         assert len(avoiders([], [5])[5]) == 3840
@@ -460,8 +457,7 @@ class TestAvoidersOracle:
         def grown(previous, k, test):
             raise AssertionError(f"grew size {k}")
 
-        for module in (patterns_module, enumeration):
-            monkeypatch.setattr(module, "_grown", grown)
+        monkeypatch.setattr(enumeration, "_grown", grown)
         with pytest.raises(error, match="sizes"):
             engine([Permutation((2, 1))], sizes)
         assert bperm.SizeCapExceededError is enumeration.SizeCapExceededError
@@ -476,11 +472,10 @@ class TestAvoidersOracle:
         def build(*args):
             raise AssertionError("built windows")
 
-        monkeypatch.setattr(patterns_module, "iter_windows", build)
-        for module in (patterns_module, enumeration):
-            monkeypatch.setattr(module, "_grown", build)
+        monkeypatch.setattr(enumeration, "iter_windows", build)
+        monkeypatch.setattr(enumeration, "_grown", build)
         with pytest.raises(bperm.SizeCapExceededError, match="all of B_8.*`sequence` counts"):
-            avoiders(patterns, [2, patterns_module.MAX_SIGNED_SIZE])
+            avoiders(patterns, [2, enumeration.MAX_SIGNED_SIZE])
         assert sequence(patterns, [8]) == {8: 10321920}
 
 
@@ -508,8 +503,8 @@ class TestPrunedWalk:
             filtered = list(filter(test, iter_windows(k)))
             below = list(filter(test, iter_windows(k - 1)))
             # Sorting keeps repeats, so a window grown twice fails the comparison.
-            assert sorted(patterns_module._grown(below, k, test)) == filtered
-            assert sorted(patterns_module._grown(None, k, test)) == filtered
+            assert sorted(enumeration._grown(below, k, test)) == filtered
+            assert sorted(enumeration._grown(None, k, test)) == filtered
 
 
 class TestDeleteEntry:
