@@ -258,15 +258,15 @@ def load_cache(path: str) -> dict[str, int]:
     cache: dict[str, int] = {}
     skipped = 0
     try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
+        # Decoded line by line, so a line that is not UTF-8 is one malformed line.
+        with open(path, "rb") as handle:
+            for line in handle.read().splitlines():
                 try:
-                    patterns, order, n, count = line.rsplit("|", 3)
-                    cache[f"{patterns}|{order}|{int(n)}"] = int(count)
-                except ValueError:
+                    line = line.decode("utf-8").strip()
+                    if line:
+                        patterns, order, n, count = line.rsplit("|", 3)
+                        cache[f"{patterns}|{order}|{int(n)}"] = int(count)
+                except ValueError:  # UnicodeDecodeError is a ValueError
                     skipped += 1
     except FileNotFoundError:
         pass
@@ -288,6 +288,8 @@ def _memo_is_clean(path: str, cache: dict[str, int]) -> bool:
             return handle.read() == _memo_text(cache)
     except FileNotFoundError:
         return not cache
+    except UnicodeDecodeError:
+        return False
 
 
 def store_cache(path: str, cache: dict[str, int]) -> None:

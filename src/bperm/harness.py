@@ -10,16 +10,17 @@ monitor conjectures and open questions and report conjecture-holds or
 conjecture-fails.  A conjecture failure is news, not an error: only theorem
 failures make the command-line `verify` exit nonzero.
 
-Rows come from shared builders: `_set_row` (a reference set against named
-alternates), `_basis_row`, `_count_rows` (a reference count against a global
-class's count) and `_formula_rows` (a closed form against brute force);
-`_check_family` and `_check_es` each serve several checks.  The builders
-share only the row format: each compared route is computed apart.  Each
-pattern route is one call per check for all the sizes that check needs:
-`enumeration.avoiders(patterns, sizes)` for its members, `enumeration.sequence`
-for its counts, so each class is grown once per check and the per-size loops
-read the returned dicts.  `sequence` alone picks serial or pool, and nothing
-is kept between checks.  Predicate routes (`_members`) filter whole groups.
+Each compared route is computed apart, as one per-size dict for all the
+sizes its check needs.  A pattern route is one `enumeration.avoiders(patterns,
+sizes)` call for its members or one `enumeration.sequence` call for its
+counts, so each class is grown once per check; a predicate route is one
+`_members(sizes, predicate)` call, which filters whole groups.  Rows are
+built from those dicts by `_set_rows` (a reference set against named
+alternates) and `_count_rows` (a reference count against an observed one);
+`_basis_row` and `_formula_rows` (a closed form against brute force) serve
+the rest, and `_check_family` and `_check_es` each serve several checks.
+The builders share only the row format.  `sequence` alone picks serial or
+pool, and nothing is kept between checks.
 """
 from __future__ import annotations
 
@@ -121,23 +122,22 @@ def _check(check_id: str, max_n: int, description: str):
     return register
 
 
-def _set_row(n: int, reference: set, alternates: dict[str, set]) -> CheckRow:
-    """A row whose expected and observed differ exactly when some set differs."""
-    expected = str(len(reference))
-    bad = {name: s for name, s in alternates.items() if s != reference}
-    if not bad:
-        return CheckRow(n, expected, expected)
-    detail = ",".join(
-        f"{name}:{len(s)}(delta={len(s ^ reference)})" for name, s in bad.items()
-    )
-    return CheckRow(n, expected, f"{expected} mismatch[{detail}]")
+def _set_rows(reference: dict[int, set], alternates: dict[str, dict[int, set]]) -> list[CheckRow]:
+    """Per size of `reference`, a row whose sides differ where some alternate's set differs."""
+    rows = []
+    for n, wanted in reference.items():
+        expected = str(len(wanted))
+        bad = {name: sets[n] for name, sets in alternates.items() if sets[n] != wanted}
+        detail = ",".join(f"{name}:{len(s)}(delta={len(s ^ wanted)})" for name, s in bad.items())
+        rows.append(CheckRow(n, expected, f"{expected} mismatch[{detail}]" if bad else expected))
+    return rows
 
 
 def _members(
-    n: int, predicate: Callable[[SignedPermutation], bool]
-) -> set[tuple[int, ...]]:
-    """Windows of the size-n elements that satisfy `predicate`."""
-    return {w.window for w in signed_permutations(n) if predicate(w)}
+    sizes: Iterable[int], predicate: Callable[[SignedPermutation], bool]
+) -> dict[int, set[tuple[int, ...]]]:
+    """Per size n, the windows of the elements of B_n that satisfy `predicate`."""
+    return {n: {w.window for w in signed_permutations(n) if predicate(w)} for n in sizes}
 
 
 def _decreasing(m: int) -> Permutation:
@@ -148,15 +148,9 @@ def _labelled(label: str, values: Iterable[int]) -> str:
     return f"{label}=" + ",".join(map(str, values))
 
 
-def _count_rows(
-    max_n: int,
-    jobs: int,
-    expected: Callable[[int], int],
-    patterns: Sequence[Permutation],
-) -> list[CheckRow]:
-    """Per size 1..max_n, a reference count against the global class's count."""
-    counts = sequence(patterns, range(1, max_n + 1), jobs=jobs)
-    return [CheckRow(n, str(expected(n)), str(count)) for n, count in counts.items()]
+def _count_rows(reference: dict[int, int], observed: dict[int, int]) -> list[CheckRow]:
+    """One row per size of `reference`: its count against the observed one."""
+    return [CheckRow(n, str(count), str(observed[n])) for n, count in reference.items()]
 
 
 def _canonical_pattern_text(patterns: Sequence[SignedPermutation]) -> str:
@@ -180,11 +174,11 @@ def _check_family(
     rows = [_basis_row(classical_patterns, global_basis(global_patterns))]
     sizes = range(1, max_n + 1)
     reference = avoiders(global_patterns, sizes)
-    classical = avoiders(classical_patterns, sizes)
-    for n in sizes:
-        alternates = {"classical": classical[n], structural_name: _members(n, structural)}
-        rows.append(_set_row(n, reference[n], alternates))
-    return rows
+    alternates = {
+        "classical": avoiders(classical_patterns, sizes),
+        structural_name: _members(sizes, structural),
+    }
+    return rows + _set_rows(reference, alternates)
 
 
 @_check("thm-boolean", 4, "global {321,3412} = classical 10-list = distinct-letter reduced words")
@@ -204,23 +198,17 @@ def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
     # Vexillarity has no structural criterion: whole-group filters by the
     # predicate and the classical list meet the grown classes in rows of their own.
     rows = [_basis_row(fixtures.VEXILLARY_CLASSICAL, global_basis(fixtures.VEXILLARY_GLOBAL))]
-    predicate_rows = []
     sizes = range(1, max_n + 1)
     reference = avoiders(fixtures.VEXILLARY_GLOBAL, sizes)
-    classical = avoiders(fixtures.VEXILLARY_CLASSICAL, sizes)
-    for n in sizes:
-        rows.append(_set_row(n, reference[n], {"classical": classical[n]}))
-        via_predicates = {
-            "predicate-global": _members(n, is_vexillary),
-            "predicate-classical": _members(
-                n,
-                lambda w: not any(
-                    classical_contains(w, q) for q in fixtures.VEXILLARY_CLASSICAL
-                ),
-            ),
-        }
-        predicate_rows.append(_set_row(n, reference[n], via_predicates))
-    return rows + predicate_rows
+    rows += _set_rows(reference, {"classical": avoiders(fixtures.VEXILLARY_CLASSICAL, sizes)})
+    via_predicates = {
+        "predicate-global": _members(sizes, is_vexillary),
+        "predicate-classical": _members(
+            sizes,
+            lambda w: not any(classical_contains(w, q) for q in fixtures.VEXILLARY_CLASSICAL),
+        ),
+    }
+    return rows + _set_rows(reference, via_predicates)
 
 
 @_check("thm-smooth-bc", 5, "global {3412,4231} = classical 11-list = smooth in both types")
@@ -479,38 +467,37 @@ def _check_gl_basis(max_n: int, jobs: int) -> list[CheckRow]:
 
 @_check("conj-grassmannian", 5, "(bi)grassmannian = global avoidance of the conjectured lists")
 def _check_grassmannian(max_n: int, jobs: int) -> list[CheckRow]:
-    rows = []
     sizes = range(1, max_n + 1)
-    patterns = avoiders(fixtures.GRASSMANNIAN_GLOBAL, sizes)
-    bipatterns = avoiders(fixtures.BIGRASSMANNIAN_GLOBAL, sizes)
-    for n in sizes:
-        group = list(signed_permutations(n))
-        descents = {w.window for w in group if is_grassmannian(w)}
-        bidescents = {w.window for w in group if is_bigrassmannian(w)}
-        gr = _set_row(n, descents, {"global-patterns": patterns[n]})
-        bigr = _set_row(n, bidescents, {"global-patterns": bipatterns[n]})
-        expected = f"gr:{gr.expected};bigr:{bigr.expected}"
-        rows.append(CheckRow(n, expected, f"gr:{gr.observed};bigr:{bigr.observed}"))
-    return rows
+    patterns = {"global-patterns": avoiders(fixtures.GRASSMANNIAN_GLOBAL, sizes)}
+    gr = _set_rows(_members(sizes, is_grassmannian), patterns)
+    bipatterns = {"global-patterns": avoiders(fixtures.BIGRASSMANNIAN_GLOBAL, sizes)}
+    bigr = _set_rows(_members(sizes, is_bigrassmannian), bipatterns)
+    return [
+        CheckRow(g.n, f"gr:{g.expected};bigr:{b.expected}", f"gr:{g.observed};bigr:{b.observed}")
+        for g, b in zip(gr, bigr)
+    ]
 
 
 @_check("conj-smooth-count", 5, "|GAV_n({3412,4231})| matches unsigned smooth counts one size up")
 def _check_smooth_count(max_n: int, jobs: int) -> list[CheckRow]:
-    expected = lambda n: unsigned_avoider_count(n + 1, fixtures.SMOOTH_A_UNSIGNED)
-    return _count_rows(max_n, jobs, expected, fixtures.SMOOTH_BC_GLOBAL)
+    sizes = range(1, max_n + 1)
+    unsigned = {n: unsigned_avoider_count(n + 1, fixtures.SMOOTH_A_UNSIGNED) for n in sizes}
+    return _count_rows(unsigned, sequence(fixtures.SMOOTH_BC_GLOBAL, sizes, jobs=jobs))
 
 
 @_check("oq-gao-hanni", 6, "|GAV_n(2143)| = |GAV_n(1234)|")
 def _check_gao_hanni(max_n: int, jobs: int) -> list[CheckRow]:
-    left = sequence(fixtures.GAO_HANNI_LEFT, range(1, max_n + 1), jobs=jobs)
-    return _count_rows(max_n, jobs, left.__getitem__, fixtures.GAO_HANNI_RIGHT)
+    sizes = range(1, max_n + 1)
+    left = sequence(fixtures.GAO_HANNI_LEFT, sizes, jobs=jobs)
+    return _count_rows(left, sequence(fixtures.GAO_HANNI_RIGHT, sizes, jobs=jobs))
 
 
 @_check("oq-a115197", 5, "|GAV_n({2413,3142})| matches the stored OEIS A115197 prefix")
 def _check_a115197(max_n: int, jobs: int) -> list[CheckRow]:
     # The stored prefix bounds the sizes compared, whatever max_n asks for.
-    cap = min(max_n, len(fixtures.A115197_PREFIX) - 1)
-    return _count_rows(cap, jobs, fixtures.A115197_PREFIX.__getitem__, fixtures.SEPARABLE_GLOBAL)
+    sizes = range(1, min(max_n, len(fixtures.A115197_PREFIX) - 1) + 1)
+    prefix = {n: fixtures.A115197_PREFIX[n] for n in sizes}
+    return _count_rows(prefix, sequence(fixtures.SEPARABLE_GLOBAL, sizes, jobs=jobs))
 
 
 def _uses_each_generator_at_most_twice(w: SignedPermutation) -> bool:
@@ -524,13 +511,9 @@ def _uses_each_generator_at_most_twice(w: SignedPermutation) -> bool:
 
 @_check("oq-two-boolean", 4, "each-generator-at-most-twice vs global {3421,4312,4321,456123}")
 def _check_two_boolean(max_n: int, jobs: int) -> list[CheckRow]:
-    rows = []
     sizes = range(1, max_n + 1)
-    pattern_side = avoiders(fixtures.TWO_BOOLEAN_GLOBAL, sizes)
-    for n in sizes:
-        word_side = _members(n, _uses_each_generator_at_most_twice)
-        rows.append(_set_row(n, word_side, {"global-patterns": pattern_side[n]}))
-    return rows
+    pattern_side = {"global-patterns": avoiders(fixtures.TWO_BOOLEAN_GLOBAL, sizes)}
+    return _set_rows(_members(sizes, _uses_each_generator_at_most_twice), pattern_side)
 
 
 def _valid_max_n(max_n: int) -> int:

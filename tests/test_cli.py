@@ -127,22 +127,32 @@ class TestCount:
         code, second = run_cli(capsys, "count", "--patterns", "3,2,1", "--n", "1..3")
         assert second == first
 
+    @pytest.mark.parametrize(
+        "text, skipped",
+        [
+            (b"garbage\n3,2,1|global|1|2\n3,2,1|global|2|notanint\n", 2),
+            # A line that is not UTF-8 is malformed too, not a usage error.
+            (b"3,2,1|global|1|2\n\xff\xfe|global|2|6\n", 1),
+        ],
+        ids=["unparsable", "not-utf-8"],
+    )
     def test_malformed_memo_lines_are_skipped_and_recomputed(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, monkeypatch, text, skipped
     ):
         cache = tmp_path / "memo.txt"
-        cache.write_text("garbage\n3,2,1|global|1|2\n3,2,1|global|2|notanint\n")
+        cache.write_bytes(text)
         monkeypatch.setenv("BPERM_CACHE", str(cache))
         code = main(["count", "--patterns", "3,2,1", "--n", "1..3"])
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out == "n,count\n1,2\n2,6\n3,20\n"
-        assert captured.err.count("\n") == 1 and "skipped 2 malformed line(s)" in captured.err
+        assert captured.err.count("\n") == 1
+        assert f"skipped {skipped} malformed line(s)" in captured.err
         memo = "3,2,1|global|1|2\n3,2,1|global|2|6\n3,2,1|global|3|20\n"
         assert cache.read_text() == memo
-        # With every requested count present the bad line still goes at once,
-        # so the run after it warns nothing.
-        cache.write_text(memo + "garbage\n")
+        # With every requested count present the last bad line still goes at
+        # once, so the run after it warns nothing.
+        cache.write_bytes(memo.encode() + text.splitlines(keepends=True)[-1])
         for warnings in (1, 0):
             code = main(["count", "--patterns", "3,2,1", "--n", "1..3"])
             captured = capsys.readouterr()

@@ -16,6 +16,7 @@ from bperm.harness import (
     CheckReport,
     CheckRow,
     UnknownCheckError,
+    _set_rows,
     any_theorem_failed,
     run_all,
     run_check,
@@ -228,6 +229,20 @@ class TestRunCheck:
         monkeypatch.setattr(bperm.harness, "iter_permutations", counted)
         assert run_check("cor-iota", 4).status == "pass"
         assert drawn == 30 + 2 + 12 + 120 + 1680
+
+
+class TestRowBuilders:
+    def test_set_rows_name_each_differing_alternate_in_alternate_order(self):
+        reference = {1: {(1,)}, 2: {(1, 2), (2, 1)}, 3: set()}
+        alternates = {
+            "zeta": {1: {(1,)}, 2: {(1, 2)}, 3: set()},
+            "alpha": {1: {(-1,)}, 2: {(1, 2), (2, 1), (-1, 2)}, 3: set()},
+        }
+        assert _set_rows(reference, alternates) == [
+            CheckRow(1, "1", "1 mismatch[alpha:1(delta=2)]"),
+            CheckRow(2, "2", "2 mismatch[zeta:1(delta=1),alpha:3(delta=1)]"),
+            CheckRow(3, "0", "0"),
+        ]
 
 
 class TestRunAll:

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from bperm import core, patterns
-from bperm.core import DihedralSymmetry, Permutation
+from bperm.core import DihedralSymmetry, Permutation, SignedPermutation
 from bperm.harness import run_all
 
 
@@ -84,6 +84,38 @@ def _rc_reduce_by_reverse(monkeypatch):
     return _patch_everywhere(monkeypatch, patterns.rc_reduce, rc_reduce)
 
 
+def _support_without_s0(monkeypatch):
+    original = SignedPermutation.support
+    monkeypatch.setattr(SignedPermutation, "support", lambda self: original(self) - {0})
+    return 1
+
+
+def _length_ignoring_negative_entries(monkeypatch):
+    original = core.window_length
+    return _patch_everywhere(
+        monkeypatch, original, lambda window: original(window) - sum(v < 0 for v in window)
+    )
+
+
+def _descents_ignoring_position_0(monkeypatch):
+    original = core.window_descents
+    return _patch_everywhere(monkeypatch, original, lambda window: original(window) - {0})
+
+
+def _inverse_without_signs(monkeypatch):
+    original = core.window_inverse
+    return _patch_everywhere(
+        monkeypatch, original, lambda window: tuple(abs(v) for v in original(window))
+    )
+
+
+def _rank_word_reversed(monkeypatch):
+    original = core.rank_word
+    return _patch_everywhere(
+        monkeypatch, original, lambda word: tuple(len(word) + 1 - r for r in original(word))
+    )
+
+
 # The checks that fail under no mutation at max_n 3.
 BASELINE = {"oq-two-boolean"}
 
@@ -110,6 +142,16 @@ MUTATIONS = {
     "entry deletion without re-ranking": (_deletion_without_reranking, BASELINE | _CLASSICAL),
     "REVERSE sends 132 to 123": (_reverse_sending_132_to_123, BASELINE | {"lemma-symmetry"}),
     "rc_reduce by reverse": (_rc_reduce_by_reverse, BASELINE | {"lemma-symmetry"}),
+    # Below, the structural routes: each planted bug fails only the checks
+    # that read the broken function on one compared side.
+    "support drops s_0": (_support_without_s0, BASELINE | {"thm-boolean", "thm-free"}),
+    "length ignores negative entries": (
+        _length_ignoring_negative_entries,
+        BASELINE | {"thm-boolean", "thm-free"},
+    ),
+    "descents ignore position 0": (_descents_ignoring_position_0, BASELINE | {"conj-grassmannian"}),
+    "inverse drops signs": (_inverse_without_signs, BASELINE | {"conj-grassmannian"}),
+    "rank_word reverses ranks": (_rank_word_reversed, BASELINE | {"cor-iota", "thm-binomial-sum"}),
 }
 
 
