@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 from . import fixtures
 from .classes import is_bigrassmannian, is_grassmannian
-from .core import Permutation, SignedPermutation, format_window, window_descents
-from .enumeration import MAX_SIGNED_SIZE, _grown, avoiders, sequence as count_sequence
+from .core import Permutation, SignedPermutation, format_window, grown
+from .enumeration import MAX_SIGNED_SIZE, avoiders, sequence as count_sequence
 from .harness import CHECKS, any_theorem_failed, run_all, run_check
 from .patterns import (
     count_global_occurrences,
@@ -43,9 +43,9 @@ from .tableaux import (
 )
 
 # Each family's pattern list, listed by `avoiders`, or, for the two families
-# that are not pattern classes, a predicate tested on each window with at most
-# one descent (a class grown size by size, as deleting the last entry and
-# re-ranking keeps a window's other descents, that holds both families).
+# that are not pattern classes, a predicate that grows the family size by
+# size: deleting the last entry never adds a descent to a window or to its
+# inverse, so each member grows from a member one size smaller.
 PROPERTIES: dict[str, Sequence | Callable[[SignedPermutation], bool]] = {
     "vexillary": fixtures.VEXILLARY_GLOBAL,
     "boolean": fixtures.BOOLEAN_GLOBAL,
@@ -101,8 +101,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
     if callable(family):
         level = [()]
         for k in range(1, args.n + 1):
-            level = list(_grown(level, k, lambda window: len(window_descents(window)) <= 1))
-        windows = (window for window in sorted(level) if family(SignedPermutation(window)))
+            level = [window for window in grown(level, k) if family(SignedPermutation(window))]
+        windows = sorted(level)
     else:
         windows = sorted(avoiders(family, [args.n])[args.n])
     for window in windows:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_WINDOW_SIZE = 16
 MAX_ONELINE_SIZE = 2 * MAX_WINDOW_SIZE
@@ -117,14 +117,29 @@ def window_apply_generator(window: Sequence[int], i: int) -> tuple[int, ...]:
 
 def iter_windows(n: int) -> Iterator[tuple[int, ...]]:
     """
-    All signed-permutation windows of size n, in lexicographic order.  The
-    avoidance engine grows classes from smaller ones (`enumeration._grown`) and
-    streams the whole group through here only where no pattern fits.
+    All signed-permutation windows of size n, in lexicographic order.  Classes
+    are grown from smaller ones (`grown`); the whole group streams through
+    here only where it is the answer or the route being compared.
     """
     if n == 0:
         yield ()
         return
     yield from _extend([], [False] * (n + 1))
+
+
+def grown(previous: Iterable[tuple[int, ...]] | None, k: int) -> Iterator[tuple[int, ...]]:
+    """
+    The children of the size-(k - 1) windows of `previous` (None: all of
+    B_(k-1)): for a in 1..k, shift the absolute values from a up by one and
+    append a or -a.  A window is the child of one window only, its first k - 1
+    entries re-ranked, so B_(k-1) grows B_k once, and the members of a family
+    closed under deleting the last entry grow each member one size up once.
+    """
+    for window in iter_windows(k - 1) if previous is None else previous:
+        for a in range(1, k + 1):
+            head = tuple(v + 1 if v >= a else v - 1 if v <= -a else v for v in window)
+            yield (*head, a)
+            yield (*head, -a)
 
 
 def _extend(prefix: list[int], used: list[bool]) -> Iterator[tuple[int, ...]]:

@@ -8,18 +8,20 @@ anything.  The pattern type picks the containment order (unsigned: global,
 signed: classical).  Deleting the last entry of a window and re-ranking the
 rest gives a window of size n - 1 that occurs in it, as a classical pattern
 and in the middle of its mirror word, so each avoider of size n grows from an
-avoider of size n - 1 (a generating tree, West 1995).  `_grown` builds the
-candidates of size n from the avoiders of size n - 1 and searches each whole
-window once; the generator `_levels` yields the classes A_0..A_(n-1) that
-way, each grown from the one before it.  Where no pattern fits (`_fits`)
-every window avoids: that level is None, and nothing is grown or stored.
+avoider of size n - 1 (a generating tree, West 1995).  `core.grown` yields
+the children of the avoiders of size n - 1, and the avoidance test searches
+each whole child once; the generator `_levels` yields the classes
+A_0..A_(n-1) that way, each grown from the one before it.  Where no pattern
+fits (`_fits`) every window avoids: that level is None, and nothing is grown
+or stored.
 
 `avoiders` keeps the levels it is asked for.  `sequence` keeps the size of
 each, up to the largest size N that the memo lacks, and counts N by growing
-it from A_(N-1) without storing it.  From size 5 that growth can fan out to
-a process pool, each task growing a strided slice of A_(N-1), and still
-merge deterministically (an integer sum).  An optional on-disk memo keyed by
-normalized pattern set, order, and size caches counts between runs.
+it from A_(N-1) without storing it, as `unsigned_avoider_count` counts S_n.
+From size 5 that growth can fan out to a process pool, each task growing a
+strided slice of A_(N-1), and still merge deterministically (an integer
+sum).  An optional on-disk memo keyed by normalized pattern set, order, and
+size caches counts between runs.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -30,12 +32,12 @@ import sys
 import tempfile
 from math import comb
 from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    Permutation, SignedPermutation, format_window, iter_windows, signed_group_order,
+    Permutation, SignedPermutation, format_window, grown, iter_windows, signed_group_order,
 )
-from .patterns import _avoidance_test, _containment_order, word_contains
+from .patterns import _avoidance_test, _containment_order
 from .tableaux import domino_count, syt_count
 
 MAX_SIGNED_SIZE = 8
@@ -146,28 +148,6 @@ def _fits(
     return any(p.size <= reach * k for p in patterns)
 
 
-def _grown(
-    previous: Iterable[tuple[int, ...]] | None,
-    k: int,
-    test: Callable[[tuple[int, ...]], bool],
-) -> Iterator[tuple[int, ...]]:
-    """
-    The size-k windows passing `test` that grow from a window of `previous`
-    (size k - 1; None: all of B_(k-1)): pick a in 1..k, shift the absolute
-    values from a up by one, and append a or -a.  A size-k window grows from
-    one window only, its first k - 1 entries re-ranked, so where `test` holds
-    for that window whenever it holds for the whole one, growth from the
-    windows of size k - 1 passing `test` yields each passing window once.
-    """
-    for window in iter_windows(k - 1) if previous is None else previous:
-        for a in range(1, k + 1):
-            head = tuple(v + 1 if v >= a else v - 1 if v <= -a else v for v in window)
-            for last in (a, -a):
-                grown = (*head, last)
-                if test(grown):
-                    yield grown
-
-
 def _levels(
     patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], n: int
 ) -> Iterator[frozenset | None]:
@@ -179,7 +159,7 @@ def _levels(
     test = _avoidance_test(patterns)
     level = None
     for k in range(n):
-        level = frozenset(_grown(level, k, test)) if _fits(patterns, k) else None
+        level = frozenset(filter(test, grown(level, k))) if _fits(patterns, k) else None
         yield level
 
 
@@ -217,7 +197,7 @@ def avoiders(
 
 def _branch_count(args: tuple) -> int:
     n, patterns, chunk = args
-    return sum(1 for _ in _grown(chunk, n, _avoidance_test(patterns)))
+    return sum(map(_avoidance_test(patterns), grown(chunk, n)))
 
 
 def _count_exhaustive(
@@ -351,16 +331,16 @@ def sequence(
 
 
 def unsigned_avoider_count(n: int, patterns: Iterable[Permutation]) -> int:
-    """Number of unsigned permutations of size n avoiding every pattern."""
+    """
+    Number of unsigned permutations of size n avoiding every pattern.  S_n is
+    the set of windows classically avoiding -1, so it is counted as `sequence`
+    counts its top size (but past 8), each pattern no longer than n as signed.
+    """
     if n < 0:
         raise ValueError("size must be nonnegative")
     if n > MAX_UNSIGNED_SIZE:
         raise SizeCapExceededError(f"sizes beyond {MAX_UNSIGNED_SIZE} are not supported")
-    from itertools import permutations as iter_permutations
-
-    words = tuple(p.oneline for p in patterns)
-    count = 0
-    for word in iter_permutations(range(1, n + 1)):
-        if not any(word_contains(word, p) for p in words):
-            count += 1
-    return count
+    signed = (SignedPermutation((-1,)),
+              *(SignedPermutation(p.oneline) for p in patterns if p.size <= n))
+    *_, level = None, *_levels(signed, n)  # A_(n - 1); None at n = 0
+    return _count_exhaustive(n, signed, previous=level)

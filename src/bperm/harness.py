@@ -69,7 +69,6 @@ from .patterns import (
     global_basis,
     global_contains,
     rc_reduce,
-    unsigned_contains,
 )
 from .tableaux import domino_count, domino_tableaux, is_domino_tileable, partitions
 
@@ -408,14 +407,20 @@ def _check_symmetry(max_n: int, jobs: int) -> list[CheckRow]:
 def _check_iota(max_n: int, jobs: int) -> list[CheckRow]:
     test_patterns = [Permutation(p) for p in iter_permutations((1, 2, 3))]
     test_patterns += [Permutation(p) for p in iter_permutations((1, 2, 3, 4))]
+    zero_based = [(p, tuple(v - 1 for v in p.oneline)) for p in test_patterns]
     rows = []
     for n in range(1, max_n + 1):
         image, transport_ok = set(), True
         for w in signed_permutations(n):
-            iota = w.iota()
-            image.add(iota.oneline)
+            iota = w.iota().oneline
+            image.add(iota)
+            # iota(w)'s patterns of sizes 3 and 4, read off its index subsets
+            # with 0-based ranks counted in place: not by the kernel, which the
+            # global side uses, nor by rank_word, which builds iota.
+            subsets = (s for k in (3, 4) for s in combinations(iota, k))
+            in_iota = {tuple(map(sorted(s).index, s)) for s in subsets}
             transport_ok = transport_ok and all(
-                global_contains(w, p) == unsigned_contains(iota, p) for p in test_patterns
+                global_contains(w, p) == (ranks in in_iota) for p, ranks in zero_based
             )
         # A word is rc-invariant iff its second half is the reversed complement
         # of its first: each is drawn from its first half, not from all of S_2n.

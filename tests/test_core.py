@@ -11,6 +11,7 @@ from bperm.core import (
     Permutation,
     SignedPermutation,
     format_window,
+    grown,
     iter_windows,
     parse_window,
     signed_group_order,
@@ -386,3 +387,10 @@ class TestEnumeration:
         assert windows == sorted(windows)
         assert windows[0] == (-2, -1)
         assert windows[-1] == (2, 1)
+
+    def test_growth_from_the_whole_group_gives_each_window_once(self):
+        # Sorting keeps repeats, so a window grown twice fails the comparison.
+        for k in range(1, 6):
+            group = list(iter_windows(k))
+            assert sorted(grown(list(iter_windows(k - 1)), k)) == group
+            assert sorted(grown(None, k)) == group

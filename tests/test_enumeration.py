@@ -2,6 +2,7 @@ import os
 import stat
 import tempfile
 from collections import Counter
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -316,7 +317,7 @@ class TestSequenceEngine:
         def refuse(*args):
             raise AssertionError("grew or searched where no pattern fits")
 
-        for module, name in [(enumeration, "_grown"), (patterns_module, "word_contains"),
+        for module, name in [(enumeration, "grown"), (patterns_module, "word_contains"),
                              (patterns_module, "signed_word_contains")]:
             monkeypatch.setattr(module, name, refuse)
         orders = {0: 1, 1: 2, 2: 8, 3: 48, 4: 384, 5: 3840, 6: 46080, 7: 645120, 8: 10321920}
@@ -408,6 +409,8 @@ class TestMemoCache:
 class TestUnsignedAvoiderCount:
     def test_patterns_longer_than_word(self):
         assert unsigned_avoider_count(3, parse_unsigned_patterns("3,4,1,2;4,2,3,1")) == 6
+        # Longer than any window, so it cannot be read as a signed pattern.
+        assert unsigned_avoider_count(3, [Permutation(tuple(range(1, 18)))]) == 6
 
     def test_smooth_type_a_count(self):
         assert unsigned_avoider_count(4, parse_unsigned_patterns("3,4,1,2;4,2,3,1")) == 22
@@ -425,3 +428,28 @@ class TestUnsignedAvoiderCount:
     def test_size_cap(self):
         with pytest.raises(SizeCapExceededError):
             unsigned_avoider_count(10, [])
+        with pytest.raises(ValueError, match="nonnegative"):
+            unsigned_avoider_count(-1, [])
+
+    @given(
+        n=st.integers(min_value=0, max_value=6),
+        words=st.lists(
+            st.integers(1, 4).flatmap(lambda k: st.permutations(range(1, k + 1))),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_scan_of_s_n(self, n, words):
+        # The grown count against a scan of S_n and a subset search: a word
+        # contains a pattern iff the ranks of some subset of it spell the pattern.
+        def contains(word, pattern):
+            return any(
+                tuple(sorted(sub).index(v) + 1 for v in sub) == tuple(pattern)
+                for sub in combinations(word, len(pattern))
+            )
+
+        expected = sum(
+            not any(contains(word, p) for p in words) for word in permutations(range(1, n + 1))
+        )
+        assert unsigned_avoider_count(n, [Permutation(tuple(w)) for w in words]) == expected

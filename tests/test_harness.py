@@ -204,13 +204,13 @@ class TestRunCheck:
     )
     def test_each_pattern_route_is_grown_once(self, monkeypatch, check_id, max_n, grown_per_size):
         grown = Counter()
-        original = bperm.enumeration._grown
+        original = bperm.enumeration.grown
 
-        def counted(previous, k, test):
+        def counted(previous, k):
             grown[k] += 1
-            return original(previous, k, test)
+            return original(previous, k)
 
-        monkeypatch.setattr(bperm.enumeration, "_grown", counted)
+        monkeypatch.setattr(bperm.enumeration, "grown", counted)
         assert run_check(check_id, max_n).status == "pass"
         assert grown == grown_per_size
 

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from bperm import core, patterns
+from bperm import core, enumeration, patterns, tableaux
 from bperm.core import DihedralSymmetry, Permutation, SignedPermutation
 from bperm.harness import run_all
 
@@ -116,6 +116,49 @@ def _rank_word_reversed(monkeypatch):
     )
 
 
+def _growth_without_negative_last_entry(monkeypatch):
+    original = core.grown
+    return _patch_everywhere(
+        monkeypatch,
+        original,
+        lambda previous, k: (window for window in original(previous, k) if window[-1] != -k),
+    )
+
+
+def _syt_count_plus_one_past_one_row(monkeypatch):
+    original = tableaux.syt_count
+    return _patch_everywhere(
+        monkeypatch, original, lambda shape: original(shape) + (len(shape) > 1)
+    )
+
+
+def _domino_count_plus_one_past_one_row(monkeypatch):
+    original = tableaux.domino_count
+    return _patch_everywhere(
+        monkeypatch, original, lambda shape: original(shape) + (len(shape) > 1)
+    )
+
+
+def _two_core_always_empty(monkeypatch):
+    return _patch_everywhere(monkeypatch, tableaux.two_core, lambda shape: ())
+
+
+def _fib_like_shifted(monkeypatch):
+    original = enumeration.fib_like
+    return _patch_everywhere(
+        monkeypatch, original, lambda k, i: original(k, i - 1) if i > k + 2 else original(k, i)
+    )
+
+
+def _palindromes_without_the_whole(monkeypatch):
+    original = enumeration.palindromic_compositions
+
+    def palindromic_compositions(total):
+        return (parts for parts in original(total) if total < 3 or parts != (total,))
+
+    return _patch_everywhere(monkeypatch, original, palindromic_compositions)
+
+
 # The checks that fail under no mutation at max_n 3.
 BASELINE = {"oq-two-boolean"}
 
@@ -130,15 +173,22 @@ _UNSIGNED = {
 _CLASSICAL = {"prop-gl-basis", "thm-boolean", "thm-free", "thm-smooth-bc", "thm-vexillary"}
 
 MUTATIONS = {
+    # Unsigned counts grow S_n as the classical class of -1, so they run on the
+    # signed kernel: prop-es-unsigned reads this unsigned kernel no more, and
+    # fails with the signed one below.  cor-iota reads iota(w)'s patterns off
+    # its index subsets, so only the mirror-word side runs this kernel.
     "word_contains ignores the last letter": (
         _word_contains_ignoring_last_letter,
-        BASELINE | _UNSIGNED | {"prop-es-signed", "prop-es-unsigned"},
+        BASELINE | _UNSIGNED | {"cor-iota", "prop-es-signed"},
     ),
     "mirror word without reversal": (
         _mirror_without_reversal,
         BASELINE | _UNSIGNED | {"cor-iota"},
     ),
-    "signed kernel ignores signs": (_signed_kernel_ignoring_signs, BASELINE | _CLASSICAL),
+    "signed kernel ignores signs": (
+        _signed_kernel_ignoring_signs,
+        BASELINE | _CLASSICAL | {"conj-smooth-count", "prop-es-unsigned"},
+    ),
     "entry deletion without re-ranking": (_deletion_without_reranking, BASELINE | _CLASSICAL),
     "REVERSE sends 132 to 123": (_reverse_sending_132_to_123, BASELINE | {"lemma-symmetry"}),
     "rc_reduce by reverse": (_rc_reduce_by_reverse, BASELINE | {"lemma-symmetry"}),
@@ -152,6 +202,30 @@ MUTATIONS = {
     "descents ignore position 0": (_descents_ignoring_position_0, BASELINE | {"conj-grassmannian"}),
     "inverse drops signs": (_inverse_without_signs, BASELINE | {"conj-grassmannian"}),
     "rank_word reverses ranks": (_rank_word_reversed, BASELINE | {"cor-iota", "thm-binomial-sum"}),
+    # Growth serves both sides of most pattern comparisons.  The bug is caught
+    # against formulas, stored terms, predicate scans and unsigned counts
+    # (unsigned windows never end in -k, so prop-es-unsigned is unharmed), and
+    # by lemma-symmetry, as dropping -k is not symmetric.
+    "growth never appends -k": (
+        _growth_without_negative_last_entry,
+        BASELINE | _UNSIGNED | {"prop-es-signed", "prop-gl-basis"},
+    ),
+    # The closed forms.  Each planted bug fires on inputs that max_n 3 reaches;
+    # one that fires only on larger shapes or indices would fail nothing here.
+    "syt_count + 1 past one row": (
+        _syt_count_plus_one_past_one_row,
+        BASELINE | {"prop-es-unsigned", "thm-greene-counts"},
+    ),
+    "domino_count + 1 past one row": (
+        _domino_count_plus_one_past_one_row,
+        BASELINE | {"prop-es-signed", "thm-greene-counts"},
+    ),
+    "two_core always empty": (_two_core_always_empty, BASELINE | {"thm-greene-counts"}),
+    "fib_like shifted past k + 2": (_fib_like_shifted, BASELINE | {"thm-fib-like"}),
+    "palindromes drop the one-part composition": (
+        _palindromes_without_the_whole,
+        BASELINE | {"thm-binomial-sum"},
+    ),
 }
 
 

@@ -12,6 +12,7 @@ from bperm.core import (
     DihedralSymmetry,
     Permutation,
     SignedPermutation,
+    grown,
     iter_windows,
     mirror_of_window,
     rank_word,
@@ -165,8 +166,7 @@ class TestProbeGarbage:
             assert next(domino_tableaux((4, 2))) == ((1, 1, 2, 2), (3, 3))
             assert len(list(standard_tableaux((2, 1)))) == 2
             assert len(list(palindromic_compositions(4))) == 4
-            grown = next(enumeration._grown(None, 5, lambda window: window[-1] > -5))
-            assert grown == (-5, -4, -3, -2, 1)
+            assert next(grown(None, 5)) == (-5, -4, -3, -2, 1)
             assert next(standard_tableaux((3, 2))) == ((1, 2, 3), (4, 5))
             assert next(palindromic_compositions(6)) == (6,)
             assert gc.collect() == 0
@@ -418,10 +418,10 @@ class TestAvoidersOracle:
         assert sequence([], range(5)) == orders
 
     def test_nothing_is_grown_where_no_pattern_fits(self, monkeypatch):
-        def grown(previous, k, test):
+        def no_growth(previous, k):
             raise AssertionError(f"grew size {k}")
 
-        monkeypatch.setattr(enumeration, "_grown", grown)
+        monkeypatch.setattr(enumeration, "grown", no_growth)
         assert list(_levels((), 6)) == [None] * 6
         assert sequence([], range(6)) == {n: 2**n * factorial(n) for n in range(6)}
         assert len(avoiders([], [5])[5]) == 3840
@@ -454,10 +454,10 @@ class TestAvoidersOracle:
          ([9], bperm.SizeCapExceededError), ([2, 9, 1], bperm.SizeCapExceededError)],
     )
     def test_bad_sizes_are_rejected_before_any_growth(self, monkeypatch, engine, sizes, error):
-        def grown(previous, k, test):
+        def no_growth(previous, k):
             raise AssertionError(f"grew size {k}")
 
-        monkeypatch.setattr(enumeration, "_grown", grown)
+        monkeypatch.setattr(enumeration, "grown", no_growth)
         with pytest.raises(error, match="sizes"):
             engine([Permutation((2, 1))], sizes)
         assert bperm.SizeCapExceededError is enumeration.SizeCapExceededError
@@ -473,7 +473,7 @@ class TestAvoidersOracle:
             raise AssertionError("built windows")
 
         monkeypatch.setattr(enumeration, "iter_windows", build)
-        monkeypatch.setattr(enumeration, "_grown", build)
+        monkeypatch.setattr(enumeration, "grown", build)
         with pytest.raises(bperm.SizeCapExceededError, match="all of B_8.*`sequence` counts"):
             avoiders(patterns, [2, enumeration.MAX_SIGNED_SIZE])
         assert sequence(patterns, [8]) == {8: 10321920}
@@ -481,9 +481,10 @@ class TestAvoidersOracle:
 
 class TestPrunedWalk:
     """
-    `_grown` from the windows of size k - 1 passing a test, a test that holds
+    Growth from the windows of size k - 1 passing a test, a test that holds
     for a window's first k - 1 entries re-ranked whenever it holds for the
-    window, yields exactly the size-k windows a filter keeps, each once.
+    window, then filtered by the test, gives exactly the size-k windows a
+    filter of B_k keeps, each once.
     """
 
     @pytest.mark.parametrize(
@@ -503,8 +504,8 @@ class TestPrunedWalk:
             filtered = list(filter(test, iter_windows(k)))
             below = list(filter(test, iter_windows(k - 1)))
             # Sorting keeps repeats, so a window grown twice fails the comparison.
-            assert sorted(enumeration._grown(below, k, test)) == filtered
-            assert sorted(enumeration._grown(None, k, test)) == filtered
+            assert sorted(filter(test, grown(below, k))) == filtered
+            assert sorted(filter(test, grown(None, k))) == filtered
 
 
 class TestDeleteEntry:
@@ -518,6 +519,26 @@ class TestDeleteEntry:
         for j in range(len(window)):
             smaller = delete_window_entry(window, j)
             assert signed_occurrence_oracle(window, smaller) > 0
+
+
+def basis_by_scan(patterns):
+    """
+    The whole-group definition of the basis: the windows of B_1..B_m (m the
+    largest pattern size) that globally contain a pattern, and whose
+    single-entry deletions all avoid every pattern.
+    """
+    m = max(p.size for p in patterns)
+    members = {
+        window
+        for size in range(1, m + 1)
+        for window in iter_windows(size)
+        if any(word_contains(mirror_of_window(window), p.oneline) for p in patterns)
+    }
+    return tuple(
+        SignedPermutation(window)
+        for window in sorted(members, key=lambda w: (len(w), w))
+        if all(delete_window_entry(window, j) not in members for j in range(len(window)))
+    )
 
 
 class TestGlobalBasis:
@@ -581,6 +602,27 @@ class TestGlobalBasis:
         basis = global_basis(patterns)
         assert avoiders(patterns, range(4)) == avoiders(basis, range(4))
 
+    @pytest.mark.parametrize(
+        "patterns",
+        [fixtures.VEXILLARY_GLOBAL, fixtures.BOOLEAN_GLOBAL, fixtures.FREE_GLOBAL,
+         fixtures.SMOOTH_BC_GLOBAL, fixtures.GRASSMANNIAN_GLOBAL],
+        ids=["2143", "321+3412", "231+312+321", "3412+4231", "grassmannian"],
+    )
+    def test_growth_equals_the_whole_group_scan(self, patterns):
+        assert global_basis(patterns) == basis_by_scan(patterns)
+
+    @given(
+        words=st.lists(
+            st.integers(1, 4).flatmap(lambda k: st.permutations(range(1, k + 1))),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_growth_equals_the_whole_group_scan_for_random_sets(self, words):
+        patterns = [Permutation(tuple(w)) for w in words]
+        assert global_basis(patterns) == basis_by_scan(patterns)
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             global_basis([])
@@ -590,11 +632,11 @@ class TestGlobalBasis:
             global_basis([Permutation(tuple(range(1, 10)))])
 
     def test_size_8_is_rejected_before_any_window(self, monkeypatch):
-        # Scanning B_1..B_8 would take minutes.
-        def no_windows(n):
-            raise AssertionError("global_basis scanned windows")
+        # Growing the class to size 8 would take minutes.
+        def no_growth(previous, k):
+            raise AssertionError("global_basis grew windows")
 
-        monkeypatch.setattr(patterns_module, "iter_windows", no_windows)
+        monkeypatch.setattr(patterns_module, "grown", no_growth)
         with pytest.raises(PatternTooLargeError, match="size 8 exceeds basis cap 7"):
             global_basis([Permutation(tuple(range(1, 9)))])
 
