@@ -134,6 +134,10 @@ def grown(previous: Iterable[tuple[int, ...]] | None, k: int) -> Iterator[tuple[
     append a or -a.  A window is the child of one window only, its first k - 1
     entries re-ranked, so B_(k-1) grows B_k once, and the members of a family
     closed under deleting the last entry grow each member one size up once.
+    The parent sits in the child at its first k - 1 positions and in the
+    middle of its mirror word, so a pattern occurring in a child of an
+    avoiding parent occurs through the appended entry, at the last position
+    or at either end of the mirror word.
     """
     for window in iter_windows(k - 1) if previous is None else previous:
         for a in range(1, k + 1):

@@ -10,10 +10,11 @@ rest gives a window of size n - 1 that occurs in it, as a classical pattern
 and in the middle of its mirror word, so each avoider of size n grows from an
 avoider of size n - 1 (a generating tree, West 1995).  `core.grown` yields
 the children of the avoiders of size n - 1, and the avoidance test searches
-each whole child once; the generator `_levels` yields the classes
+each child once, only for occurrences through its appended last entry, as
+the rest of it is an avoider; the generator `_levels` yields the classes
 A_0..A_(n-1) that way, each grown from the one before it.  Where no pattern
 fits (`_fits`) every window avoids: that level is None, and nothing is grown
-or stored.
+or stored; the children of such a level, all of B_(n-1), are searched whole.
 
 `avoiders` keeps the levels it is asked for.  `sequence` keeps the size of
 each, up to the largest size N that the memo lacks, and counts N by growing
@@ -37,15 +38,15 @@ from typing import Iterable, Iterator, Sequence
 from .core import (
     Permutation, SignedPermutation, format_window, grown, iter_windows, signed_group_order,
 )
-from .patterns import _avoidance_test, _containment_order
+from .patterns import _avoidance_test, _containment_order, _fits
 from .tableaux import domino_count, syt_count
 
 MAX_SIGNED_SIZE = 8
 MAX_UNSIGNED_SIZE = 9
-# On a shared 2-vCPU VM a 2-process pool takes about 17 ms to start.  Jobs 1 -> 2, two runs:
-# {3412,4231} n=5 16-20 -> 34-49 ms, n=6 149-170 -> 153-192 ms, n=7 767-860 -> 503-562 ms;
-# {321} n=7 245-262 -> 179-185 ms; {132,123} n=7 14-19 -> 22-25 ms.  Only size 7 of a dense
-# class gains, but perfbench/test_perfbench.py needs a pool at n=5 to see pool metrics.
+# On a shared 2-vCPU VM a 2-process pool takes about 10-20 ms to start.  Jobs 1 -> 2, two
+# runs: {3412,4231} n=5 15 -> 21-31 ms, n=6 81-82 -> 60-63 ms, n=7 296-361 -> 199-216 ms;
+# {321} n=7 120-123 -> 69-72 ms; {132,123} n=7 2 -> 10-14 ms.  Sizes 6 and 7 of a dense class
+# gain, but perfbench/test_perfbench.py needs a pool at n=5 to see pool metrics.
 POOL_MIN_SIZE = 5
 
 
@@ -136,18 +137,6 @@ def es_extremal_count(k: int, j: int, signed: bool) -> int:
     return domino_count(shape) ** 2
 
 
-def _fits(
-    patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], k: int
-) -> bool:
-    """
-    Whether some pattern fits in a window of size k: one of size at most 2k
-    globally, at most k classically.  Where none fits, every window avoids.
-    Only the empty pattern fits at size 0, and no window avoids it.
-    """
-    reach = 2 if _containment_order(patterns) == "global" else 1
-    return any(p.size <= reach * k for p in patterns)
-
-
 def _levels(
     patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], n: int
 ) -> Iterator[frozenset | None]:
@@ -156,9 +145,12 @@ def _levels(
     windows avoiding every pattern, grown from the level before it; None
     where no pattern fits.
     """
-    test = _avoidance_test(patterns)
+    whole, anchored = _avoidance_test(patterns), _avoidance_test(patterns, anchored=True)
     level = None
     for k in range(n):
+        # The children of a level filtered by the test are searched anchored
+        # on their last entry; those of all of B_(k-1) (None) whole.
+        test = whole if level is None else anchored
         level = frozenset(filter(test, grown(level, k))) if _fits(patterns, k) else None
         yield level
 
@@ -197,7 +189,7 @@ def avoiders(
 
 def _branch_count(args: tuple) -> int:
     n, patterns, chunk = args
-    return sum(map(_avoidance_test(patterns), grown(chunk, n)))
+    return sum(map(_avoidance_test(patterns, anchored=chunk is not None), grown(chunk, n)))
 
 
 def _count_exhaustive(

@@ -21,7 +21,10 @@ coincides with the global avoidance class of P.
 
 One search, `_search`, decides or counts in both orders: a plan made once per
 pattern bounds each entry by its nearest smaller and larger earlier entries,
-and `_match` recurses once per entry, as deep as the pattern is long.
+and `_match` recurses once per entry, as deep as the pattern is long.  The
+anchored kernels pin a pattern entry on an end letter and run `_match` on
+the rest: they search a child grown from an avoider (`core.grown`) only for
+the occurrences through its appended entry.  `KERNELS` lists every kernel.
 
 Pattern-set text grammar (shared with the CLI): patterns separated by ";",
 entries by ",", e.g. "3,4,1,2;4,2,3,1" (unsigned) or "-2,1;-1,-2" (signed).
@@ -42,8 +45,9 @@ from .core import (
 )
 
 # global_basis grows the class to size m - 1 and tests each child.  For the
-# identity, m = 7 tests nearly all of B_7 (18 s at 25 MB peak RSS on a 2-vCPU
-# VM); B_8 is 16 times B_7, so m = 8 would take minutes.
+# identity, m = 7 tests nearly all of B_7 (12 s at 25 MB peak RSS on a 2-vCPU
+# VM, 18 s with every child searched whole); B_8 is 16 times B_7, so m = 8
+# would take minutes.
 MAX_BASIS_PATTERN_SIZE = 7
 _BOUNDS = (-sys.maxsize, 0, sys.maxsize)  # floor, floor under signs, ceiling
 
@@ -114,6 +118,30 @@ def _match(word: Sequence[int], steps: tuple, matched: list[int], start: int, st
     return found
 
 
+def _pinned(first: int, word: Sequence[int], start: int, steps: tuple) -> bool:
+    """Whether `steps` match with entry 0 on the letter `first` and the others in word[start:]."""
+    low_slot, high_slot, sign, rest, _, _ = steps[0]
+    if not sign * _BOUNDS[low_slot] < first < sign * _BOUNDS[high_slot]:
+        return False
+    return not rest or _match(word, steps, [*_BOUNDS, sign * first], start, 1) > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _rotated_plan(pattern: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
+    """
+    `_plan` of `pattern` with its last entry moved to the front.  Rotating a
+    word and a pattern alike keeps order-isomorphism, so an occurrence ending
+    on a word's last letter is one of the rotated pattern starting on the
+    rotated word's first.
+    """
+    return _plan((pattern[-1], *pattern[:-1]), signed)
+
+
+def _ends_on_last(word: Sequence[int], pattern: tuple[int, ...], signed: bool) -> bool:
+    """Whether an occurrence of `pattern` puts its last entry on the last letter of `word`."""
+    return _pinned(word[-1], word[:-1], 0, _rotated_plan(pattern, signed))
+
+
 def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff some subsequence of `word` is order-isomorphic to `pattern`."""
     return _search(word, pattern, False, 1) > 0
@@ -122,6 +150,38 @@ def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
 def signed_word_contains(window: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff a subsequence of `window` matches `pattern` in absolute-value order and sign."""
     return _search(window, pattern, True, 1) > 0
+
+
+def word_contains_at_ends(word: Sequence[int], pattern: Sequence[int]) -> bool:
+    """
+    True iff an occurrence of `pattern` in `word` uses the word's first or
+    last letter (the empty pattern occurs everywhere): `word_contains` for a
+    word whose inner letters avoid `pattern`, such as the mirror word of a
+    child from `core.grown` of an avoiding window.  The pattern's first entry
+    is pinned on the first letter, or its last entry on the last letter.
+    """
+    pattern = tuple(pattern)
+    if not pattern or len(pattern) > len(word):
+        return not pattern
+    return _pinned(word[0], word, 1, _plan(pattern, False)) or _ends_on_last(word, pattern, False)
+
+
+def signed_word_contains_at_end(window: Sequence[int], pattern: Sequence[int]) -> bool:
+    """
+    True iff an occurrence of `pattern` in `window`, in absolute-value order
+    and sign, uses the window's last entry (the empty pattern occurs
+    everywhere): `signed_word_contains` for a window whose first entries avoid
+    `pattern`, such as a child from `core.grown` of an avoiding window.
+    """
+    pattern = tuple(pattern)
+    if not pattern or len(pattern) > len(window):
+        return not pattern
+    return _ends_on_last(window, pattern, True)
+
+
+# Every containment kernel, each called once per (word, pattern) probe: the
+# whole-word searches and the ones anchored on a grown child's last entry.
+KERNELS = (word_contains, signed_word_contains, word_contains_at_ends, signed_word_contains_at_end)
 
 
 def unsigned_contains(v: Permutation, p: Permutation) -> bool:
@@ -158,27 +218,46 @@ def _containment_order(
     raise ValueError("a pattern set must be all unsigned or all signed patterns")
 
 
+def _fits(patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], k: int) -> bool:
+    """
+    Whether some pattern fits in a window of size k: one of size at most 2k
+    globally, at most k classically.  Where none fits, every window avoids.
+    Only the empty pattern fits at size 0, and no window avoids it.
+    """
+    reach = 2 if _containment_order(patterns) == "global" else 1
+    return any(p.size <= reach * k for p in patterns)
+
+
 def _avoidance_test(
-    patterns: Iterable[Permutation] | Iterable[SignedPermutation],
+    patterns: Iterable[Permutation] | Iterable[SignedPermutation], anchored: bool = False
 ) -> Callable[[Sequence[int]], bool]:
     """
     A test telling whether a window avoids every pattern.  The pattern type
     picks the order once per call, never per window: unsigned patterns are
     sought in the window's mirror word, signed ones in the window itself.
+
+    `anchored` is for children from `core.grown` of windows that avoid every
+    pattern.  A child's first entries re-ranked are its parent, which sits in
+    the middle of the child's mirror word, so an occurrence must use the
+    appended entry: w(k) or -w(k) globally, the last position classically.
+    The search pins a pattern entry there (`word_contains_at_ends`,
+    `signed_word_contains_at_end`) instead of searching the whole child.
     """
     patterns = tuple(patterns)
     if _containment_order(patterns) == "global":
+        contains = word_contains_at_ends if anchored else word_contains
         words = tuple(p.oneline for p in patterns)
 
         def avoids_globally(window: Sequence[int]) -> bool:
             mirror = mirror_of_window(window)
-            return not any(word_contains(mirror, p) for p in words)
+            return not any(contains(mirror, p) for p in words)
 
         return avoids_globally
+    contains = signed_word_contains_at_end if anchored else signed_word_contains
     signed_words = tuple(q.window for q in patterns)
 
     def avoids_classically(window: Sequence[int]) -> bool:
-        return not any(signed_word_contains(window, q) for q in signed_words)
+        return not any(contains(window, q) for q in signed_words)
 
     return avoids_classically
 
@@ -214,10 +293,12 @@ def global_basis(patterns: Iterable[Permutation]) -> tuple[SignedPermutation, ..
         raise PatternTooLargeError(
             f"pattern size {m} exceeds basis cap {MAX_BASIS_PATTERN_SIZE}"
         )
-    avoids = _avoidance_test(patterns)
     level, basis = frozenset({()}), []
     for k in range(1, m + 1):
         avoiding = set()
+        # A level where some pattern fits was filtered by the test, so its
+        # children are searched anchored; below that it is all of B_(k-1).
+        avoids = _avoidance_test(patterns, anchored=_fits(patterns, k - 1))
         for window in grown(level, k):
             if avoids(window):
                 if k < m:

@@ -55,6 +55,24 @@ def _signed_kernel_ignoring_signs(monkeypatch):
     )
 
 
+def _global_anchor_only_at_w_k(monkeypatch):
+    return _patch_everywhere(
+        monkeypatch,
+        patterns.word_contains_at_ends,
+        lambda word, pattern: patterns._ends_on_last(word, tuple(pattern), False),
+    )
+
+
+def _classical_anchor_ignoring_its_sign(monkeypatch):
+    original = patterns.signed_word_contains_at_end
+    return _patch_everywhere(
+        monkeypatch,
+        original,
+        lambda window, pattern: (original(window, pattern)
+                                 or original((*window[:-1], -window[-1]), pattern)),
+    )
+
+
 def _deletion_without_reranking(monkeypatch):
     return _patch_everywhere(
         monkeypatch,
@@ -187,6 +205,19 @@ MUTATIONS = {
     ),
     "signed kernel ignores signs": (
         _signed_kernel_ignoring_signs,
+        BASELINE | _CLASSICAL | {"conj-smooth-count", "prop-es-unsigned"},
+    ),
+    # The anchored kernels search the children of every level filtered by the
+    # test.  A mirror word is its own reverse-complement, so an occurrence of p
+    # on -w(k) reflects to one of p's reverse-complement on w(k): searching
+    # the w(k) end alone still decides sets closed under reverse-complement
+    # (boolean, free, smooth, vexillary), and fails the checks of other sets.
+    "global anchor searches only the w(k) end": (
+        _global_anchor_only_at_w_k,
+        BASELINE | {"conj-grassmannian", "lemma-symmetry", "thm-binomial-sum", "thm-fib-like"},
+    ),
+    "classical anchor ignores the pinned entry's sign": (
+        _classical_anchor_ignoring_its_sign,
         BASELINE | _CLASSICAL | {"conj-smooth-count", "prop-es-unsigned"},
     ),
     "entry deletion without re-ranking": (_deletion_without_reranking, BASELINE | _CLASSICAL),

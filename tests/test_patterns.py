@@ -1,12 +1,13 @@
 import functools
 import gc
 import types
+from collections import Counter
 from itertools import combinations, permutations, product
 from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bperm.core import (
     DihedralSymmetry,
@@ -34,8 +35,10 @@ from bperm.patterns import (
     parse_unsigned_patterns,
     rc_reduce,
     signed_word_contains,
+    signed_word_contains_at_end,
     unsigned_contains,
     word_contains,
+    word_contains_at_ends,
 )
 from bperm.tableaux import domino_count, domino_tableaux, standard_tableaux
 import bperm
@@ -506,6 +509,98 @@ class TestPrunedWalk:
             # Sorting keeps repeats, so a window grown twice fails the comparison.
             assert sorted(filter(test, grown(below, k))) == filtered
             assert sorted(filter(test, grown(None, k))) == filtered
+
+
+@st.composite
+def grown_child_and_pattern(draw):
+    """
+    (signed, parent, child, pattern): a pattern, unsigned or signed, a window
+    of size at most 3 avoiding it (by `_patterns_in`, no bperm kernel), and
+    one of the parent's children from `grown`.
+    """
+    signed = draw(st.booleans())
+    size = draw(st.integers(min_value=1, max_value=5 if signed else 6))
+    pattern = (draw_signed_window(draw, size) if signed
+               else tuple(draw(st.permutations(range(1, size + 1)))))
+    k = draw(st.integers(min_value=1, max_value=4))
+    parents = [w for w in iter_windows(k - 1) if pattern not in _patterns_in(w, size, signed)]
+    assume(parents)
+    parent = draw(st.sampled_from(parents))
+    return signed, parent, draw(st.sampled_from(list(grown([parent], k)))), pattern
+
+
+class TestAnchoredSearch:
+    """
+    A child from `grown` of an avoiding window contains a pattern only
+    through its appended entry, so the anchored kernels, which search only
+    the occurrences using that entry, answer as the whole-word ones do.
+    """
+
+    @given(case=grown_child_and_pattern())
+    # Every occurrence uses both mirror ends, -w(k) and w(k): one, then two.
+    @example(case=(False, (-2, 1), (-2, 1, 3), (1, 2, 4, 3, 5)))
+    @example(case=(False, (-3, -2, -1), (-3, -2, -1, 4), (1, 2, 3, 4, 5)))
+    # Patterns longer than the child's mirror word, or than the child.
+    @example(case=(False, (), (-1,), (2, 1, 3)))
+    @example(case=(True, (1,), (1, -2), (1, -2, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_anchored_equals_whole_on_grown_children(self, case):
+        signed, parent, child, pattern = case
+        assert pattern not in _patterns_in(parent, len(pattern), signed)
+        assert child in set(grown([parent], len(child)))
+        if signed:
+            assert signed_word_contains_at_end(child, pattern) == signed_word_contains(child, pattern)
+        else:
+            mirror = mirror_of_window(child)
+            assert word_contains_at_ends(mirror, pattern) == word_contains(mirror, pattern)
+
+    @given(pair=word_and_pattern())
+    @settings(max_examples=300)
+    def test_global_anchor_finds_the_occurrences_through_an_end(self, pair):
+        word, pattern = pair
+        occurrences = Counter(rank_word(sub) for sub in combinations(word, len(pattern)))
+        inner = Counter(rank_word(sub) for sub in combinations(word[1:-1], len(pattern)))
+        assert word_contains_at_ends(word, pattern) == (occurrences[pattern] > inner[pattern])
+
+    @given(pair=window_and_signed_pattern())
+    @settings(max_examples=300)
+    def test_classical_anchor_finds_the_occurrences_through_the_last_entry(self, pair):
+        window, pattern = pair
+        through_last = (signed_occurrence_oracle(window, pattern)
+                        - signed_occurrence_oracle(window[:-1], pattern))
+        assert signed_word_contains_at_end(window, pattern) == (through_last > 0)
+
+    def test_the_empty_pattern_occurs_at_the_ends_of_every_word(self):
+        for word in [(), (1,), (-1, 1), (2, -1, 1, -2)]:
+            assert word_contains_at_ends(word, ())
+            assert signed_word_contains_at_end(word, ())
+
+    @pytest.mark.parametrize(
+        "patterns",
+        [fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL,
+         [Permutation((1, 2, 3, 4, 5))], [SignedPermutation((2, -3, 1))]],
+        ids=["smooth-global", "smooth-classical", "12345", "(2,-3,1)"],
+    )
+    def test_only_children_of_filtered_levels_are_searched_anchored(self, monkeypatch, patterns):
+        # The children of B_(k-1), where no pattern fits at k - 1 (a None
+        # level, and the first sizes of global_basis), are searched whole.
+        patterns = tuple(patterns)
+        globally = isinstance(patterns[0], Permutation)
+        anchored = {"word_contains_at_ends", "signed_word_contains_at_end"}
+        seen = set()
+        for kernel in patterns_module.KERNELS:
+            def recorded(word, pattern, original=kernel):
+                size = len(word) // 2 if globally else len(word)
+                seen.add((original.__name__ in anchored, size))
+                return original(word, pattern)
+
+            monkeypatch.setattr(patterns_module, kernel.__name__, recorded)
+        sequence(patterns, range(7))
+        avoiders(patterns, [5])
+        if globally:
+            global_basis(patterns)
+        assert {anchored for anchored, _ in seen} == {False, True}
+        assert all(anchored == patterns_module._fits(patterns, size - 1) for anchored, size in seen)
 
 
 class TestDeleteEntry:
