@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
-from math import comb
+from math import comb, factorial
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
@@ -43,10 +43,11 @@ from .tableaux import domino_count, syt_count
 
 MAX_SIGNED_SIZE = 8
 MAX_UNSIGNED_SIZE = 9
-# On a shared 2-vCPU VM a 2-process pool takes about 10-20 ms to start.  Jobs 1 -> 2, two
-# runs: {3412,4231} n=5 15 -> 21-31 ms, n=6 81-82 -> 60-63 ms, n=7 296-361 -> 199-216 ms;
-# {321} n=7 120-123 -> 69-72 ms; {132,123} n=7 2 -> 10-14 ms.  Sizes 6 and 7 of a dense class
-# gain, but perfbench/test_perfbench.py needs a pool at n=5 to see pool metrics.
+# On a shared 2-vCPU VM a 2-process pool takes about 10-20 ms to start.  Jobs 1 -> 2, four
+# runs: {3412,4231} n=5 6-10 -> 16-28 ms, n=6 51-54 -> 41-55 ms, n=7 189-283 -> 147-203 ms;
+# {321} n=7 60-90 -> 49-82 ms; {132,123} n=7 2 -> 12-13 ms.  Size 7 of a dense class gains
+# and size 6 breaks even, but perfbench/test_perfbench.py needs a pool at n=5 to see pool
+# metrics.
 POOL_MIN_SIZE = 5
 
 
@@ -326,13 +327,16 @@ def unsigned_avoider_count(n: int, patterns: Iterable[Permutation]) -> int:
     """
     Number of unsigned permutations of size n avoiding every pattern.  S_n is
     the set of windows classically avoiding -1, so it is counted as `sequence`
-    counts its top size (but past 8), each pattern no longer than n as signed.
+    counts its top size (but past 8), each pattern no longer than n as signed;
+    where none is, the count is n!.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
     if n > MAX_UNSIGNED_SIZE:
         raise SizeCapExceededError(f"sizes beyond {MAX_UNSIGNED_SIZE} are not supported")
-    signed = (SignedPermutation((-1,)),
-              *(SignedPermutation(p.oneline) for p in patterns if p.size <= n))
+    fitting = tuple(SignedPermutation(p.oneline) for p in patterns if p.size <= n)
+    if not fitting:
+        return factorial(n)
+    signed = (SignedPermutation((-1,)), *fitting)
     *_, level = None, *_levels(signed, n)  # A_(n - 1); None at n = 0
     return _count_exhaustive(n, signed, previous=level)

@@ -19,12 +19,13 @@ classes: `global_basis` computes, for a set P of unsigned patterns, the
 unique minimal antichain of signed patterns whose classical avoidance class
 coincides with the global avoidance class of P.
 
-One search, `_search`, decides or counts in both orders: a plan made once per
-pattern bounds each entry by its nearest smaller and larger earlier entries,
-and `_match` recurses once per entry, as deep as the pattern is long.  The
-anchored kernels pin a pattern entry on an end letter and run `_match` on
-the rest: they search a child grown from an avoider (`core.grown`) only for
-the occurrences through its appended entry.  `KERNELS` lists every kernel.
+One search decides or counts in both orders: a plan made once per pattern
+bounds each entry by its nearest smaller and larger earlier entries, and
+`_compiled` turns it, on first use, into a function of nested loops, one
+`for` loop per entry.  The anchored kernels pin a pattern entry on an end
+letter and loop over the rest: they search a child grown from an avoider
+(`core.grown`) only for the occurrences through its appended entry.
+`KERNELS` lists every kernel.
 
 Pattern-set text grammar (shared with the CLI): patterns separated by ";",
 entries by ",", e.g. "3,4,1,2;4,2,3,1" (unsigned) or "-2,1;-1,-2" (signed).
@@ -45,9 +46,8 @@ from .core import (
 )
 
 # global_basis grows the class to size m - 1 and tests each child.  For the
-# identity, m = 7 tests nearly all of B_7 (12 s at 25 MB peak RSS on a 2-vCPU
-# VM, 18 s with every child searched whole); B_8 is 16 times B_7, so m = 8
-# would take minutes.
+# identity, m = 7 tests nearly all of B_7 (8.3-8.6 s CPU at 25 MB peak RSS on
+# a 2-vCPU VM); B_8 is 16 times B_7, so m = 8 would take minutes.
 MAX_BASIS_PATTERN_SIZE = 7
 _BOUNDS = (-sys.maxsize, 0, sys.maxsize)  # floor, floor under signs, ceiling
 
@@ -59,13 +59,13 @@ class PatternTooLargeError(ValueError):
 @functools.lru_cache(maxsize=None)
 def _plan(pattern: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
     """
-    Per entry of `pattern`, (low, high, sign, rest, cut_low, cut_high): in
-    `_search` a letter v fits iff sign*matched[low] < v < sign*matched[high],
-    where slots 0-2 hold `_BOUNDS` and slot 3 + j entry j's value: the nearest
-    smaller and larger earlier entries by absolute value, or bounds.  `rest`
-    entries follow.  cut_high (cut_low): no later entry reads this one as its
-    high (low) bound, so after they fail at v, the scan's high (low) bound
-    moves to v.  Sign -1 swaps low with high and cut_low with cut_high.
+    Per entry of `pattern`, (low, high, sign, rest, cut_low, cut_high): a
+    letter v fits iff sign*matched[low] < v < sign*matched[high], where slots
+    0-2 hold `_BOUNDS` and slot 3 + j entry j's letter times its sign: the
+    nearest smaller and larger earlier entries by absolute value, or bounds.
+    `rest` entries follow.  cut_high (cut_low): no later entry reads this one
+    as its high (low) bound, so after they fail at v, the scan's high (low)
+    bound moves to v.  Sign -1 swaps low with high and cut_low with cut_high.
     """
     keys = [abs(p) for p in pattern]
     near = [
@@ -73,7 +73,7 @@ def _plan(pattern: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
          3 + min((j for j in range(d) if keys[j] > key), key=keys.__getitem__, default=-1))
         for d, key in enumerate(keys)
     ]
-    lows, highs = zip(*near)
+    lows, highs = {low for low, _ in near}, {high for _, high in near}
     return tuple(
         (high, low, -1, len(keys) - 1 - d, 3 + d not in highs, 3 + d not in lows)
         if signed and pattern[d] < 0
@@ -86,70 +86,97 @@ def _search(word: Sequence[int], pattern: Sequence[int], signed: bool, stop: int
     """
     Index subsets of `word` (distinct letters below sys.maxsize in absolute
     value) matching `pattern`: order-isomorphic to it or, if `signed`, in
-    absolute value with the same signs.  `stop` is 1 (decide) or None (count):
-    `_match` adds up nested counts, which could overshoot any other stop.
-    A letter matched to an entry of sign s is stored times s, so under signs
-    the floor 0 rejects a wrong sign and one test serves both orders.
+    absolute value with the same signs.  `stop` is 1 (decide) or None (count),
+    each run by the loops `_compiled` makes once per pattern.  A letter v
+    bounds a later entry as v times both entries' signs, so under signs the
+    floor 0 rejects a wrong sign and one test serves both orders.
     """
-    if not pattern:
-        return 1
-    return _match(word, _plan(tuple(pattern), signed), [*_BOUNDS], 0, stop)
+    return _compiled(tuple(pattern), signed, False, stop is None)(word, 0, len(word))
 
 
-def _match(word: Sequence[int], steps: tuple, matched: list[int], start: int, stop: int | None) -> int:
-    """`_search` for the entries from len(matched) - 3 on, at indices from `start`."""
-    low_slot, high_slot, sign, rest, cut_low, cut_high = steps[len(matched) - 3]
-    low, high = sign * matched[low_slot], sign * matched[high_slot]
-    found = 0
-    for i in range(start, len(word) - rest):
-        v = word[i]
-        if low < v < high:
-            if not rest:
-                found += 1
-            else:
-                matched.append(sign * v)
-                below = _match(word, steps, matched, i + 1, stop)
-                matched.pop()
-                found += below
-                if not below:
-                    low, high = (v if cut_low else low), (v if cut_high else high)
-            if found == stop:
-                return found
-    return found
-
-
-def _pinned(first: int, word: Sequence[int], start: int, steps: tuple) -> bool:
-    """Whether `steps` match with entry 0 on the letter `first` and the others in word[start:]."""
-    low_slot, high_slot, sign, rest, _, _ = steps[0]
-    if not sign * _BOUNDS[low_slot] < first < sign * _BOUNDS[high_slot]:
-        return False
-    return not rest or _match(word, steps, [*_BOUNDS, sign * first], start, 1) > 0
+_NESTED = 16  # entries per generated function: Python nests at most 20 loops
 
 
 @functools.lru_cache(maxsize=None)
-def _rotated_plan(pattern: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
+def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
+              first: int = 0) -> Callable:
     """
-    `_plan` of `pattern` with its last entry moved to the front.  Rotating a
-    word and a pattern alike keeps order-isomorphism, so an occurrence ending
-    on a word's last letter is one of the rotated pattern starting on the
-    rotated word's first.
+    `_plan` of `pattern` compiled into nested `for` loops, one per entry, with
+    each entry's bounds in locals.  The function takes (word, start, end), or
+    (v0, word, start, end) if `pinned`, which matches entry 0 on the letter v0
+    alone; the other entries match in word[start:end].  It returns the number
+    of matches if `count`, else whether there is one.  It holds at most
+    `_NESTED` entries from `first`, taking the letters v0..v(first - 1) of the
+    earlier entries as more arguments, and its innermost loop hands the later
+    entries to the next such function.  The source holds only the plan's
+    integers and fixed names.
     """
-    return _plan((pattern[-1], *pattern[:-1]), signed)
+    steps = _plan(pattern, signed)
+    last = min(first + _NESTED, len(steps))
+    params = ["v0"] * pinned + ["word", "start", "end"] + [f"v{j}" for j in range(first)]
+    lines, closers, pad, begin = [f"def f({', '.join(params)}):"], [], " ", "start"
+    if count:
+        lines.append(" found = 0")
+    for d in range(first, last):
+        low_slot, high_slot, sign, rest, cut_low, cut_high = steps[d]
+        low, high = (
+            str(sign * _BOUNDS[slot]) if slot < 3
+            else f"{'-' * (sign * steps[slot - 3][2] < 0)}v{slot - 3}"
+            for slot in (low_slot, high_slot)
+        )
+        if pinned and d == 0:
+            lines += [f" if not {low} < v0 < {high}:", f"  return {'0' if count else 'False'}"]
+            continue
+        lines += [f"{pad}lo{d}, hi{d} = {low}, {high}",
+                  f"{pad}for i{d} in range({begin}, {f'end - {rest}' if rest else 'end'}):",
+                  f"{pad} v{d} = word[i{d}]",
+                  f"{pad} if lo{d} < v{d} < hi{d}:"]
+        pad, begin = pad + "  ", f"i{d} + 1"
+        # After a failed subtree at v, the scan's bound moves to v.
+        cuts = "; ".join([f"lo{d} = v{d}"] * cut_low + [f"hi{d} = v{d}"] * cut_high)
+        if rest and cuts and count:
+            lines.append(f"{pad}c{d} = found")
+            closers.append(f"{pad}if found == c{d}: {cuts}")
+        elif rest and cuts:  # deciding: reached only past a subtree that found nothing
+            closers.append(pad + cuts)
+    namespace = {}
+    if last < len(steps):
+        namespace["g"] = _compiled(pattern, signed, False, count, last)
+        below = f"g(word, {begin}, end, {', '.join(f'v{j}' for j in range(last))})"
+        lines += ([f"{pad}found += {below}"] if count
+                  else [f"{pad}if {below}:", f"{pad} return True"])
+    else:
+        lines.append(f"{pad}found += 1" if count else f"{pad}return True")
+    lines += reversed(closers)
+    lines.append(f" return {'found' if count else 'False'}")
+    exec("\n".join(lines), namespace)
+    return namespace.pop("f")  # so that f does not hold itself
+
+
+@functools.lru_cache(maxsize=None)
+def _rotated(pattern: tuple[int, ...], signed: bool) -> Callable:
+    """
+    `_compiled` of `pattern` with its last entry moved to the front, pinned.
+    Rotating a word and a pattern alike keeps order-isomorphism, so an
+    occurrence ending on a word's last letter is one of the rotated pattern
+    starting on the rotated word's first.
+    """
+    return _compiled((pattern[-1], *pattern[:-1]), signed, True, False)
 
 
 def _ends_on_last(word: Sequence[int], pattern: tuple[int, ...], signed: bool) -> bool:
     """Whether an occurrence of `pattern` puts its last entry on the last letter of `word`."""
-    return _pinned(word[-1], word[:-1], 0, _rotated_plan(pattern, signed))
+    return _rotated(pattern, signed)(word[-1], word, 0, len(word) - 1)
 
 
 def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff some subsequence of `word` is order-isomorphic to `pattern`."""
-    return _search(word, pattern, False, 1) > 0
+    return _compiled(tuple(pattern), False, False, False)(word, 0, len(word))
 
 
 def signed_word_contains(window: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff a subsequence of `window` matches `pattern` in absolute-value order and sign."""
-    return _search(window, pattern, True, 1) > 0
+    return _compiled(tuple(pattern), True, False, False)(window, 0, len(window))
 
 
 def word_contains_at_ends(word: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -163,7 +190,8 @@ def word_contains_at_ends(word: Sequence[int], pattern: Sequence[int]) -> bool:
     pattern = tuple(pattern)
     if not pattern or len(pattern) > len(word):
         return not pattern
-    return _pinned(word[0], word, 1, _plan(pattern, False)) or _ends_on_last(word, pattern, False)
+    return (_compiled(pattern, False, True, False)(word[0], word, 1, len(word))
+            or _ends_on_last(word, pattern, False))
 
 
 def signed_word_contains_at_end(window: Sequence[int], pattern: Sequence[int]) -> bool:

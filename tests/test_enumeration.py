@@ -3,7 +3,7 @@ import stat
 import tempfile
 from collections import Counter
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,6 +327,12 @@ class TestSequenceEngine:
         assert sequence([], range(9)) == orders
         assert sequence([], range(9), jobs=2) == orders
         assert len(avoiders([], [5])[5]) == orders[5]
+        # Unsigned counts where no pattern is as short as n: n!, also for a
+        # one-pass iterator of patterns.
+        longest = Permutation(tuple(range(1, 11)))
+        for n in range(10):
+            assert unsigned_avoider_count(n, []) == factorial(n)
+            assert unsigned_avoider_count(n, iter([longest, longest])) == factorial(n)
 
 
 class TestMemoCache:
@@ -419,8 +425,6 @@ class TestUnsignedAvoiderCount:
         assert unsigned_avoider_count(4, parse_unsigned_patterns("3,4,1,2;4,2,3,1")) == 22
 
     def test_no_patterns_gives_factorial(self):
-        from math import factorial
-
         for n in range(5):
             assert unsigned_avoider_count(n, []) == factorial(n)
 

@@ -1,5 +1,8 @@
 import functools
 import gc
+import os
+import subprocess
+import sys
 import types
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -7,7 +10,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from bperm.core import (
     DihedralSymmetry,
@@ -65,6 +68,28 @@ def signed_occurrence_oracle(window, pattern):
     return count
 
 
+@pytest.fixture(params=[1, 2, 3, None], ids=lambda size: f"nested-{size or 'default'}")
+def nested(request, monkeypatch):
+    """
+    At most `size` pattern entries per generated search function (the
+    default when None), so that small patterns cross the boundaries where
+    one function hands the later entries to the next.
+    """
+    patterns_module._compiled.cache_clear()
+    patterns_module._rotated.cache_clear()
+    if request.param:
+        monkeypatch.setattr(patterns_module, "_NESTED", request.param)
+    yield request.param
+    patterns_module._compiled.cache_clear()
+    patterns_module._rotated.cache_clear()
+
+
+# `nested` holds for every example of a test, so its function scope is meant.
+oracle_settings = settings(
+    max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
 @st.composite
 def word_and_pattern(draw):
     n = draw(st.integers(min_value=0, max_value=10))
@@ -105,8 +130,8 @@ class TestUnsignedContains:
         assert unsigned_contains(p, p)
 
     @given(pair=word_and_pattern())
-    @settings(max_examples=300)
-    def test_matches_oracle(self, pair):
+    @oracle_settings
+    def test_matches_oracle(self, nested, pair):
         word, pattern = pair
         assert word_contains(word, pattern) == contains_oracle(word, pattern)
 
@@ -133,14 +158,14 @@ class TestClassicalContains:
     @example(pair=((3, -1, 2), (3, -1, 2)))  # as long as the window: equal
     @example(pair=((3, -1, 2), (2, -1, 3)))  # as long: the order differs
     @example(pair=((-1, 3, 2), (1, 3, 2)))  # as long: a sign differs
-    @settings(max_examples=300)
-    def test_matches_oracle(self, pair):
+    @oracle_settings
+    def test_matches_oracle(self, nested, pair):
         window, pattern = pair
         assert classical_contains(
             SignedPermutation(window), SignedPermutation(pattern)
         ) == (signed_occurrence_oracle(window, pattern) > 0)
 
-    def test_matches_oracle_on_every_small_window(self):
+    def test_matches_oracle_on_every_small_window(self, nested):
         # Where the search may skip letters after a failure, a wrong skip
         # shows on a few percent of small cases: check all of them, deciding
         # and counting.
@@ -155,11 +180,15 @@ class TestClassicalContains:
 class TestProbeGarbage:
     def test_probes_leave_no_cyclic_garbage(self):
         # A recursive helper must not outlive its call in a reference cycle,
-        # nor outlive a walk abandoned part way.
+        # nor outlive a walk abandoned part way, and a compiled search must
+        # be freed with its cache entry.
         smooth = [Permutation((3, 4, 1, 2)), Permutation((4, 2, 3, 1))]
+        caches = [patterns_module._compiled, patterns_module._rotated]
         gc.collect()
         gc.disable()
         try:
+            for cache in caches:
+                cache.cache_clear()
             assert word_contains((2, 4, 1, 3), (2, 1))
             assert signed_word_contains((-2, 1, 3), (1, 2))
             assert len(SignedPermutation((-3, -2, -1)).all_reduced_words()) == 2
@@ -172,6 +201,9 @@ class TestProbeGarbage:
             assert next(grown(None, 5)) == (-5, -4, -3, -2, 1)
             assert next(standard_tableaux((3, 2))) == ((1, 2, 3), (4, 5))
             assert next(palindromic_compositions(6)) == (6,)
+            assert patterns_module._search(tuple(range(1, 33)), range(1, 32), False, None) == 32
+            for cache in caches:
+                cache.cache_clear()
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -255,8 +287,8 @@ class TestOccurrenceCounting:
         assert count_global_occurrences(w, Permutation((2, 1, 4, 3))) == 0
 
     @given(pair=window_and_unsigned_pattern())
-    @settings(max_examples=300)
-    def test_matches_subset_oracle(self, pair):
+    @oracle_settings
+    def test_matches_subset_oracle(self, nested, pair):
         window, pattern = pair
         w = SignedPermutation(window)
         p = Permutation(pattern)
@@ -273,9 +305,9 @@ class TestOccurrenceCounting:
 
 
 class TestLongestPatterns:
-    # The search recurses once per pattern entry: patterns as long as a
-    # mirror word (32 letters) reach the deepest level, in both orders and
-    # both modes.
+    # The search nests one loop per pattern entry, at most `_NESTED` to a
+    # generated function: patterns as long as a mirror word (32 letters)
+    # span two functions, in both orders and both modes.
     def test_global_count_at_depth_32(self):
         w = SignedPermutation.identity(16)  # mirror word -16..-1, 1..16
         assert count_global_occurrences(w, Permutation.identity(32)) == 1
@@ -291,6 +323,36 @@ class TestLongestPatterns:
         assert signed_word_contains(window, window)
         assert patterns_module._search(window, window, True, None) == 1
         assert not signed_word_contains(window, tuple(-v for v in window))
+
+
+class TestCompiledLoops:
+    def test_importing_and_help_compile_no_pattern(self):
+        # A fresh interpreter, as the cache lives as long as the process.
+        code = (
+            "import contextlib, io\n"
+            "import bperm.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            "    bperm.cli.main(['--help'])\n"
+            "print(bperm.patterns._compiled.cache_info().currsize)\n"
+        )
+        src = str(Path(bperm.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == "0\n"
+
+    @pytest.mark.parametrize(
+        "patterns", [fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL],
+        ids=["global", "classical"],
+    )
+    def test_a_repeated_count_compiles_nothing_more(self, patterns):
+        sequence(patterns, range(1, 6))
+        compiled = patterns_module._compiled.cache_info()
+        rotated = patterns_module._rotated.cache_info()
+        assert compiled.currsize > 0 and rotated.currsize > 0
+        sequence(patterns, range(1, 6))
+        assert patterns_module._compiled.cache_info().misses == compiled.misses
+        assert patterns_module._rotated.cache_info().misses == rotated.misses
 
 
 class TestGav:
@@ -543,8 +605,8 @@ class TestAnchoredSearch:
     # Patterns longer than the child's mirror word, or than the child.
     @example(case=(False, (), (-1,), (2, 1, 3)))
     @example(case=(True, (1,), (1, -2), (1, -2, 3)))
-    @settings(max_examples=300, deadline=None)
-    def test_anchored_equals_whole_on_grown_children(self, case):
+    @settings(oracle_settings, deadline=None)
+    def test_anchored_equals_whole_on_grown_children(self, nested, case):
         signed, parent, child, pattern = case
         assert pattern not in _patterns_in(parent, len(pattern), signed)
         assert child in set(grown([parent], len(child)))
@@ -555,16 +617,16 @@ class TestAnchoredSearch:
             assert word_contains_at_ends(mirror, pattern) == word_contains(mirror, pattern)
 
     @given(pair=word_and_pattern())
-    @settings(max_examples=300)
-    def test_global_anchor_finds_the_occurrences_through_an_end(self, pair):
+    @oracle_settings
+    def test_global_anchor_finds_the_occurrences_through_an_end(self, nested, pair):
         word, pattern = pair
         occurrences = Counter(rank_word(sub) for sub in combinations(word, len(pattern)))
         inner = Counter(rank_word(sub) for sub in combinations(word[1:-1], len(pattern)))
         assert word_contains_at_ends(word, pattern) == (occurrences[pattern] > inner[pattern])
 
     @given(pair=window_and_signed_pattern())
-    @settings(max_examples=300)
-    def test_classical_anchor_finds_the_occurrences_through_the_last_entry(self, pair):
+    @oracle_settings
+    def test_classical_anchor_finds_the_occurrences_through_the_last_entry(self, nested, pair):
         window, pattern = pair
         through_last = (signed_occurrence_oracle(window, pattern)
                         - signed_occurrence_oracle(window[:-1], pattern))
