@@ -22,10 +22,11 @@ coincides with the global avoidance class of P.
 One search decides or counts in both orders: a plan made once per pattern
 bounds each entry by its nearest smaller and larger earlier entries, and
 `_compiled` turns it, on first use, into a function of nested loops, one
-`for` loop per entry.  The anchored kernels pin a pattern entry on an end
-letter and loop over the rest: they search a child grown from an avoider
-(`core.grown`) only for the occurrences through its appended entry.
-`KERNELS` lists every kernel.
+`for` loop per entry.  `word_contains` and `signed_word_contains` search a
+whole word.  An avoidance test of a child grown from an avoider
+(`core.grown`) fetches each pattern's functions once, with an entry pinned on
+an end letter, and searches the child only for the occurrences through its
+appended entry.
 
 Pattern-set text grammar (shared with the CLI): patterns separated by ";",
 entries by ",", e.g. "3,4,1,2;4,2,3,1" (unsigned) or "-2,1;-1,-2" (signed).
@@ -50,13 +51,16 @@ from .core import (
 # a 2-vCPU VM); B_8 is 16 times B_7, so m = 8 would take minutes.
 MAX_BASIS_PATTERN_SIZE = 7
 _BOUNDS = (-sys.maxsize, 0, sys.maxsize)  # floor, floor under signs, ceiling
+# Plans and compiled searches kept per process.  verify compiles about 200, and
+# one compiled search holds about 3.5 KB; an avoidance test holds its own.
+_CACHE_SIZE = 4096
 
 
 class PatternTooLargeError(ValueError):
     """A basis computation was requested for patterns above the supported size."""
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _plan(pattern: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
     """
     Per entry of `pattern`, (low, high, sign, rest, cut_low, cut_high): a
@@ -82,34 +86,26 @@ def _plan(pattern: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
     )
 
 
-def _search(word: Sequence[int], pattern: Sequence[int], signed: bool, stop: int | None) -> int:
-    """
-    Index subsets of `word` (distinct letters below sys.maxsize in absolute
-    value) matching `pattern`: order-isomorphic to it or, if `signed`, in
-    absolute value with the same signs.  `stop` is 1 (decide) or None (count),
-    each run by the loops `_compiled` makes once per pattern.  A letter v
-    bounds a later entry as v times both entries' signs, so under signs the
-    floor 0 rejects a wrong sign and one test serves both orders.
-    """
-    return _compiled(tuple(pattern), signed, False, stop is None)(word, 0, len(word))
-
-
 _NESTED = 16  # entries per generated function: Python nests at most 20 loops
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
               first: int = 0) -> Callable:
     """
     `_plan` of `pattern` compiled into nested `for` loops, one per entry, with
-    each entry's bounds in locals.  The function takes (word, start, end), or
-    (v0, word, start, end) if `pinned`, which matches entry 0 on the letter v0
-    alone; the other entries match in word[start:end].  It returns the number
-    of matches if `count`, else whether there is one.  It holds at most
-    `_NESTED` entries from `first`, taking the letters v0..v(first - 1) of the
-    earlier entries as more arguments, and its innermost loop hands the later
-    entries to the next such function.  The source holds only the plan's
-    integers and fixed names.
+    each entry's bounds in locals, matching index subsets of a word (distinct
+    letters below sys.maxsize in absolute value) order-isomorphic to
+    `pattern` or, if `signed`, in absolute value with the same signs.  A
+    letter v bounds a later entry as v times both entries' signs, so under
+    signs the floor 0 rejects a wrong sign and one test serves both orders.
+    The function takes (word, start, end), or (v0, word, start, end) if
+    `pinned`, which matches entry 0 on the letter v0 alone; the other entries
+    match in word[start:end].  It returns the number of matches if `count`,
+    else whether there is one.  It holds at most `_NESTED` entries from
+    `first`, taking the letters v0..v(first - 1) of the earlier entries as
+    more arguments, and its innermost loop hands the later entries to the next
+    such function.  The source holds only the plan's integers and fixed names.
     """
     steps = _plan(pattern, signed)
     last = min(first + _NESTED, len(steps))
@@ -153,22 +149,6 @@ def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
     return namespace.pop("f")  # so that f does not hold itself
 
 
-@functools.lru_cache(maxsize=None)
-def _rotated(pattern: tuple[int, ...], signed: bool) -> Callable:
-    """
-    `_compiled` of `pattern` with its last entry moved to the front, pinned.
-    Rotating a word and a pattern alike keeps order-isomorphism, so an
-    occurrence ending on a word's last letter is one of the rotated pattern
-    starting on the rotated word's first.
-    """
-    return _compiled((pattern[-1], *pattern[:-1]), signed, True, False)
-
-
-def _ends_on_last(word: Sequence[int], pattern: tuple[int, ...], signed: bool) -> bool:
-    """Whether an occurrence of `pattern` puts its last entry on the last letter of `word`."""
-    return _rotated(pattern, signed)(word[-1], word, 0, len(word) - 1)
-
-
 def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff some subsequence of `word` is order-isomorphic to `pattern`."""
     return _compiled(tuple(pattern), False, False, False)(word, 0, len(word))
@@ -179,37 +159,21 @@ def signed_word_contains(window: Sequence[int], pattern: Sequence[int]) -> bool:
     return _compiled(tuple(pattern), True, False, False)(window, 0, len(window))
 
 
-def word_contains_at_ends(word: Sequence[int], pattern: Sequence[int]) -> bool:
+def _anchored_search(pattern: tuple[int, ...], signed: bool) -> Callable[[Sequence[int]], bool]:
     """
-    True iff an occurrence of `pattern` in `word` uses the word's first or
-    last letter (the empty pattern occurs everywhere): `word_contains` for a
-    word whose inner letters avoid `pattern`, such as the mirror word of a
-    child from `core.grown` of an avoiding window.  The pattern's first entry
-    is pinned on the first letter, or its last entry on the last letter.
+    A search of a nonempty word for the occurrences of `pattern` through an
+    end letter: globally the first or the last, classically the last.  An
+    occurrence ending on the last letter is one of the pattern rotated (its
+    last entry moved to the front) starting on the word rotated alike, as
+    rotating both keeps order-isomorphism.  The empty pattern occurs everywhere.
     """
-    pattern = tuple(pattern)
-    if not pattern or len(pattern) > len(word):
-        return not pattern
-    return (_compiled(pattern, False, True, False)(word[0], word, 1, len(word))
-            or _ends_on_last(word, pattern, False))
-
-
-def signed_word_contains_at_end(window: Sequence[int], pattern: Sequence[int]) -> bool:
-    """
-    True iff an occurrence of `pattern` in `window`, in absolute-value order
-    and sign, uses the window's last entry (the empty pattern occurs
-    everywhere): `signed_word_contains` for a window whose first entries avoid
-    `pattern`, such as a child from `core.grown` of an avoiding window.
-    """
-    pattern = tuple(pattern)
-    if not pattern or len(pattern) > len(window):
-        return not pattern
-    return _ends_on_last(window, pattern, True)
-
-
-# Every containment kernel, each called once per (word, pattern) probe: the
-# whole-word searches and the ones anchored on a grown child's last entry.
-KERNELS = (word_contains, signed_word_contains, word_contains_at_ends, signed_word_contains_at_end)
+    if not pattern:
+        return lambda word: True
+    last = _compiled((pattern[-1], *pattern[:-1]), signed, True, False)
+    if signed:
+        return lambda window: last(window[-1], window, 0, len(window) - 1)
+    first = _compiled(pattern, False, True, False)
+    return lambda word: first(word[0], word, 1, len(word)) or last(word[-1], word, 0, len(word) - 1)
 
 
 def unsigned_contains(v: Permutation, p: Permutation) -> bool:
@@ -228,7 +192,8 @@ def global_contains(w: SignedPermutation, p: Permutation) -> bool:
 
 def count_global_occurrences(w: SignedPermutation, p: Permutation) -> int:
     """Number of distinct global occurrences of p in w (by index subset)."""
-    return _search(w.mirror_word(), p.oneline, False, None)
+    word = w.mirror_word()
+    return _compiled(p.oneline, False, False, True)(word, 0, len(word))
 
 
 def _containment_order(
@@ -268,26 +233,28 @@ def _avoidance_test(
     pattern.  A child's first entries re-ranked are its parent, which sits in
     the middle of the child's mirror word, so an occurrence must use the
     appended entry: w(k) or -w(k) globally, the last position classically.
-    The search pins a pattern entry there (`word_contains_at_ends`,
-    `signed_word_contains_at_end`) instead of searching the whole child.
+    Each pattern's `_anchored_search` pins an entry there instead of
+    searching the whole child.  Whole children are searched by
+    `word_contains` or `signed_word_contains`, one call per probe.
     """
     patterns = tuple(patterns)
-    if _containment_order(patterns) == "global":
-        contains = word_contains_at_ends if anchored else word_contains
-        words = tuple(p.oneline for p in patterns)
+    globally = _containment_order(patterns) == "global"
+    words = tuple(p.oneline if globally else p.window for p in patterns)
+    if anchored:
+        searches = tuple(_anchored_search(word, not globally) for word in words)
+    else:
+        contains = word_contains if globally else signed_word_contains
+        searches = tuple(functools.partial(contains, pattern=word) for word in words)
 
-        def avoids_globally(window: Sequence[int]) -> bool:
-            mirror = mirror_of_window(window)
-            return not any(contains(mirror, p) for p in words)
+    def avoids(word: Sequence[int]) -> bool:
+        for search in searches:
+            if search(word):
+                return False
+        return True
 
-        return avoids_globally
-    contains = signed_word_contains_at_end if anchored else signed_word_contains
-    signed_words = tuple(q.window for q in patterns)
-
-    def avoids_classically(window: Sequence[int]) -> bool:
-        return not any(contains(window, q) for q in signed_words)
-
-    return avoids_classically
+    if globally:
+        return lambda window: avoids(mirror_of_window(window))
+    return avoids
 
 
 def delete_window_entry(window: Sequence[int], index: int) -> tuple[int, ...]:
@@ -316,6 +283,8 @@ def global_basis(patterns: Iterable[Permutation]) -> tuple[SignedPermutation, ..
     patterns = tuple(patterns)
     if not patterns:
         raise ValueError("pattern set must be nonempty")
+    if any(p.size == 0 for p in patterns):  # every window contains it
+        return (SignedPermutation(()),)
     m = max(len(p.oneline) for p in patterns)
     if m > MAX_BASIS_PATTERN_SIZE:
         raise PatternTooLargeError(

@@ -56,21 +56,27 @@ def _signed_kernel_ignoring_signs(monkeypatch):
 
 
 def _global_anchor_only_at_w_k(monkeypatch):
-    return _patch_everywhere(
-        monkeypatch,
-        patterns.word_contains_at_ends,
-        lambda word, pattern: patterns._ends_on_last(word, tuple(pattern), False),
-    )
+    original = patterns._anchored_search
+
+    def anchored_search(pattern, signed):
+        if signed or not pattern:
+            return original(pattern, signed)
+        last = patterns._compiled((pattern[-1], *pattern[:-1]), False, True, False)
+        return lambda word: last(word[-1], word, 0, len(word) - 1)
+
+    return _patch_everywhere(monkeypatch, original, anchored_search)
 
 
 def _classical_anchor_ignoring_its_sign(monkeypatch):
-    original = patterns.signed_word_contains_at_end
-    return _patch_everywhere(
-        monkeypatch,
-        original,
-        lambda window, pattern: (original(window, pattern)
-                                 or original((*window[:-1], -window[-1]), pattern)),
-    )
+    original = patterns._anchored_search
+
+    def anchored_search(pattern, signed):
+        search = original(pattern, signed)
+        if not signed:
+            return search
+        return lambda window: search(window) or search((*window[:-1], -window[-1]))
+
+    return _patch_everywhere(monkeypatch, original, anchored_search)
 
 
 def _deletion_without_reranking(monkeypatch):
@@ -207,11 +213,12 @@ MUTATIONS = {
         _signed_kernel_ignoring_signs,
         BASELINE | _CLASSICAL | {"conj-smooth-count", "prop-es-unsigned"},
     ),
-    # The anchored kernels search the children of every level filtered by the
-    # test.  A mirror word is its own reverse-complement, so an occurrence of p
-    # on -w(k) reflects to one of p's reverse-complement on w(k): searching
-    # the w(k) end alone still decides sets closed under reverse-complement
-    # (boolean, free, smooth, vexillary), and fails the checks of other sets.
+    # The searches from `_anchored_search` probe the children of every level
+    # filtered by the test.  A mirror word is its own reverse-complement, so
+    # an occurrence of p on -w(k) reflects to one of p's reverse-complement on
+    # w(k): searching the w(k) end alone still decides sets closed under
+    # reverse-complement (boolean, free, smooth, vexillary), and fails the
+    # checks of other sets.
     "global anchor searches only the w(k) end": (
         _global_anchor_only_at_w_k,
         BASELINE | {"conj-grassmannian", "lemma-symmetry", "thm-binomial-sum", "thm-fib-like"},

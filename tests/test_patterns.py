@@ -5,7 +5,7 @@ import subprocess
 import sys
 import types
 from collections import Counter
-from itertools import combinations, permutations, product
+from itertools import combinations, cycle, islice, permutations, product
 from math import factorial
 from pathlib import Path
 
@@ -38,10 +38,8 @@ from bperm.patterns import (
     parse_unsigned_patterns,
     rc_reduce,
     signed_word_contains,
-    signed_word_contains_at_end,
     unsigned_contains,
     word_contains,
-    word_contains_at_ends,
 )
 from bperm.tableaux import domino_count, domino_tableaux, standard_tableaux
 import bperm
@@ -76,12 +74,15 @@ def nested(request, monkeypatch):
     one function hands the later entries to the next.
     """
     patterns_module._compiled.cache_clear()
-    patterns_module._rotated.cache_clear()
     if request.param:
         monkeypatch.setattr(patterns_module, "_NESTED", request.param)
     yield request.param
     patterns_module._compiled.cache_clear()
-    patterns_module._rotated.cache_clear()
+
+
+def count_matches(word, pattern, signed):
+    """The compiled search's count of the index subsets of `word` matching `pattern`."""
+    return patterns_module._compiled(tuple(pattern), signed, False, True)(word, 0, len(word))
 
 
 # `nested` holds for every example of a test, so its function scope is meant.
@@ -173,7 +174,7 @@ class TestClassicalContains:
         for window in (w for n in range(5) for w in iter_windows(n)):
             for q in patterns:
                 count = signed_occurrence_oracle(window, q)
-                assert patterns_module._search(window, q, True, None) == count
+                assert count_matches(window, q, True) == count
                 assert signed_word_contains(window, q) == (count > 0)
 
 
@@ -183,12 +184,10 @@ class TestProbeGarbage:
         # nor outlive a walk abandoned part way, and a compiled search must
         # be freed with its cache entry.
         smooth = [Permutation((3, 4, 1, 2)), Permutation((4, 2, 3, 1))]
-        caches = [patterns_module._compiled, patterns_module._rotated]
         gc.collect()
         gc.disable()
         try:
-            for cache in caches:
-                cache.cache_clear()
+            patterns_module._compiled.cache_clear()
             assert word_contains((2, 4, 1, 3), (2, 1))
             assert signed_word_contains((-2, 1, 3), (1, 2))
             assert len(SignedPermutation((-3, -2, -1)).all_reduced_words()) == 2
@@ -201,9 +200,8 @@ class TestProbeGarbage:
             assert next(grown(None, 5)) == (-5, -4, -3, -2, 1)
             assert next(standard_tableaux((3, 2))) == ((1, 2, 3), (4, 5))
             assert next(palindromic_compositions(6)) == (6,)
-            assert patterns_module._search(tuple(range(1, 33)), range(1, 32), False, None) == 32
-            for cache in caches:
-                cache.cache_clear()
+            assert count_matches(tuple(range(1, 33)), range(1, 32), False) == 32
+            patterns_module._compiled.cache_clear()
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -321,7 +319,7 @@ class TestLongestPatterns:
     def test_signed_at_depth_16(self):
         window = SignedPermutation.identity(16).window
         assert signed_word_contains(window, window)
-        assert patterns_module._search(window, window, True, None) == 1
+        assert count_matches(window, window, True) == 1
         assert not signed_word_contains(window, tuple(-v for v in window))
 
 
@@ -348,11 +346,33 @@ class TestCompiledLoops:
     def test_a_repeated_count_compiles_nothing_more(self, patterns):
         sequence(patterns, range(1, 6))
         compiled = patterns_module._compiled.cache_info()
-        rotated = patterns_module._rotated.cache_info()
-        assert compiled.currsize > 0 and rotated.currsize > 0
+        assert compiled.currsize > 0
         sequence(patterns, range(1, 6))
         assert patterns_module._compiled.cache_info().misses == compiled.misses
-        assert patterns_module._rotated.cache_info().misses == rotated.misses
+
+    @pytest.mark.parametrize(
+        "patterns", [fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL],
+        ids=["global", "classical"],
+    )
+    def test_a_built_test_probes_without_the_cache(self, patterns):
+        # Each avoidance test holds its searches, so an evicted entry costs
+        # nothing to a test already built.
+        test = patterns_module._avoidance_test(patterns, anchored=True)
+        children = list(grown(avoiders(patterns, [4])[4], 5))
+        before = patterns_module._compiled.cache_info()
+        for window in islice(cycle(children), 1000):
+            test(window)
+        assert patterns_module._compiled.cache_info() == before
+
+    def test_the_caches_are_bounded(self):
+        # More distinct patterns than the bound: every signed one of size 1..5.
+        bound = patterns_module._CACHE_SIZE
+        patterns = [q for k in range(1, 6) for q in iter_windows(k)]
+        assert len(patterns) > bound
+        for q in patterns:
+            signed_word_contains((2, -3, 1), q)
+        for cache in (patterns_module._compiled, patterns_module._plan):
+            assert cache.cache_info().currsize <= bound
 
 
 class TestGav:
@@ -594,8 +614,9 @@ def grown_child_and_pattern(draw):
 class TestAnchoredSearch:
     """
     A child from `grown` of an avoiding window contains a pattern only
-    through its appended entry, so the anchored kernels, which search only
-    the occurrences using that entry, answer as the whole-word ones do.
+    through its appended entry, so the searches `_anchored_search` makes,
+    which find only the occurrences using that entry, answer as the
+    whole-word ones do.  They take nonempty words only, as a child is.
     """
 
     @given(case=grown_child_and_pattern())
@@ -610,32 +631,38 @@ class TestAnchoredSearch:
         signed, parent, child, pattern = case
         assert pattern not in _patterns_in(parent, len(pattern), signed)
         assert child in set(grown([parent], len(child)))
+        search = patterns_module._anchored_search(pattern, signed)
         if signed:
-            assert signed_word_contains_at_end(child, pattern) == signed_word_contains(child, pattern)
+            assert search(child) == signed_word_contains(child, pattern)
         else:
             mirror = mirror_of_window(child)
-            assert word_contains_at_ends(mirror, pattern) == word_contains(mirror, pattern)
+            assert search(mirror) == word_contains(mirror, pattern)
 
     @given(pair=word_and_pattern())
     @oracle_settings
     def test_global_anchor_finds_the_occurrences_through_an_end(self, nested, pair):
         word, pattern = pair
+        assume(word)
         occurrences = Counter(rank_word(sub) for sub in combinations(word, len(pattern)))
         inner = Counter(rank_word(sub) for sub in combinations(word[1:-1], len(pattern)))
-        assert word_contains_at_ends(word, pattern) == (occurrences[pattern] > inner[pattern])
+        search = patterns_module._anchored_search(pattern, False)
+        assert search(word) == (occurrences[pattern] > inner[pattern])
 
     @given(pair=window_and_signed_pattern())
     @oracle_settings
     def test_classical_anchor_finds_the_occurrences_through_the_last_entry(self, nested, pair):
         window, pattern = pair
+        assume(window)
         through_last = (signed_occurrence_oracle(window, pattern)
                         - signed_occurrence_oracle(window[:-1], pattern))
-        assert signed_word_contains_at_end(window, pattern) == (through_last > 0)
+        search = patterns_module._anchored_search(pattern, True)
+        assert search(window) == (through_last > 0)
 
-    def test_the_empty_pattern_occurs_at_the_ends_of_every_word(self):
-        for word in [(), (1,), (-1, 1), (2, -1, 1, -2)]:
-            assert word_contains_at_ends(word, ())
-            assert signed_word_contains_at_end(word, ())
+    def test_the_empty_pattern_occurs_at_the_ends_of_every_word(self, nested):
+        for signed in (False, True):
+            search = patterns_module._anchored_search((), signed)
+            for word in [(), (1,), (-1, 1), (2, -1, 1, -2)]:
+                assert search(word)
 
     @pytest.mark.parametrize(
         "patterns",
@@ -643,24 +670,17 @@ class TestAnchoredSearch:
          [Permutation((1, 2, 3, 4, 5))], [SignedPermutation((2, -3, 1))]],
         ids=["smooth-global", "smooth-classical", "12345", "(2,-3,1)"],
     )
-    def test_only_children_of_filtered_levels_are_searched_anchored(self, monkeypatch, patterns):
+    def test_only_children_of_filtered_levels_are_searched_anchored(self, probes, patterns):
         # The children of B_(k-1), where no pattern fits at k - 1 (a None
         # level, and the first sizes of global_basis), are searched whole.
         patterns = tuple(patterns)
         globally = isinstance(patterns[0], Permutation)
-        anchored = {"word_contains_at_ends", "signed_word_contains_at_end"}
-        seen = set()
-        for kernel in patterns_module.KERNELS:
-            def recorded(word, pattern, original=kernel):
-                size = len(word) // 2 if globally else len(word)
-                seen.add((original.__name__ in anchored, size))
-                return original(word, pattern)
-
-            monkeypatch.setattr(patterns_module, kernel.__name__, recorded)
         sequence(patterns, range(7))
         avoiders(patterns, [5])
         if globally:
             global_basis(patterns)
+        seen = {(search == "anchored", len(word) // 2 if globally else len(word))
+                for search, word in probes}
         assert {anchored for anchored, _ in seen} == {False, True}
         assert all(anchored == patterns_module._fits(patterns, size - 1) for anchored, size in seen)
 
@@ -680,14 +700,14 @@ class TestDeleteEntry:
 
 def basis_by_scan(patterns):
     """
-    The whole-group definition of the basis: the windows of B_1..B_m (m the
+    The whole-group definition of the basis: the windows of B_0..B_m (m the
     largest pattern size) that globally contain a pattern, and whose
     single-entry deletions all avoid every pattern.
     """
     m = max(p.size for p in patterns)
     members = {
         window
-        for size in range(1, m + 1)
+        for size in range(m + 1)
         for window in iter_windows(size)
         if any(word_contains(mirror_of_window(window), p.oneline) for p in patterns)
     }
@@ -770,7 +790,7 @@ class TestGlobalBasis:
 
     @given(
         words=st.lists(
-            st.integers(1, 4).flatmap(lambda k: st.permutations(range(1, k + 1))),
+            st.integers(0, 4).flatmap(lambda k: st.permutations(range(1, k + 1))),
             min_size=1,
             max_size=2,
         )
@@ -779,6 +799,15 @@ class TestGlobalBasis:
     def test_growth_equals_the_whole_group_scan_for_random_sets(self, words):
         patterns = [Permutation(tuple(w)) for w in words]
         assert global_basis(patterns) == basis_by_scan(patterns)
+
+    def test_the_empty_pattern_has_the_empty_window_for_basis(self):
+        # Every window contains the empty pattern, so its class is empty at every size.
+        for patterns in [[Permutation(())], [Permutation(()), Permutation((2, 1))]]:
+            assert global_basis(patterns) == basis_by_scan(patterns) == (SignedPermutation(()),)
+            assert avoiders(global_basis(patterns), range(4)) == avoiders(patterns, range(4))
+        # Nothing is grown, so the size cap does not apply.
+        too_large = Permutation(tuple(range(1, 9)))
+        assert global_basis([Permutation(()), too_large]) == (SignedPermutation(()),)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
