@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from math import factorial
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 MAX_WINDOW_SIZE = 16
@@ -58,7 +59,7 @@ def is_signed_window(word: Sequence[int]) -> bool:
 
 def mirror_of_window(window: Sequence[int]) -> tuple[int, ...]:
     """The 2n-letter mirror word (-w(n), ..., -w(1), w(1), ..., w(n))."""
-    return tuple(-v for v in reversed(window)) + tuple(window)
+    return (*map(neg, reversed(window)), *window)
 
 
 def rank_word(word: Sequence[int]) -> tuple[int, ...]:
@@ -130,20 +131,30 @@ def iter_windows(n: int) -> Iterator[tuple[int, ...]]:
 def grown(previous: Iterable[tuple[int, ...]] | None, k: int) -> Iterator[tuple[int, ...]]:
     """
     The children of the size-(k - 1) windows of `previous` (None: all of
-    B_(k-1)): for a in 1..k, shift the absolute values from a up by one and
-    append a or -a.  A window is the child of one window only, its first k - 1
-    entries re-ranked, so B_(k-1) grows B_k once, and the members of a family
-    closed under deleting the last entry grow each member one size up once.
-    The parent sits in the child at its first k - 1 positions and in the
-    middle of its mirror word, so a pattern occurring in a child of an
-    avoiding parent occurs through the appended entry, at the last position
-    or at either end of the mirror word.
+    B_(k-1)) at every site (`grown_at`).  A window is the child of one window
+    only, its first k - 1 entries re-ranked, so B_(k-1) grows B_k once, and
+    the members of a family closed under deleting the last entry grow each
+    member one size up once.  The parent sits in the child at its first k - 1
+    positions and in the middle of its mirror word, so a pattern occurring in
+    a child of an avoiding parent occurs through the appended entry, at the
+    last position or at either end of the mirror word.
     """
+    sites = [site for a in range(1, k + 1) for site in (a, -a)]
     for window in iter_windows(k - 1) if previous is None else previous:
-        for a in range(1, k + 1):
-            head = tuple(v + 1 if v >= a else v - 1 if v <= -a else v for v in window)
-            yield (*head, a)
-            yield (*head, -a)
+        yield from grown_at(window, sites)
+
+
+def grown_at(window: tuple[int, ...], sites: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """
+    The children of `window` at `sites`, in their order: at the site +a or
+    -a, shift the absolute values from a up by one and append the site.
+    """
+    a = None
+    for site in sites:
+        if abs(site) != a:  # the two sites of one a share the shifted head
+            a = abs(site)
+            head = [v + 1 if v >= a else v - 1 if v <= -a else v for v in window]
+        yield (*head, site)
 
 
 def _extend(prefix: list[int], used: list[bool]) -> Iterator[tuple[int, ...]]:

@@ -6,23 +6,23 @@ The avoidance-class engine, closed-form counting formulas, and the memo.
 in one pass; both check the sizes with `_valid_sizes` before growing
 anything.  The pattern type picks the containment order (unsigned: global,
 signed: classical).  Deleting the last entry of a window and re-ranking the
-rest gives a window of size n - 1 that occurs in it, as a classical pattern
-and in the middle of its mirror word, so each avoider of size n grows from an
-avoider of size n - 1 (a generating tree, West 1995).  `core.grown` yields
-the children of the avoiders of size n - 1, and the avoidance test searches
-each child once, only for occurrences through its appended last entry, as
-the rest of it is an avoider; the generator `_levels` yields the classes
-A_0..A_(n-1) that way, each grown from the one before it.  Where no pattern
-fits (`_fits`) every window avoids: that level is None, and nothing is grown
-or stored; the children of such a level, all of B_(n-1), are searched whole.
+rest gives a window of size n - 1 that occurs in it, so each avoider of size
+n is a child (`core.grown_at`) of one of size n - 1, a generating tree (West
+1995), and the avoidance test searches a child of an avoider only through its
+appended entry.  Where no pattern fits (`_fits`) every window avoids, and
+nothing is grown or searched; the children of B_(n-1) are searched whole.
 
-`avoiders` keeps the levels it is asked for.  `sequence` keeps the size of
-each, up to the largest size N that the memo lacks, and counts N by growing
-it from A_(N-1) without storing it, as `unsigned_avoider_count` counts S_n.
-From size 5 that growth can fan out to a process pool, each task growing a
-strided slice of A_(N-1), and still merge deterministically (an integer
-sum).  An optional on-disk memo keyed by normalized pattern set, order, and
-size caches counts between runs.
+Counts walk the tree depth first and store nothing (`_walk`).  A window's
+site a or -a is where its child appends a or -a.  If the child at a site
+contains a pattern, so does every grandchild at a matching site, as deleting
+the middle entry leaves that child; so each child tries only the sites its
+parent left open, as in Vatter's enumeration schemes (2008).  Unsigned counts
+walk S_n as the classical class of -1, whose negative sites close at the
+root.  From size 5 the walk can hand the nodes one size below the top to a
+process pool and still merge deterministically (an integer sum).  `avoiders`
+stores each level A_k, grown from the one before it (`_levels`).  An optional
+on-disk memo keyed by normalized pattern set, order, and size caches counts
+between runs.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -33,21 +33,22 @@ import sys
 import tempfile
 from math import comb, factorial
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
-    Permutation, SignedPermutation, format_window, grown, iter_windows, signed_group_order,
+    Permutation, SignedPermutation, format_window, grown, grown_at, iter_windows,
+    signed_group_order,
 )
 from .patterns import _avoidance_test, _containment_order, _fits
 from .tableaux import domino_count, syt_count
 
 MAX_SIGNED_SIZE = 8
 MAX_UNSIGNED_SIZE = 9
-# On a shared 2-vCPU VM a 2-process pool takes about 10-20 ms to start.  Jobs 1 -> 2, four
-# runs: {3412,4231} n=5 6-10 -> 16-28 ms, n=6 51-54 -> 41-55 ms, n=7 189-283 -> 147-203 ms;
-# {321} n=7 60-90 -> 49-82 ms; {132,123} n=7 2 -> 12-13 ms.  Size 7 of a dense class gains
-# and size 6 breaks even, but perfbench/test_perfbench.py needs a pool at n=5 to see pool
-# metrics.
+# A 2-process pool takes about 10-20 ms to start, and counts only the top size.  Jobs 1 -> 2,
+# medians of 5, four runs on a shared 2-vCPU VM: {3412,4231} n=5 4-7 -> 16-24 ms, n=6 20-31
+# -> 34-51 ms, n=7 97-140 -> 111-173 ms; {321} n=7 30-48 -> 48-77 ms; {132,123} n=7 1 -> 10-17
+# ms.  Size 8 gains ({3412,4231} 0.57-0.70 -> 0.47 s), but perfbench/test_perfbench.py needs a
+# pool at n=5 to see pool metrics.
 POOL_MIN_SIZE = 5
 
 
@@ -188,33 +189,70 @@ def avoiders(
     }
 
 
-def _branch_count(args: tuple) -> int:
-    n, patterns, chunk = args
-    return sum(map(_avoidance_test(patterns, anchored=chunk is not None), grown(chunk, n)))
+def _walk(patterns: Sequence, n: int, counts: list[int]) -> Iterator[tuple[tuple, list[int]]]:
+    """
+    The avoiders of size n - 1, depth first, each with the sites its parent
+    left open, adding the avoiders of each smaller size k to `counts[k]`.  The
+    roots are all of B_(m-1), with every site open, where m is the first size
+    at which some pattern fits (at most n).
+    """
+    m = next(k for k in range(n + 1) if _fits(patterns, k))
+    every = [site for a in range(1, m + 1) for site in (a, -a)]
+    whole, anchored = _avoidance_test(patterns), _avoidance_test(patterns, anchored=True)
+    for root in iter_windows(m - 1):
+        yield from _descend(root, every, n - 1, whole, anchored, counts)
+
+
+def _descend(window: tuple, sites: list[int], top: int, test: Callable, anchored: Callable,
+             counts: list[int]) -> Iterator[tuple[tuple, list[int]]]:
+    """
+    `_walk` below the avoider `window`, down to the nodes of size `top`:
+    `test` decides its children at `sites`, each that avoids opens its site,
+    and `anchored` decides every deeper child, at the open sites it inherits.
+    """
+    if len(window) == top:
+        yield window, sites
+        return
+    children = list(filter(test, grown_at(window, sites)))
+    counts[len(window) + 1] += len(children)
+    opened = [child[-1] for child in children]
+    for child in children:
+        # The child's site b matches its parent's b if b <= a, b - 1 if b > a.
+        a = abs(child[-1])
+        inherited = ([site for site in opened if abs(site) <= a]
+                     + [site + 1 if site > 0 else site - 1 for site in opened if abs(site) >= a])
+        yield from _descend(child, inherited, top, anchored, anchored, counts)
+
+
+def _branch_count(task: tuple) -> int:
+    """The number of avoiders among the children of the task's nodes at their sites."""
+    n, patterns, nodes = task
+    test = _avoidance_test(patterns, anchored=_fits(patterns, n - 1))
+    return sum(sum(map(test, grown_at(window, sites))) for window, sites in nodes)
 
 
 def _count_exhaustive(
-    n: int,
-    patterns: Sequence[Permutation] | Sequence[SignedPermutation],
-    *,
-    previous: frozenset | None,
-    jobs: int = 1,
-) -> int:
+    n: int, patterns: Sequence[Permutation] | Sequence[SignedPermutation], *, jobs: int = 1
+) -> list[int]:
     """
-    Size-n avoider count, grown from `previous`, the level A_(n-1) of
-    `_levels`; with no pattern fitting at n, the order of B_n.
-    Serial when jobs <= 1, n < POOL_MIN_SIZE or A_(n-1) is None, otherwise
-    on a pool of up to `jobs` processes, one task per strided slice of the
-    sorted A_(n-1): 2n slices, so at most 2n processes for any `jobs`.
+    The avoider counts of sizes 0..n in one `_walk`: the order of B_k at
+    every size k where no pattern fits.  Serial when jobs <= 1 or
+    n < POOL_MIN_SIZE, with nothing stored, otherwise on a pool of up to
+    `jobs` processes, one task per strided slice of the sorted nodes of size
+    n - 1: 2n slices, so at most 2n processes for any `jobs`.
     """
+    counts = [0 if _fits(patterns, k) else signed_group_order(k) for k in range(n + 1)]
     if not _fits(patterns, n):
-        return signed_group_order(n)
-    if jobs <= 1 or n < POOL_MIN_SIZE or previous is None:
-        return _branch_count((n, patterns, previous))
-    ordered = sorted(previous)
+        return counts
+    nodes = _walk(patterns, n, counts)
+    if jobs <= 1 or n < POOL_MIN_SIZE:
+        counts[n] = _branch_count((n, patterns, nodes))
+        return counts
+    ordered = sorted(nodes)
     tasks = [(n, patterns, ordered[start::2 * n]) for start in range(2 * n)]
     with Pool(processes=min(jobs, len(tasks))) as pool:
-        return sum(pool.map(_branch_count, tasks))
+        counts[n] = sum(pool.map(_branch_count, tasks))
+    return counts
 
 
 def normalized_pattern_key(pattern_words: Iterable[Sequence[int]]) -> str:
@@ -309,15 +347,8 @@ def sequence(
     cache = load_cache(cache_path) if cache_path else {}
     missing = [n for n in sizes if f"{key_base}|{n}" not in cache]
     if missing:
-        # The levels below the largest missing size hold every smaller one.
-        *below, top = missing
-        level = None  # ends as A_(top - 1); None also at top 0
-        for n, level in enumerate(_levels(pattern_objects, top)):
-            if n in below:
-                cache[f"{key_base}|{n}"] = signed_group_order(n) if level is None else len(level)
-        cache[f"{key_base}|{top}"] = _count_exhaustive(
-            top, pattern_objects, previous=level, jobs=jobs
-        )
+        counts = _count_exhaustive(missing[-1], pattern_objects, jobs=jobs)
+        cache.update((f"{key_base}|{n}", counts[n]) for n in missing)
     if cache_path and (missing or not _memo_is_clean(cache_path, cache)):
         store_cache(cache_path, cache)
     return {n: cache[f"{key_base}|{n}"] for n in sizes}
@@ -326,8 +357,8 @@ def sequence(
 def unsigned_avoider_count(n: int, patterns: Iterable[Permutation]) -> int:
     """
     Number of unsigned permutations of size n avoiding every pattern.  S_n is
-    the set of windows classically avoiding -1, so it is counted as `sequence`
-    counts its top size (but past 8), each pattern no longer than n as signed;
+    the set of windows classically avoiding -1, so it is walked as `sequence`
+    walks a class (but to size 9), each pattern no longer than n as signed;
     where none is, the count is n!.
     """
     if n < 0:
@@ -337,6 +368,4 @@ def unsigned_avoider_count(n: int, patterns: Iterable[Permutation]) -> int:
     fitting = tuple(SignedPermutation(p.oneline) for p in patterns if p.size <= n)
     if not fitting:
         return factorial(n)
-    signed = (SignedPermutation((-1,)), *fitting)
-    *_, level = None, *_levels(signed, n)  # A_(n - 1); None at n = 0
-    return _count_exhaustive(n, signed, previous=level)
+    return _count_exhaustive(n, (SignedPermutation((-1,)), *fitting))[n]

@@ -1,4 +1,6 @@
+import functools
 import os
+import random
 import stat
 import tempfile
 from collections import Counter
@@ -10,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from bperm import enumeration, fixtures
 from bperm import patterns as patterns_module
-from bperm.core import Permutation, SignedPermutation
+from bperm.core import (
+    Permutation, SignedPermutation, grown, grown_at, iter_windows, mirror_of_window,
+)
 from bperm.enumeration import (
     SizeCapExceededError,
     _count_exhaustive,
-    _levels,
+    _walk,
     avoiders,
     count_gav_132_and_decreasing,
     count_gav_132_and_increasing,
@@ -28,7 +32,9 @@ from bperm.enumeration import (
     store_cache,
     unsigned_avoider_count,
 )
-from bperm.patterns import parse_unsigned_patterns
+from bperm.patterns import (
+    _fits, parse_unsigned_patterns, signed_word_contains, word_contains,
+)
 from bperm.tableaux import domino_count, syt_count
 
 
@@ -49,6 +55,58 @@ def small_pattern_sets(draw):
 
 
 SMOOTH_BC_COUNTS = (2, 6, 22, 88, 366, 1552)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The process counts of the pools started while the test runs, each run in-process."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, function, tasks):
+            return list(map(function, tasks))
+
+    monkeypatch.setattr(enumeration, "Pool", RecordingPool)
+    return started
+
+
+def random_pattern_set(seed):
+    """
+    One to three patterns of size 1 to 4, mostly 4: unsigned for an even
+    seed, signed for an odd one.
+    """
+    rng = random.Random(seed)
+    patterns = []
+    for _ in range(rng.randint(1, 3)):
+        values = rng.sample(range(1, 5), rng.choices(range(1, 5), weights=(1, 2, 4, 8))[0])
+        window = tuple(sorted(values).index(v) + 1 for v in values)
+        if seed % 2:
+            patterns.append(SignedPermutation(tuple(v * rng.choice((1, -1)) for v in window)))
+        else:
+            patterns.append(Permutation(window))
+    return tuple(patterns)
+
+
+@functools.lru_cache(maxsize=None)
+def whole_group(n):
+    return tuple(iter_windows(n))
+
+
+def whole_containment(patterns):
+    """Whether a window contains a pattern, by the whole-window kernels."""
+    if isinstance(patterns[0], Permutation):
+        return lambda window: any(word_contains(mirror_of_window(window), p.oneline)
+                                  for p in patterns)
+    return lambda window: any(signed_word_contains(window, q.window) for q in patterns)
 
 
 def monotone_up(k):
@@ -209,30 +267,13 @@ class TestSequenceEngine:
             sizes = range(0, 7)
             assert sequence(patterns, sizes, jobs=2) == sequence(patterns, sizes, jobs=1)
 
-    def test_pool_starts_only_from_size_five(self, monkeypatch):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, function, tasks):
-                return list(map(function, tasks))
-
-        monkeypatch.setattr(enumeration, "Pool", RecordingPool)
+    def test_pool_starts_only_from_size_five(self, recording_pool):
         patterns = (Permutation((3, 2, 1)),)
-        *_, a3, a4 = _levels(patterns, 5)
-        assert _count_exhaustive(4, patterns, previous=a3, jobs=2) == 70
-        assert _count_exhaustive(5, patterns, previous=a4, jobs=1) == 252
-        assert started == []
-        assert _count_exhaustive(5, patterns, previous=a4, jobs=2) == 252
-        assert started == [2]
+        assert _count_exhaustive(4, patterns, jobs=2)[4] == 70
+        assert _count_exhaustive(5, patterns, jobs=1)[5] == 252
+        assert recording_pool == []
+        assert _count_exhaustive(5, patterns, jobs=2)[5] == 252
+        assert recording_pool == [2]
 
     def test_classical_mode(self):
         classical = sequence(fixtures.VEXILLARY_CLASSICAL, range(1, 5))
@@ -285,21 +326,27 @@ class TestSequenceEngine:
     @pytest.mark.parametrize(
         "patterns, expected",
         [
-            (fixtures.SMOOTH_BC_GLOBAL, {"word_contains": 15, "anchored": 9240}),
-            (fixtures.SMOOTH_BC_CLASSICAL, {"signed_word_contains": 69, "anchored": 32710}),
+            (fixtures.SMOOTH_BC_GLOBAL, {("word_contains", 2): 15, ("anchored", 3): 53,
+                                         ("anchored", 4): 214, ("anchored", 5): 902,
+                                         ("anchored", 6): 3864}),
+            (fixtures.SMOOTH_BC_CLASSICAL, {("signed_word_contains", 2): 69,
+                                            ("anchored", 3): 253, ("anchored", 4): 1064,
+                                            ("anchored", 5): 4614, ("anchored", 6): 20088}),
         ],
         ids=["global", "classical"],
     )
     def test_kernel_probes_are_pinned(self, probes, patterns, expected):
-        # The levels are grown once for all sizes, and only grown children are
-        # searched: rebuilding the levels per size, or searching inner
-        # prefixes, changes these counts.  The children of B_(k-1), where no
-        # pattern fits one size down, are searched whole; those of a filtered
-        # level are searched anchored on their last entry, one probe per
-        # (child, pattern) pair as a whole search makes, so the totals
-        # (9,255 and 32,779) are those of searching every child whole.
+        # One walk counts every size, and only children at inherited sites are
+        # searched: walking once per size, searching inner prefixes, or trying
+        # a site the parent closed changes these counts (by size of the
+        # searched window).  The children of B_1, where no pattern fits one
+        # size down, are searched whole; deeper children anchored on their
+        # last entry.  Trying every site (the levels) made 9,255 and 32,779.
         assert sequence(patterns, range(1, 7), jobs=1) == dict(zip(range(1, 7), SMOOTH_BC_COUNTS))
-        assert Counter(search for search, _ in probes) == expected
+        globally = isinstance(patterns[0], Permutation)
+        sizes = Counter((search, len(word) // 2 if globally else len(word))
+                        for search, word in probes)
+        assert sizes == expected
 
     def test_size_cap(self):
         with pytest.raises(SizeCapExceededError):
@@ -326,6 +373,37 @@ class TestSequenceEngine:
         for n in range(10):
             assert unsigned_avoider_count(n, []) == factorial(n)
             assert unsigned_avoider_count(n, iter([longest, longest])) == factorial(n)
+
+
+class TestWalk:
+    """The counting walk against a filter of the whole group, and its one claim."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_counts_equal_a_filter_of_the_whole_group(self, seed, recording_pool):
+        patterns = random_pattern_set(seed)
+        contains = whole_containment(patterns)
+        expected = {n: sum(not contains(window) for window in whole_group(n)) for n in range(7)}
+        assert sequence(patterns, range(7), jobs=1) == expected
+        # The pool counts the largest size of each call, from size 5 on.
+        assert sequence(patterns, range(6), jobs=2) == {n: expected[n] for n in range(6)}
+        assert sequence(patterns, range(7), jobs=2) == expected
+        assert recording_pool == [2, 2]
+
+    @pytest.mark.parametrize(
+        "patterns",
+        [fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL]
+        + [random_pattern_set(seed) for seed in range(10)],
+    )
+    def test_every_child_that_inheritance_skips_contains_a_pattern(self, patterns):
+        contains = whole_containment(patterns)
+        for n in range(1, 6):
+            if not _fits(patterns, n):
+                continue
+            counts = [0] * (n + 1)
+            for window, sites in _walk(patterns, n, counts):
+                tried = set(grown_at(window, sites))
+                assert len(tried) == len(sites)
+                assert all(contains(child) for child in grown([window], n) if child not in tried)
 
 
 class TestMemoCache:

@@ -141,11 +141,13 @@ def _rank_word_reversed(monkeypatch):
 
 
 def _growth_without_negative_last_entry(monkeypatch):
-    original = core.grown
+    original = core.grown_at
     return _patch_everywhere(
         monkeypatch,
         original,
-        lambda previous, k: (window for window in original(previous, k) if window[-1] != -k),
+        lambda window, sites: (
+            child for child in original(window, sites) if child[-1] != -len(child)
+        ),
     )
 
 
@@ -240,7 +242,8 @@ MUTATIONS = {
     "descents ignore position 0": (_descents_ignoring_position_0, BASELINE | {"conj-grassmannian"}),
     "inverse drops signs": (_inverse_without_signs, BASELINE | {"conj-grassmannian"}),
     "rank_word reverses ranks": (_rank_word_reversed, BASELINE | {"cor-iota", "thm-binomial-sum"}),
-    # Growth serves both sides of most pattern comparisons.  The bug is caught
+    # Growth serves both sides of most pattern comparisons: `core.grown` and
+    # the counting walk build every child through `grown_at`.  The bug is caught
     # against formulas, stored terms, predicate scans and unsigned counts
     # (unsigned windows never end in -k, so prop-es-unsigned is unharmed), and
     # by lemma-symmetry, as dropping -k is not symmetric.
