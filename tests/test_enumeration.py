@@ -393,6 +393,7 @@ class TestWalk:
         "patterns",
         [fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL]
         + [random_pattern_set(seed) for seed in range(10)],
+        ids=["smooth-global", "smooth-classical"] + [f"seed{seed}" for seed in range(10)],
     )
     def test_every_child_that_inheritance_skips_contains_a_pattern(self, patterns):
         contains = whole_containment(patterns)
