@@ -44,7 +44,7 @@ from .enumeration import (
     palindromic_composition_count,
     palindromic_compositions,
     sequence,
-    unsigned_avoider_count,
+    unsigned_sequence,
 )
 from .harness import (
     Check,

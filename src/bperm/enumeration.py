@@ -157,13 +157,13 @@ def _levels(
         yield level
 
 
-def _valid_sizes(sizes: Iterable[int]) -> list[int]:
-    """The distinct sizes, ascending, if none is negative or above MAX_SIGNED_SIZE."""
+def _valid_sizes(sizes: Iterable[int], cap: int = MAX_SIGNED_SIZE) -> list[int]:
+    """The distinct sizes, ascending, if none is negative or above `cap`."""
     sizes = sorted(set(sizes))
     if sizes and sizes[0] < 0:
         raise ValueError("sizes must be nonnegative")
-    if sizes and sizes[-1] > MAX_SIGNED_SIZE:
-        raise SizeCapExceededError(f"sizes beyond {MAX_SIGNED_SIZE} are not supported")
+    if sizes and sizes[-1] > cap:
+        raise SizeCapExceededError(f"sizes beyond {cap} are not supported")
     return sizes
 
 
@@ -354,18 +354,16 @@ def sequence(
     return {n: cache[f"{key_base}|{n}"] for n in sizes}
 
 
-def unsigned_avoider_count(n: int, patterns: Iterable[Permutation]) -> int:
+def unsigned_sequence(patterns: Iterable[Permutation], sizes: Iterable[int]) -> dict[int, int]:
     """
-    Number of unsigned permutations of size n avoiding every pattern.  S_n is
-    the set of windows classically avoiding -1, so it is walked as `sequence`
-    walks a class (but to size 9), each pattern no longer than n as signed;
-    where none is, the count is n!.
+    `{n: count}` of unsigned permutations avoiding every pattern, sizes as in
+    `sequence` but up to 9.  S_n, the windows classically avoiding -1, is
+    walked once to the largest size as `sequence` walks a class, with the
+    patterns that fit as signed; where none fits, the counts are n!.
     """
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    if n > MAX_UNSIGNED_SIZE:
-        raise SizeCapExceededError(f"sizes beyond {MAX_UNSIGNED_SIZE} are not supported")
-    fitting = tuple(SignedPermutation(p.oneline) for p in patterns if p.size <= n)
-    if not fitting:
-        return factorial(n)
-    return _count_exhaustive(n, (SignedPermutation((-1,)), *fitting))[n]
+    sizes = _valid_sizes(sizes, MAX_UNSIGNED_SIZE)
+    top = max(sizes, default=0)
+    fitting = tuple(SignedPermutation(p.oneline) for p in patterns if p.size <= top)
+    counts = (_count_exhaustive(top, (SignedPermutation((-1,)), *fitting)) if fitting
+              else [factorial(n) for n in range(top + 1)])
+    return {n: counts[n] for n in sizes}

@@ -60,7 +60,7 @@ from .enumeration import (
     fib_like,
     palindromic_composition_count,
     sequence,
-    unsigned_avoider_count,
+    unsigned_sequence,
 )
 from .patterns import (
     apply_symmetry_to_set,
@@ -360,10 +360,8 @@ def _check_es(max_kj: int, jobs: int, signed: bool) -> list[CheckRow]:
             bound = es_bound(k, j, signed=signed)
             extremal = es_extremal_count(k, j, signed=signed)
             sizes = (bound, bound + 1)
-            if signed:
-                counts = sequence(patterns, sizes, jobs=jobs)
-            else:
-                counts = {n: unsigned_avoider_count(n, patterns) for n in sizes}
+            counts = (sequence(patterns, sizes, jobs=jobs) if signed
+                      else unsigned_sequence(patterns, sizes))
             observed = f"{counts[bound]};{counts[bound + 1]}"
             rows.append(CheckRow(bound, f"k={k},j={j}:{extremal};0", f"k={k},j={j}:{observed}"))
     return rows
@@ -485,9 +483,9 @@ def _check_grassmannian(max_n: int, jobs: int) -> list[CheckRow]:
 
 @_check("conj-smooth-count", 5, "|GAV_n({3412,4231})| matches unsigned smooth counts one size up")
 def _check_smooth_count(max_n: int, jobs: int) -> list[CheckRow]:
-    sizes = range(1, max_n + 1)
-    unsigned = {n: unsigned_avoider_count(n + 1, fixtures.SMOOTH_A_UNSIGNED) for n in sizes}
-    return _count_rows(unsigned, sequence(fixtures.SMOOTH_BC_GLOBAL, sizes, jobs=jobs))
+    unsigned = unsigned_sequence(fixtures.SMOOTH_A_UNSIGNED, range(2, max_n + 2))
+    globally = sequence(fixtures.SMOOTH_BC_GLOBAL, range(1, max_n + 1), jobs=jobs)
+    return _count_rows({n - 1: count for n, count in unsigned.items()}, globally)
 
 
 @_check("oq-gao-hanni", 6, "|GAV_n(2143)| = |GAV_n(1234)|")

@@ -24,9 +24,9 @@ bounds each entry by its nearest smaller and larger earlier entries, and
 `_compiled` turns it, on first use, into a function of nested loops, one
 `for` loop per entry.  `word_contains` and `signed_word_contains` search a
 whole word.  An avoidance test of a child grown from an avoider
-(`core.grown`) fetches each pattern's functions once, with an entry pinned on
-an end letter, and searches the child only for the occurrences through its
-appended entry.
+(`core.grown`) calls functions fetched once, pinned on an end letter, for the
+occurrences through its appended entry: on the mirror word's first letter
+only for patterns whose reverse-complement is not in the set.
 
 Pattern-set text grammar (shared with the CLI): patterns separated by ";",
 entries by ",", e.g. "3,4,1,2;4,2,3,1" (unsigned) or "-2,1;-1,-2" (signed).
@@ -159,21 +159,8 @@ def signed_word_contains(window: Sequence[int], pattern: Sequence[int]) -> bool:
     return _compiled(tuple(pattern), True, False, False)(window, 0, len(window))
 
 
-def _anchored_search(pattern: tuple[int, ...], signed: bool) -> Callable[[Sequence[int]], bool]:
-    """
-    A search of a nonempty word for the occurrences of `pattern` through an
-    end letter: globally the first or the last, classically the last.  An
-    occurrence ending on the last letter is one of the pattern rotated (its
-    last entry moved to the front) starting on the word rotated alike, as
-    rotating both keeps order-isomorphism.  The empty pattern occurs everywhere.
-    """
-    if not pattern:
-        return lambda word: True
-    last = _compiled((pattern[-1], *pattern[:-1]), signed, True, False)
-    if signed:
-        return lambda window: last(window[-1], window, 0, len(window) - 1)
-    first = _compiled(pattern, False, True, False)
-    return lambda word: first(word[0], word, 1, len(word)) or last(word[-1], word, 0, len(word) - 1)
+def _reverse_complement(pattern: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(len(pattern) + 1 - v for v in reversed(pattern))
 
 
 def unsigned_contains(v: Permutation, p: Permutation) -> bool:
@@ -226,35 +213,52 @@ def _avoidance_test(
 ) -> Callable[[Sequence[int]], bool]:
     """
     A test telling whether a window avoids every pattern.  The pattern type
-    picks the order once per call, never per window: unsigned patterns are
-    sought in the window's mirror word, signed ones in the window itself.
+    picks the order once per call: unsigned patterns are sought in the
+    window's mirror word, signed ones in the window itself.
 
     `anchored` is for children from `core.grown` of windows that avoid every
     pattern.  A child's first entries re-ranked are its parent, which sits in
     the middle of the child's mirror word, so an occurrence must use the
     appended entry: w(k) or -w(k) globally, the last position classically.
-    Each pattern's `_anchored_search` pins an entry there instead of
-    searching the whole child.  Whole children are searched by
-    `word_contains` or `signed_word_contains`, one call per probe.
+    There the test calls pinned `_compiled` searches: on the last letter the
+    pattern rotated (last entry first), classically only if its sign matches;
+    on -w(k) only a p whose reverse-complement is not in the set, as the
+    mirror word is its own reverse-complement.
     """
     patterns = tuple(patterns)
     globally = _containment_order(patterns) == "global"
     words = tuple(p.oneline if globally else p.window for p in patterns)
-    if anchored:
-        searches = tuple(_anchored_search(word, not globally) for word in words)
-    else:
+    if not anchored:
         contains = word_contains if globally else signed_word_contains
-        searches = tuple(functools.partial(contains, pattern=word) for word in words)
 
-    def avoids(word: Sequence[int]) -> bool:
-        for search in searches:
-            if search(word):
+        def avoids(window: Sequence[int]) -> bool:
+            word = mirror_of_window(window) if globally else window
+            for pattern in words:
+                if contains(word, pattern):
+                    return False
+            return True
+
+        return avoids
+    if () in words:  # the empty pattern occurs in every child
+        return lambda window: False
+    ending = {word: _compiled((word[-1], *word[:-1]), not globally, True, False) for word in words}
+    lasts = [tuple(search for word, search in ending.items()
+                   if globally or (word[-1] > 0) == positive) for positive in (False, True)]
+    firsts = tuple(_compiled(word, False, True, False) for word in ending
+                   if globally and _reverse_complement(word) not in ending)
+
+    def avoids_anchored(window: Sequence[int]) -> bool:
+        word = mirror_of_window(window) if globally else window
+        a, z, end = word[0], word[-1], len(word) - 1
+        for search in lasts[z > 0]:
+            if search(z, word, 0, end):
+                return False
+        for search in firsts:
+            if search(a, word, 1, end + 1):
                 return False
         return True
 
-    if globally:
-        return lambda window: avoids(mirror_of_window(window))
-    return avoids
+    return avoids_anchored
 
 
 def delete_window_entry(window: Sequence[int], index: int) -> tuple[int, ...]:

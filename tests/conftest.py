@@ -8,7 +8,8 @@ def probes(monkeypatch):
     """
     Every containment probe made while the test runs, in order, as (search,
     word): calls to `word_contains` and `signed_word_contains`, by name, and
-    calls to the searches that `_anchored_search` returns, as "anchored".
+    calls to the pinned `_compiled` searches that an anchored avoidance test
+    fetched, as "anchored".
     """
     calls = []
     for name in ("word_contains", "signed_word_contains"):
@@ -17,16 +18,18 @@ def probes(monkeypatch):
             return original(word, pattern)
 
         monkeypatch.setattr(patterns, name, whole)
-    build = patterns._anchored_search
+    compile_ = patterns._compiled
 
-    def anchored_search(pattern, signed):
-        search = build(pattern, signed)
+    def compiled(pattern, signed, pinned, count, first=0):
+        search = compile_(pattern, signed, pinned, count, first)
+        if not pinned:
+            return search
 
-        def anchored(word):
+        def anchored(v0, word, start, end):
             calls.append(("anchored", word))
-            return search(word)
+            return search(v0, word, start, end)
 
         return anchored
 
-    monkeypatch.setattr(patterns, "_anchored_search", anchored_search)
+    monkeypatch.setattr(patterns, "_compiled", compiled)
     return calls

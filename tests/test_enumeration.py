@@ -30,7 +30,7 @@ from bperm.enumeration import (
     palindromic_compositions,
     sequence,
     store_cache,
-    unsigned_avoider_count,
+    unsigned_sequence,
 )
 from bperm.patterns import (
     _fits, parse_unsigned_patterns, signed_word_contains, word_contains,
@@ -223,10 +223,10 @@ class TestErdosSzekeres:
         for k, j in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]:
             patterns = [monotone_up(k + 1), monotone_down(j + 1)]
             bound = es_bound(k, j, signed=False)
-            count = unsigned_avoider_count(bound, patterns)
-            assert count == es_extremal_count(k, j, signed=False)
-            assert count == syt_count((k,) * j) ** 2
-            assert unsigned_avoider_count(bound + 1, patterns) == 0
+            counts = unsigned_sequence(patterns, [bound, bound + 1])
+            assert counts[bound] == es_extremal_count(k, j, signed=False)
+            assert counts[bound] == syt_count((k,) * j) ** 2
+            assert counts[bound + 1] == 0
 
     def test_signed_extremal_matches_brute_force(self):
         for k, j in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (3, 2), (2, 3)]:
@@ -330,8 +330,8 @@ class TestSequenceEngine:
                                          ("anchored", 4): 214, ("anchored", 5): 902,
                                          ("anchored", 6): 3864}),
             (fixtures.SMOOTH_BC_CLASSICAL, {("signed_word_contains", 2): 69,
-                                            ("anchored", 3): 253, ("anchored", 4): 1064,
-                                            ("anchored", 5): 4614, ("anchored", 6): 20088}),
+                                            ("anchored", 3): 148, ("anchored", 4): 634,
+                                            ("anchored", 5): 2792, ("anchored", 6): 12304}),
         ],
         ids=["global", "classical"],
     )
@@ -341,6 +341,9 @@ class TestSequenceEngine:
         # a site the parent closed changes these counts (by size of the
         # searched window).  The children of B_1, where no pattern fits one
         # size down, are searched whole; deeper children anchored on their
+        # last entry, one probe per pinned search called: globally only at
+        # w(k), as both patterns are their own reverse-complement, and
+        # classically only the patterns ending in the sign of the child's
         # last entry.  Trying every site (the levels) made 9,255 and 32,779.
         assert sequence(patterns, range(1, 7), jobs=1) == dict(zip(range(1, 7), SMOOTH_BC_COUNTS))
         globally = isinstance(patterns[0], Permutation)
@@ -362,7 +365,7 @@ class TestSequenceEngine:
         monkeypatch.setattr(enumeration, "grown", refuse)
         for name in ("word_contains", "signed_word_contains"):
             monkeypatch.setattr(patterns_module, name, refuse)
-        monkeypatch.setattr(patterns_module, "_anchored_search", lambda pattern, signed: refuse)
+        monkeypatch.setattr(patterns_module, "_compiled", refuse)
         orders = {0: 1, 1: 2, 2: 8, 3: 48, 4: 384, 5: 3840, 6: 46080, 7: 645120, 8: 10321920}
         assert sequence([], range(9)) == orders
         assert sequence([], range(9), jobs=2) == orders
@@ -370,9 +373,9 @@ class TestSequenceEngine:
         # Unsigned counts where no pattern is as short as n: n!, also for a
         # one-pass iterator of patterns.
         longest = Permutation(tuple(range(1, 11)))
-        for n in range(10):
-            assert unsigned_avoider_count(n, []) == factorial(n)
-            assert unsigned_avoider_count(n, iter([longest, longest])) == factorial(n)
+        factorials = {n: factorial(n) for n in range(10)}
+        assert unsigned_sequence([], range(10)) == factorials
+        assert unsigned_sequence(iter([longest, longest]), range(10)) == factorials
 
 
 class TestWalk:
@@ -487,28 +490,41 @@ class TestMemoCache:
         assert [p.name for p in tmp_path.iterdir()] == ["plain"]
 
 
-class TestUnsignedAvoiderCount:
+class TestUnsignedSequence:
     def test_patterns_longer_than_word(self):
-        assert unsigned_avoider_count(3, parse_unsigned_patterns("3,4,1,2;4,2,3,1")) == 6
+        assert unsigned_sequence(parse_unsigned_patterns("3,4,1,2;4,2,3,1"), [3]) == {3: 6}
         # Longer than any window, so it cannot be read as a signed pattern.
-        assert unsigned_avoider_count(3, [Permutation(tuple(range(1, 18)))]) == 6
+        assert unsigned_sequence([Permutation(tuple(range(1, 18)))], [3]) == {3: 6}
 
-    def test_smooth_type_a_count(self):
-        assert unsigned_avoider_count(4, parse_unsigned_patterns("3,4,1,2;4,2,3,1")) == 22
+    def test_smooth_type_a_counts_in_one_walk(self, monkeypatch):
+        walks = []
+
+        def count_exhaustive(n, patterns, **kwargs):
+            walks.append(n)
+            return _count_exhaustive(n, patterns, **kwargs)
+
+        monkeypatch.setattr(enumeration, "_count_exhaustive", count_exhaustive)
+        smooth = parse_unsigned_patterns("3,4,1,2;4,2,3,1")
+        assert unsigned_sequence(smooth, [9, 2, 5, 4, 3, 8, 7, 6, 4]) == dict(
+            zip(range(2, 10), (2, 6, 22, 88, 366, 1552, 6652, 28696))
+        )
+        assert walks == [9]
 
     def test_no_patterns_gives_factorial(self):
-        for n in range(5):
-            assert unsigned_avoider_count(n, []) == factorial(n)
+        assert unsigned_sequence([], range(5)) == {n: factorial(n) for n in range(5)}
+        assert unsigned_sequence([], []) == {}
 
     def test_catalan_for_single_3_pattern(self):
-        for n in range(1, 7):
-            assert unsigned_avoider_count(n, [Permutation((1, 3, 2))]) == comb(2 * n, n) // (n + 1)
+        assert unsigned_sequence([Permutation((1, 3, 2))], range(1, 7)) == {
+            n: comb(2 * n, n) // (n + 1) for n in range(1, 7)
+        }
 
     def test_size_cap(self):
-        with pytest.raises(SizeCapExceededError):
-            unsigned_avoider_count(10, [])
+        for sizes in ([10], [3, 10]):
+            with pytest.raises(SizeCapExceededError):
+                unsigned_sequence([], sizes)
         with pytest.raises(ValueError, match="nonnegative"):
-            unsigned_avoider_count(-1, [])
+            unsigned_sequence([], [-1, 3])
 
     @given(
         n=st.integers(min_value=0, max_value=6),
@@ -520,15 +536,18 @@ class TestUnsignedAvoiderCount:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_a_scan_of_s_n(self, n, words):
-        # The grown count against a scan of S_n and a subset search: a word
-        # contains a pattern iff the ranks of some subset of it spell the pattern.
+        # The counts of sizes 0..n from one walk against scans of S_k and a
+        # subset search: a word contains a pattern iff the ranks of some
+        # subset of it spell the pattern.
         def contains(word, pattern):
             return any(
                 tuple(sorted(sub).index(v) + 1 for v in sub) == tuple(pattern)
                 for sub in combinations(word, len(pattern))
             )
 
-        expected = sum(
-            not any(contains(word, p) for p in words) for word in permutations(range(1, n + 1))
-        )
-        assert unsigned_avoider_count(n, [Permutation(tuple(w)) for w in words]) == expected
+        expected = {
+            k: sum(not any(contains(word, p) for p in words)
+                   for word in permutations(range(1, k + 1)))
+            for k in range(n + 1)
+        }
+        assert unsigned_sequence([Permutation(tuple(w)) for w in words], range(n + 1)) == expected

@@ -614,9 +614,12 @@ def grown_child_and_pattern(draw):
 class TestAnchoredSearch:
     """
     A child from `grown` of an avoiding window contains a pattern only
-    through its appended entry, so the searches `_anchored_search` makes,
-    which find only the occurrences using that entry, answer as the
-    whole-word ones do.  They take nonempty words only, as a child is.
+    through its appended entry, so an anchored avoidance test, which finds
+    only the occurrences using that entry, answers as the whole-word
+    kernels do.  Its global half skips the first-letter search of a pattern
+    whose reverse-complement is in the set, which holds on mirror words, so
+    it is checked on the mirror words of grown children, the only words it
+    is given; the pinned searches it calls are checked on arbitrary words.
     """
 
     @given(case=grown_child_and_pattern())
@@ -631,22 +634,28 @@ class TestAnchoredSearch:
         signed, parent, child, pattern = case
         assert pattern not in _patterns_in(parent, len(pattern), signed)
         assert child in set(grown([parent], len(child)))
-        search = patterns_module._anchored_search(pattern, signed)
+        avoids = patterns_module._avoidance_test(
+            [SignedPermutation(pattern) if signed else Permutation(pattern)], anchored=True
+        )
         if signed:
-            assert search(child) == signed_word_contains(child, pattern)
+            assert avoids(child) == (not signed_word_contains(child, pattern))
         else:
-            mirror = mirror_of_window(child)
-            assert search(mirror) == word_contains(mirror, pattern)
+            assert avoids(child) == (not word_contains(mirror_of_window(child), pattern))
 
     @given(pair=word_and_pattern())
     @oracle_settings
     def test_global_anchor_finds_the_occurrences_through_an_end(self, nested, pair):
         word, pattern = pair
         assume(word)
-        occurrences = Counter(rank_word(sub) for sub in combinations(word, len(pattern)))
-        inner = Counter(rank_word(sub) for sub in combinations(word[1:-1], len(pattern)))
-        search = patterns_module._anchored_search(pattern, False)
-        assert search(word) == (occurrences[pattern] > inner[pattern])
+
+        def occurrences(word):
+            return Counter(rank_word(sub) for sub in combinations(word, len(pattern)))[pattern]
+
+        first = patterns_module._compiled(pattern, False, True, False)
+        last = patterns_module._compiled((pattern[-1], *pattern[:-1]), False, True, False)
+        assert first(word[0], word, 1, len(word)) == (occurrences(word) > occurrences(word[1:]))
+        assert (last(word[-1], word, 0, len(word) - 1)
+                == (occurrences(word) > occurrences(word[:-1])))
 
     @given(pair=window_and_signed_pattern())
     @oracle_settings
@@ -655,14 +664,47 @@ class TestAnchoredSearch:
         assume(window)
         through_last = (signed_occurrence_oracle(window, pattern)
                         - signed_occurrence_oracle(window[:-1], pattern))
-        search = patterns_module._anchored_search(pattern, True)
-        assert search(window) == (through_last > 0)
+        avoids = patterns_module._avoidance_test([SignedPermutation(pattern)], anchored=True)
+        assert avoids(window) == (through_last == 0)
 
     def test_the_empty_pattern_occurs_at_the_ends_of_every_word(self, nested):
-        for signed in (False, True):
-            search = patterns_module._anchored_search((), signed)
-            for word in [(), (1,), (-1, 1), (2, -1, 1, -2)]:
-                assert search(word)
+        for empty in (Permutation(()), SignedPermutation(())):
+            avoids = patterns_module._avoidance_test([empty], anchored=True)
+            for window in [(1,), (-1, 2), (2, -1, 3)]:
+                assert not avoids(window)
+
+    @given(pair=window_and_unsigned_pattern())
+    def test_first_letter_occurrences_reflect_to_last_letter_ones_of_the_rc(self, pair):
+        # Straight from the definitions (itertools plus ranking, no bperm
+        # kernel): reflecting index i of a 2n-letter mirror word to 2n - 1 - i
+        # maps the occurrences of p through its first letter one to one onto
+        # those of rc(p) through its last letter.
+        window, pattern = pair
+        assume(window)
+        word = _mirror(window)
+        rc = tuple(len(pattern) + 1 - v for v in reversed(pattern))
+
+        def through(letter, p):
+            return {subset for subset in combinations(range(len(word)), len(p))
+                    if letter in subset and _rank([word[i] for i in subset]) == p}
+
+        reflected = {tuple(sorted(len(word) - 1 - i for i in subset))
+                     for subset in through(0, pattern)}
+        assert reflected == through(len(word) - 1, rc)
+
+    @pytest.mark.parametrize(
+        "patterns", ["1,3,2;2,1,3", "2,3,1;3,1,2;1,2,3", "3,4,1,2", "3,2,1"],
+        ids=["rc-pair", "rc-pair-and-fixed", "rc-fixed-3412", "rc-fixed-321"],
+    )
+    def test_sets_closed_under_rc_walk_as_the_whole_group_filters(self, patterns):
+        # Every pattern's reverse-complement is in the set, so no first-letter
+        # search is made: the w(k) end alone decides each child.
+        patterns = parse_unsigned_patterns(patterns)
+        filtered = {n: frozenset(w for w in iter_windows(n) if not any(
+                        word_contains(mirror_of_window(w), p.oneline) for p in patterns))
+                    for n in range(7)}
+        assert avoiders(patterns, range(7)) == filtered
+        assert sequence(patterns, range(7)) == {n: len(members) for n, members in filtered.items()}
 
     @pytest.mark.parametrize(
         "patterns",
