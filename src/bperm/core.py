@@ -29,7 +29,7 @@ from enum import Enum
 from itertools import accumulate
 from math import factorial
 from operator import neg
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_WINDOW_SIZE = 16
 MAX_ONELINE_SIZE = 2 * MAX_WINDOW_SIZE
@@ -119,7 +119,7 @@ def window_apply_generator(window: Sequence[int], i: int) -> tuple[int, ...]:
 def iter_windows(n: int) -> Iterator[tuple[int, ...]]:
     """
     All signed-permutation windows of size n, in lexicographic order.  Classes
-    are grown from smaller ones (`grown`); the whole group streams through
+    are walked from smaller ones (`walk`); the whole group streams through
     here only where it is the answer or the route being compared.
     """
     if n == 0:
@@ -128,19 +128,15 @@ def iter_windows(n: int) -> Iterator[tuple[int, ...]]:
     yield from _extend([], [False] * (n + 1))
 
 
-def grown(previous: Iterable[tuple[int, ...]] | None, k: int) -> Iterator[tuple[int, ...]]:
+def grown(previous: Iterable[tuple[int, ...]], k: int) -> Iterator[tuple[int, ...]]:
     """
-    The children of the size-(k - 1) windows of `previous` (None: all of
-    B_(k-1)) at every site (`grown_at`).  A window is the child of one window
-    only, its first k - 1 entries re-ranked, so B_(k-1) grows B_k once, and
-    the members of a family closed under deleting the last entry grow each
-    member one size up once.  The parent sits in the child at its first k - 1
-    positions and in the middle of its mirror word, so a pattern occurring in
-    a child of an avoiding parent occurs through the appended entry, at the
-    last position or at either end of the mirror word.
+    The children of the size-(k - 1) windows of `previous` at every site
+    (`grown_at`).  A window is the child of one window only, its first k - 1
+    entries re-ranked, so B_(k-1) grows B_k once, and the members of a family
+    closed under deleting the last entry grow each member one size up once.
     """
     sites = [site for a in range(1, k + 1) for site in (a, -a)]
-    for window in iter_windows(k - 1) if previous is None else previous:
+    for window in previous:
         yield from grown_at(window, sites)
 
 
@@ -155,6 +151,42 @@ def grown_at(window: tuple[int, ...], sites: Iterable[int]) -> Iterator[tuple[in
             a = abs(site)
             head = [v + 1 if v >= a else v - 1 if v <= -a else v for v in window]
         yield (*head, site)
+
+
+def walk(
+    start: int, top: int, whole: Callable[[tuple], bool], anchored: Callable[[tuple], bool]
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """
+    The members of sizes `start` to `top` of a pattern class, depth first,
+    each with the sites its parent left open: a generating tree (West 1995)
+    whose roots are all of B_start, with every site open.  `whole` decides
+    the roots' children, `anchored` every deeper child, whose parent sits in
+    it re-ranked at its first positions and in the middle of its mirror
+    word, so that a pattern occurs in the child of an avoider only through
+    the appended entry.  If the child at a site contains a pattern, so does
+    every grandchild at a matching site, as deleting the middle entry leaves
+    that child; so each child tries only the sites its parent left open, as
+    in Vatter's enumeration schemes (2008).
+    """
+    every = [site for a in range(1, start + 2) for site in (a, -a)]
+    for root in iter_windows(start):
+        yield from _descend(root, every, top, whole, anchored)
+
+
+def _descend(window: tuple[int, ...], sites: list[int], top: int, test: Callable,
+             anchored: Callable) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """`walk` from the member `window`, whose children `test` decides at `sites`."""
+    yield window, sites
+    if len(window) == top:
+        return
+    children = list(filter(test, grown_at(window, sites)))
+    opened = [child[-1] for child in children]
+    for child in children:
+        # The child's site b matches its parent's b if b <= a, b - 1 if b > a.
+        a = abs(child[-1])
+        inherited = ([site for site in opened if abs(site) <= a]
+                     + [site + 1 if site > 0 else site - 1 for site in opened if abs(site) >= a])
+        yield from _descend(child, inherited, top, anchored, anchored)
 
 
 def _extend(prefix: list[int], used: list[bool]) -> Iterator[tuple[int, ...]]:

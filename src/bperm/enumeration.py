@@ -12,17 +12,15 @@ n is a child (`core.grown_at`) of one of size n - 1, a generating tree (West
 appended entry.  Where no pattern fits (`_fits`) every window avoids, and
 nothing is grown or searched; the children of B_(n-1) are searched whole.
 
-Counts walk the tree depth first and store nothing (`_walk`).  A window's
-site a or -a is where its child appends a or -a.  If the child at a site
-contains a pattern, so does every grandchild at a matching site, as deleting
-the middle entry leaves that child; so each child tries only the sites its
-parent left open, as in Vatter's enumeration schemes (2008).  Unsigned counts
-walk S_n as the classical class of -1, whose negative sites close at the
-root.  From size 5 the walk can hand the nodes one size below the top to a
-process pool and still merge deterministically (an integer sum).  `avoiders`
-stores each level A_k, grown from the one before it (`_levels`).  An optional
-on-disk memo keyed by normalized pattern set, order, and size caches counts
-between runs.
+Both walk the tree depth first from B_(m-1), m the first size at which some
+pattern fits, down to the avoiders one size below the top, each child trying
+only the sites its parent left open (`core.walk`), and filter the children of
+those avoiders at their sites.  Counts store no avoider.  A window's site a
+or -a is where its child appends a or -a.  Unsigned counts walk S_n as the
+classical class of -1, whose negative sites close at the root.  From size 5
+the count can hand the nodes one size below the top to a process pool and
+still merge deterministically (an integer sum).  An optional on-disk memo
+keyed by normalized pattern set, order, and size caches counts between runs.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -33,11 +31,11 @@ import sys
 import tempfile
 from math import comb, factorial
 from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    Permutation, SignedPermutation, format_window, grown, grown_at, iter_windows,
-    signed_group_order,
+    Permutation, SignedPermutation, format_window, grown_at, iter_windows, signed_group_order,
+    walk,
 )
 from .patterns import _avoidance_test, _containment_order, _fits
 from .tableaux import domino_count, syt_count
@@ -139,24 +137,6 @@ def es_extremal_count(k: int, j: int, signed: bool) -> int:
     return domino_count(shape) ** 2
 
 
-def _levels(
-    patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], n: int
-) -> Iterator[frozenset | None]:
-    """
-    A_0..A_(n-1), one at a time: for each size k < n, the set of size-k
-    windows avoiding every pattern, grown from the level before it; None
-    where no pattern fits.
-    """
-    whole, anchored = _avoidance_test(patterns), _avoidance_test(patterns, anchored=True)
-    level = None
-    for k in range(n):
-        # The children of a level filtered by the test are searched anchored
-        # on their last entry; those of all of B_(k-1) (None) whole.
-        test = whole if level is None else anchored
-        level = frozenset(filter(test, grown(level, k))) if _fits(patterns, k) else None
-        yield level
-
-
 def _valid_sizes(sizes: Iterable[int], cap: int = MAX_SIGNED_SIZE) -> list[int]:
     """The distinct sizes, ascending, if none is negative or above `cap`."""
     sizes = sorted(set(sizes))
@@ -172,56 +152,31 @@ def avoiders(
 ) -> dict[int, frozenset[tuple[int, ...]]]:
     """
     `{n: windows of size n avoiding every pattern}` in ascending n: globally
-    for unsigned patterns, classically for signed ones.  The class is grown
+    for unsigned patterns, classically for signed ones.  The class is walked
     once, up to the largest size.  All of B_8, where no pattern fits, is refused.
     """
     wanted = _valid_sizes(sizes)
     patterns = tuple(patterns)
-    if MAX_SIGNED_SIZE in wanted and not _fits(patterns, MAX_SIGNED_SIZE):
-        raise SizeCapExceededError(
-            f"no pattern fits, so the answer is all of B_{MAX_SIGNED_SIZE}; `sequence` counts it"
-        )
-    levels = _levels(patterns, wanted[-1] + 1 if wanted else 0)
-    return {
-        n: frozenset(iter_windows(n)) if level is None else level
-        for n, level in enumerate(levels)
-        if n in wanted
-    }
-
-
-def _walk(patterns: Sequence, n: int, counts: list[int]) -> Iterator[tuple[tuple, list[int]]]:
-    """
-    The avoiders of size n - 1, depth first, each with the sites its parent
-    left open, adding the avoiders of each smaller size k to `counts[k]`.  The
-    roots are all of B_(m-1), with every site open, where m is the first size
-    at which some pattern fits (at most n).
-    """
-    m = next(k for k in range(n + 1) if _fits(patterns, k))
-    every = [site for a in range(1, m + 1) for site in (a, -a)]
+    top = max(wanted, default=0)
+    if not _fits(patterns, top) or not wanted:
+        if top == MAX_SIGNED_SIZE:
+            raise SizeCapExceededError(
+                f"no pattern fits, so the answer is all of B_{MAX_SIGNED_SIZE}; `sequence` counts it"
+            )
+        return {n: frozenset(iter_windows(n)) for n in wanted}
+    m = next(k for k in range(top + 1) if _fits(patterns, k))
     whole, anchored = _avoidance_test(patterns), _avoidance_test(patterns, anchored=True)
-    for root in iter_windows(m - 1):
-        yield from _descend(root, every, n - 1, whole, anchored, counts)
-
-
-def _descend(window: tuple, sites: list[int], top: int, test: Callable, anchored: Callable,
-             counts: list[int]) -> Iterator[tuple[tuple, list[int]]]:
-    """
-    `_walk` below the avoider `window`, down to the nodes of size `top`:
-    `test` decides its children at `sites`, each that avoids opens its site,
-    and `anchored` decides every deeper child, at the open sites it inherits.
-    """
-    if len(window) == top:
-        yield window, sites
-        return
-    children = list(filter(test, grown_at(window, sites)))
-    counts[len(window) + 1] += len(children)
-    opened = [child[-1] for child in children]
-    for child in children:
-        # The child's site b matches its parent's b if b <= a, b - 1 if b > a.
-        a = abs(child[-1])
-        inherited = ([site for site in opened if abs(site) <= a]
-                     + [site + 1 if site > 0 else site - 1 for site in opened if abs(site) >= a])
-        yield from _descend(child, inherited, top, anchored, anchored, counts)
+    members, nodes = {n: [] for n in wanted}, []
+    for window, sites in walk(m - 1, top - 1, whole, anchored):
+        if len(window) in members:
+            members[len(window)].append(window)
+        if len(window) == top - 1:
+            nodes.append((window, sites))
+    test = anchored if _fits(patterns, top - 1) else whole
+    members[top] = [child for window, sites in nodes for child in grown_at(window, sites)
+                    if test(child)]
+    # Below the walk's roots, B_(m-1), no pattern fits.
+    return {n: frozenset(iter_windows(n) if n < m - 1 else found) for n, found in members.items()}
 
 
 def _branch_count(task: tuple) -> int:
@@ -235,16 +190,19 @@ def _count_exhaustive(
     n: int, patterns: Sequence[Permutation] | Sequence[SignedPermutation], *, jobs: int = 1
 ) -> list[int]:
     """
-    The avoider counts of sizes 0..n in one `_walk`: the order of B_k at
-    every size k where no pattern fits.  Serial when jobs <= 1 or
-    n < POOL_MIN_SIZE, with nothing stored, otherwise on a pool of up to
-    `jobs` processes, one task per strided slice of the sorted nodes of size
-    n - 1: 2n slices, so at most 2n processes for any `jobs`.
+    The avoider counts of sizes 0..n in one walk (`core.walk`) from B_(m-1),
+    m the first size at which some pattern fits: the order of B_k at every
+    size k below it.  The nodes of size n - 1 are handed to `_branch_count`:
+    serially when jobs <= 1 or n < POOL_MIN_SIZE, with nothing stored,
+    otherwise on a pool of up to `jobs` processes, one task per strided slice
+    of the sorted nodes: 2n slices, so at most 2n processes for any `jobs`.
     """
-    counts = [0 if _fits(patterns, k) else signed_group_order(k) for k in range(n + 1)]
     if not _fits(patterns, n):
-        return counts
-    nodes = _walk(patterns, n, counts)
+        return [signed_group_order(k) for k in range(n + 1)]
+    m = next(k for k in range(n + 1) if _fits(patterns, k))
+    counts = [signed_group_order(k) if k < m - 1 else 0 for k in range(n + 1)]
+    walked = walk(m - 1, n - 1, _avoidance_test(patterns), _avoidance_test(patterns, anchored=True))
+    nodes = _tally(walked, n - 1, counts)
     if jobs <= 1 or n < POOL_MIN_SIZE:
         counts[n] = _branch_count((n, patterns, nodes))
         return counts
@@ -253,6 +211,14 @@ def _count_exhaustive(
     with Pool(processes=min(jobs, len(tasks))) as pool:
         counts[n] = sum(pool.map(_branch_count, tasks))
     return counts
+
+
+def _tally(nodes: Iterator[tuple[tuple, list[int]]], top: int, counts: list[int]) -> Iterator:
+    """The `nodes` of size `top`, adding those of each size k to `counts[k]`."""
+    for window, sites in nodes:
+        counts[len(window)] += 1
+        if len(window) == top:
+            yield window, sites
 
 
 def normalized_pattern_key(pattern_words: Iterable[Sequence[int]]) -> str:

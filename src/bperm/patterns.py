@@ -23,10 +23,9 @@ One search decides or counts in both orders: a plan made once per pattern
 bounds each entry by its nearest smaller and larger earlier entries, and
 `_compiled` turns it, on first use, into a function of nested loops, one
 `for` loop per entry.  `word_contains` and `signed_word_contains` search a
-whole word.  An avoidance test of a child grown from an avoider
-(`core.grown`) calls functions fetched once, pinned on an end letter, for the
-occurrences through its appended entry: on the mirror word's first letter
-only for patterns whose reverse-complement is not in the set.
+whole word.  An avoidance test of a child of an avoider in a walk of its
+class (`core.walk`) calls functions fetched once, pinned on its last letter,
+for the occurrences through its appended entry.
 
 Pattern-set text grammar (shared with the CLI): patterns separated by ";",
 entries by ",", e.g. "3,4,1,2;4,2,3,1" (unsigned) or "-2,1;-1,-2" (signed).
@@ -41,14 +40,15 @@ from .core import (
     DihedralSymmetry,
     Permutation,
     SignedPermutation,
-    grown,
+    grown_at,
     mirror_of_window,
     parse_window,
+    walk,
 )
 
-# global_basis grows the class to size m - 1 and tests each child.  For the
-# identity, m = 7 tests nearly all of B_7 (8.3-8.6 s CPU at 25 MB peak RSS on
-# a 2-vCPU VM); B_8 is 16 times B_7, so m = 8 would take minutes.
+# global_basis walks the class to size m - 1 and tests each child at an open
+# site.  For the identity, m = 7 tests nearly all of B_7 (3.2-3.7 s CPU at 18 MB
+# peak RSS on a 2-vCPU VM); B_8 is 16 times B_7, so m = 8 would take minutes.
 MAX_BASIS_PATTERN_SIZE = 7
 _BOUNDS = (-sys.maxsize, 0, sys.maxsize)  # floor, floor under signs, ceiling
 # Plans and compiled searches kept per process.  verify compiles about 200, and
@@ -216,14 +216,15 @@ def _avoidance_test(
     picks the order once per call: unsigned patterns are sought in the
     window's mirror word, signed ones in the window itself.
 
-    `anchored` is for children from `core.grown` of windows that avoid every
-    pattern.  A child's first entries re-ranked are its parent, which sits in
-    the middle of the child's mirror word, so an occurrence must use the
-    appended entry: w(k) or -w(k) globally, the last position classically.
-    There the test calls pinned `_compiled` searches: on the last letter the
-    pattern rotated (last entry first), classically only if its sign matches;
-    on -w(k) only a p whose reverse-complement is not in the set, as the
-    mirror word is its own reverse-complement.
+    `anchored` is for the children of windows that avoid every pattern, as
+    in `core.walk`.  A child's first entries re-ranked are its parent, which
+    sits in the middle of the child's mirror word, so an occurrence must use
+    the appended entry: w(k) or -w(k) globally, the last position
+    classically.  The mirror word is its own reverse-complement, so an
+    occurrence of p through -w(k) is one of rc(p) through w(k): the test
+    calls pinned `_compiled` searches on the last letter only, for each
+    pattern rotated (last entry first), globally of P and rc(P),
+    classically only if its sign matches.
     """
     patterns = tuple(patterns)
     globally = _containment_order(patterns) == "global"
@@ -241,35 +242,20 @@ def _avoidance_test(
         return avoids
     if () in words:  # the empty pattern occurs in every child
         return lambda window: False
-    ending = {word: _compiled((word[-1], *word[:-1]), not globally, True, False) for word in words}
-    lasts = [tuple(search for word, search in ending.items()
+    if globally:
+        words = tuple(dict.fromkeys((*words, *map(_reverse_complement, words))))
+    lasts = [tuple(_compiled((word[-1], *word[:-1]), not globally, True, False) for word in words
                    if globally or (word[-1] > 0) == positive) for positive in (False, True)]
-    firsts = tuple(_compiled(word, False, True, False) for word in ending
-                   if globally and _reverse_complement(word) not in ending)
 
     def avoids_anchored(window: Sequence[int]) -> bool:
         word = mirror_of_window(window) if globally else window
-        a, z, end = word[0], word[-1], len(word) - 1
+        z, end = word[-1], len(word) - 1
         for search in lasts[z > 0]:
             if search(z, word, 0, end):
-                return False
-        for search in firsts:
-            if search(a, word, 1, end + 1):
                 return False
         return True
 
     return avoids_anchored
-
-
-def delete_window_entry(window: Sequence[int], index: int) -> tuple[int, ...]:
-    """
-    Remove one window entry and re-rank the remaining absolute values,
-    keeping signs: the unique signed pattern of size n - 1 occurring at the
-    remaining positions.
-    """
-    remaining = [v for i, v in enumerate(window) if i != index]
-    ranks = {a: r + 1 for r, a in enumerate(sorted(abs(v) for v in remaining))}
-    return tuple(ranks[abs(v)] if v > 0 else -ranks[abs(v)] for v in remaining)
 
 
 def global_basis(patterns: Iterable[Permutation]) -> tuple[SignedPermutation, ...]:
@@ -277,12 +263,17 @@ def global_basis(patterns: Iterable[Permutation]) -> tuple[SignedPermutation, ..
     The minimal set of signed patterns whose classical avoidance class equals
     the global avoidance class of `patterns`.
 
-    The class A_k of size k is grown from A_(k-1) for k = 1..m (the largest
-    pattern size), starting from B_0.  A child that contains a pattern is
-    minimal under classical containment iff each single-entry deletion, which
-    is exactly one-step classical containment, lies in A_(k-1); its last
-    deletion is its parent, which does.  Output is ordered by size, then
-    lexicographically.
+    The class is walked (`core.walk`) up to size m - 1, m the largest
+    pattern size.  A member's child at a site it left open that contains a
+    pattern is minimal under classical containment iff each single-entry
+    deletion, which is exactly one-step classical containment, avoids every
+    pattern.  Its last deletion is its parent, which does; every other
+    deletion ends in the appended entry, and its first entries are a
+    deletion of the parent, which avoids, so the anchored test decides it.
+    The child at a closed site contains the child at the matching site of
+    its grandparent, one of its deletions.  Deleting an entry needs no
+    re-ranking, as order-isomorphism decides containment.  Output is ordered
+    by size, then lexicographically.
     """
     patterns = tuple(patterns)
     if not patterns:
@@ -294,19 +285,18 @@ def global_basis(patterns: Iterable[Permutation]) -> tuple[SignedPermutation, ..
         raise PatternTooLargeError(
             f"pattern size {m} exceeds basis cap {MAX_BASIS_PATTERN_SIZE}"
         )
-    level, basis = frozenset({()}), []
-    for k in range(1, m + 1):
-        avoiding = set()
-        # A level where some pattern fits was filtered by the test, so its
-        # children are searched anchored; below that it is all of B_(k-1).
-        avoids = _avoidance_test(patterns, anchored=_fits(patterns, k - 1))
-        for window in grown(level, k):
-            if avoids(window):
-                if k < m:
-                    avoiding.add(window)
-            elif all(delete_window_entry(window, j) in level for j in range(k - 1)):
-                basis.append(window)
-        level = avoiding
+    first = next(k for k in range(m + 1) if _fits(patterns, k))
+    whole, anchored = _avoidance_test(patterns), _avoidance_test(patterns, anchored=True)
+    basis = []
+    for window, sites in walk(first - 1, m - 1, whole, anchored):
+        k = len(window)
+        # As in the walk, the children of B_(first - 1) are searched whole;
+        # their deletions, of size first - 1, all avoid.
+        test = whole if k < first else anchored
+        for child in grown_at(window, sites):
+            if not test(child) and (k < first or all(
+                    anchored(child[:j] + child[j + 1:]) for j in range(k))):
+                basis.append(child)
     return tuple(SignedPermutation(window) for window in sorted(basis, key=lambda w: (len(w), w)))
 
 

@@ -255,10 +255,10 @@ class TestListBasisTableaux:
         assert lines[0] == "2,1"
 
     def test_basis_above_cap_is_usage_error(self, capsys, monkeypatch):
-        def no_growth(previous, k):
-            raise AssertionError("basis grew windows")
+        def no_walk(*args):
+            raise AssertionError("basis walked the class")
 
-        monkeypatch.setattr("bperm.patterns.grown", no_growth)
+        monkeypatch.setattr("bperm.patterns.walk", no_walk)
         with pytest.raises(SystemExit) as excinfo:
             main(["basis", "--patterns", "1,2,3,4,5,6,7,8"])
         captured = capsys.readouterr()

@@ -13,12 +13,11 @@ from hypothesis import given, settings, strategies as st
 from bperm import enumeration, fixtures
 from bperm import patterns as patterns_module
 from bperm.core import (
-    Permutation, SignedPermutation, grown, grown_at, iter_windows, mirror_of_window,
+    Permutation, SignedPermutation, grown, grown_at, iter_windows, mirror_of_window, walk,
 )
 from bperm.enumeration import (
     SizeCapExceededError,
     _count_exhaustive,
-    _walk,
     avoiders,
     count_gav_132_and_decreasing,
     count_gav_132_and_increasing,
@@ -33,7 +32,7 @@ from bperm.enumeration import (
     unsigned_sequence,
 )
 from bperm.patterns import (
-    _fits, parse_unsigned_patterns, signed_word_contains, word_contains,
+    _avoidance_test, _fits, parse_unsigned_patterns, signed_word_contains, word_contains,
 )
 from bperm.tableaux import domino_count, syt_count
 
@@ -360,9 +359,9 @@ class TestSequenceEngine:
 
     def test_nothing_is_grown_or_searched_where_no_pattern_fits_at_the_top(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("grew or searched where no pattern fits")
+            raise AssertionError("walked or searched where no pattern fits")
 
-        monkeypatch.setattr(enumeration, "grown", refuse)
+        monkeypatch.setattr(enumeration, "walk", refuse)
         for name in ("word_contains", "signed_word_contains"):
             monkeypatch.setattr(patterns_module, name, refuse)
         monkeypatch.setattr(patterns_module, "_compiled", refuse)
@@ -379,7 +378,7 @@ class TestSequenceEngine:
 
 
 class TestWalk:
-    """The counting walk against a filter of the whole group, and its one claim."""
+    """The walk against a filter of the whole group, and its one claim."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_counts_equal_a_filter_of_the_whole_group(self, seed, recording_pool):
@@ -399,15 +398,19 @@ class TestWalk:
         ids=["smooth-global", "smooth-classical"] + [f"seed{seed}" for seed in range(10)],
     )
     def test_every_child_that_inheritance_skips_contains_a_pattern(self, patterns):
+        # The walk from B_(m-1), m the first size at which a pattern fits,
+        # yields each avoider of sizes m - 1 to 4 once, with its open sites.
         contains = whole_containment(patterns)
-        for n in range(1, 6):
-            if not _fits(patterns, n):
-                continue
-            counts = [0] * (n + 1)
-            for window, sites in _walk(patterns, n, counts):
-                tried = set(grown_at(window, sites))
-                assert len(tried) == len(sites)
-                assert all(contains(child) for child in grown([window], n) if child not in tried)
+        m = next(k for k in range(5) if _fits(patterns, k))
+        nodes = list(walk(m - 1, 4, _avoidance_test(patterns),
+                          _avoidance_test(patterns, anchored=True)))
+        assert sorted(window for window, _ in nodes) == sorted(
+            window for k in range(m - 1, 5) for window in whole_group(k) if not contains(window))
+        for window, sites in nodes:
+            tried = set(grown_at(window, sites))
+            assert len(tried) == len(sites)
+            assert all(contains(child) for child in grown([window], len(window) + 1)
+                       if child not in tried)
 
 
 class TestMemoCache:

@@ -193,26 +193,27 @@ class TestRunCheck:
         assert serial.status == parallel.status == "pass"
 
     @pytest.mark.parametrize(
-        "check_id, max_n, grown_per_size",
+        "check_id, max_n, walks",
         [
             # Two pattern routes, {3412, 4231} and the classical 11-list, each
-            # first fitting at size 2; the structural route grows nothing.
-            ("thm-smooth-bc", 5, {k: 2 for k in range(2, 6)}),
+            # first fitting at size 2, so walked from B_1 to size max_n - 1;
+            # the structural route walks nothing.
+            ("thm-smooth-bc", 5, 2),
             # One route per nonempty set of S_3 patterns, 63 in all, from size 2.
-            ("lemma-symmetry", 4, {k: 63 for k in range(2, 5)}),
+            ("lemma-symmetry", 4, 63),
         ],
     )
-    def test_each_pattern_route_is_grown_once(self, monkeypatch, check_id, max_n, grown_per_size):
-        grown = Counter()
-        original = bperm.enumeration.grown
+    def test_each_pattern_route_is_grown_once(self, monkeypatch, check_id, max_n, walks):
+        walked = Counter()
+        original = bperm.enumeration.walk
 
-        def counted(previous, k):
-            grown[k] += 1
-            return original(previous, k)
+        def counted(start, top, whole, anchored):
+            walked[start, top] += 1
+            return original(start, top, whole, anchored)
 
-        monkeypatch.setattr(bperm.enumeration, "grown", counted)
+        monkeypatch.setattr(bperm.enumeration, "walk", counted)
         assert run_check(check_id, max_n).status == "pass"
-        assert grown == grown_per_size
+        assert walked == {(1, max_n - 1): walks}
 
     def test_iota_draws_first_halves_not_all_of_s_2n(self, monkeypatch):
         # The 30 test patterns of sizes 3 and 4, then P(2n, n) first halves of

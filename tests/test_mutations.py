@@ -57,7 +57,7 @@ def _signed_kernel_ignoring_signs(monkeypatch):
 
 def _global_anchor_only_at_w_k(monkeypatch):
     # Every pattern reads as its own reverse-complement, so the anchored test
-    # makes no search at the first letter -w(k).
+    # searches no reverse-complement at w(k): no occurrence through -w(k).
     return _patch_everywhere(monkeypatch, patterns._reverse_complement, lambda pattern: pattern)
 
 
@@ -78,14 +78,6 @@ def _classical_anchor_ignoring_its_sign(monkeypatch):
         return lambda window: avoids(window) and avoids((*window[:-1], -window[-1]))
 
     return _patch_everywhere(monkeypatch, original, avoidance_test)
-
-
-def _deletion_without_reranking(monkeypatch):
-    return _patch_everywhere(
-        monkeypatch,
-        patterns.delete_window_entry,
-        lambda window, index: tuple(v for i, v in enumerate(window) if i != index),
-    )
 
 
 def _reverse_sending_132_to_123(monkeypatch):
@@ -204,15 +196,18 @@ MUTATIONS = {
     # signed kernel: prop-es-unsigned reads this unsigned kernel no more, and
     # fails with the signed one below.  cor-iota reads iota(w)'s patterns off
     # its index subsets, so only the mirror-word side runs this kernel.
+    # global_basis decides each candidate's deletions by pinned searches, not
+    # by this kernel, which decides the global class's members of the first
+    # size at which a pattern fits: prop-gl-basis compares the two.
     "word_contains ignores the last letter": (
         _word_contains_ignoring_last_letter,
-        BASELINE | _UNSIGNED | {"cor-iota", "prop-es-signed"},
+        BASELINE | _UNSIGNED | {"cor-iota", "prop-es-signed", "prop-gl-basis"},
     ),
-    # The anchored test reads the mirror word's antisymmetry: it skips the
-    # first-letter search of a pattern whose reverse-complement is in the set.
-    # Without the reversal a child's first letter is -w(1), so checks whose
-    # sets are closed under reverse-complement (the smooth and extremal
-    # monotone ones) fail too.
+    # The anchored test reads the mirror word's antisymmetry: it finds the
+    # occurrences through -w(k) as those of the reverse-complements through
+    # w(k).  Without the reversal -w(k) sits in the middle of the word, so
+    # checks whose sets are closed under reverse-complement (the smooth and
+    # extremal monotone ones) fail too.
     "mirror word without reversal": (
         _mirror_without_reversal,
         BASELINE | _UNSIGNED | {"cor-iota", "prop-es-signed", "prop-gl-basis"},
@@ -221,23 +216,29 @@ MUTATIONS = {
         _signed_kernel_ignoring_signs,
         BASELINE | _CLASSICAL | {"conj-smooth-count", "prop-es-unsigned"},
     ),
-    # The anchored test probes the children of every level filtered by the
-    # test.  A mirror word is its own reverse-complement, so an occurrence of
-    # p on -w(k) reflects to one of p's reverse-complement on w(k): searching
-    # the w(k) end alone still decides sets closed under reverse-complement
+    # The anchored test probes every child of an avoider in a walk.  A mirror
+    # word is its own reverse-complement, so an occurrence of p on -w(k)
+    # reflects to one of p's reverse-complement on w(k): searching the set
+    # alone at w(k) still decides sets closed under reverse-complement
     # (boolean, free, smooth, vexillary), and fails the checks of other sets.
     "global anchor searches only the w(k) end": (
         _global_anchor_only_at_w_k,
         BASELINE | {"conj-grassmannian", "lemma-symmetry", "thm-binomial-sum", "thm-fib-like"},
     ),
-    # A set holding a pattern and its reverse, but not its reverse-complement,
-    # loses first-letter searches; at max_n 3 only lemma-symmetry catches it.
-    "the rule computes rc as reverse only": (_rc_rule_by_reverse, BASELINE | {"lemma-symmetry"}),
+    # The anchored test searches the set and its reverses at w(k), not its
+    # reverse-complements: it misses the occurrences through -w(k), or finds
+    # false ones, in every set whose reverses and reverse-complements differ,
+    # such as {3412, 4231} (reverses 2143 and 1324) or {132}.  Only the
+    # checks whose sets are closed under both, as {2413, 3142} of oq-a115197
+    # is, or that grow no global class are left.
+    "the rule computes rc as reverse only": (
+        _rc_rule_by_reverse,
+        BASELINE | _UNSIGNED - {"oq-a115197"} | {"prop-gl-basis"},
+    ),
     "classical anchor ignores the pinned entry's sign": (
         _classical_anchor_ignoring_its_sign,
         BASELINE | _CLASSICAL | {"conj-smooth-count", "prop-es-unsigned"},
     ),
-    "entry deletion without re-ranking": (_deletion_without_reranking, BASELINE | _CLASSICAL),
     "REVERSE sends 132 to 123": (_reverse_sending_132_to_123, BASELINE | {"lemma-symmetry"}),
     "rc_reduce by reverse": (_rc_reduce_by_reverse, BASELINE | {"lemma-symmetry"}),
     # Below, the structural routes: each planted bug fails only the checks
@@ -250,8 +251,8 @@ MUTATIONS = {
     "descents ignore position 0": (_descents_ignoring_position_0, BASELINE | {"conj-grassmannian"}),
     "inverse drops signs": (_inverse_without_signs, BASELINE | {"conj-grassmannian"}),
     "rank_word reverses ranks": (_rank_word_reversed, BASELINE | {"cor-iota", "thm-binomial-sum"}),
-    # Growth serves both sides of most pattern comparisons: `core.grown` and
-    # the counting walk build every child through `grown_at`.  The bug is caught
+    # Growth serves both sides of most pattern comparisons: the walk
+    # (`core.walk`) builds every child through `grown_at`.  The bug is caught
     # against formulas, stored terms, predicate scans and unsigned counts
     # (unsigned windows never end in -k, so prop-es-unsigned is unharmed), and
     # by lemma-symmetry, as dropping -k is not symmetric.

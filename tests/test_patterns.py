@@ -21,16 +21,16 @@ from bperm.core import (
     mirror_of_window,
     rank_word,
     signed_permutations,
+    walk,
 )
 from bperm import enumeration
-from bperm.enumeration import _levels, avoiders, palindromic_compositions, sequence
+from bperm.enumeration import avoiders, palindromic_compositions, sequence
 from bperm import patterns as patterns_module
 from bperm.patterns import (
     PatternTooLargeError,
     apply_symmetry_to_set,
     classical_contains,
     count_global_occurrences,
-    delete_window_entry,
     format_pattern_set,
     global_basis,
     global_contains,
@@ -192,12 +192,13 @@ class TestProbeGarbage:
             assert signed_word_contains((-2, 1, 3), (1, 2))
             assert len(SignedPermutation((-3, -2, -1)).all_reduced_words()) == 2
             assert min(avoiders(smooth, [5])[5]) == (-5, 1, 2, 3, 4)
-            assert next(_levels(tuple(smooth), 4)) is None  # a generator left part way
+            tests = (patterns_module._avoidance_test(smooth, anchored=a) for a in (False, True))
+            assert len(list(islice(walk(1, 4, *tests), 10))) == 10  # a walk left part way
             assert domino_count((4, 2, 2)) == len(list(domino_tableaux((4, 2, 2))))
             assert next(domino_tableaux((4, 2))) == ((1, 1, 2, 2), (3, 3))
             assert len(list(standard_tableaux((2, 1)))) == 2
             assert len(list(palindromic_compositions(4))) == 4
-            assert next(grown(None, 5)) == (-5, -4, -3, -2, 1)
+            assert next(grown(iter_windows(4), 5)) == (-5, -4, -3, -2, 1)
             assert next(standard_tableaux((3, 2))) == ((1, 2, 3), (4, 5))
             assert next(palindromic_compositions(6)) == (6,)
             assert count_matches(tuple(range(1, 33)), range(1, 32), False) == 32
@@ -503,16 +504,15 @@ class TestAvoidersOracle:
         assert sequence([], range(5)) == orders
 
     def test_nothing_is_grown_where_no_pattern_fits(self, monkeypatch):
-        def no_growth(previous, k):
-            raise AssertionError(f"grew size {k}")
+        def no_walk(*args):
+            raise AssertionError("walked a class")
 
-        monkeypatch.setattr(enumeration, "grown", no_growth)
-        assert list(_levels((), 6)) == [None] * 6
+        monkeypatch.setattr(enumeration, "walk", no_walk)
         assert sequence([], range(6)) == {n: 2**n * factorial(n) for n in range(6)}
         assert len(avoiders([], [5])[5]) == 3840
         # A global pattern of size 5 first fits at size 3, a classical one of size 3 at 3.
         for patterns in [(Permutation((1, 2, 3, 4, 5)),), (SignedPermutation((1, -2, 3)),)]:
-            assert list(_levels(patterns, 3)) == [None] * 3
+            assert avoiders(patterns, range(3)) == {n: frozenset(iter_windows(n)) for n in range(3)}
         monkeypatch.undo()
         for patterns in [(Permutation((1, 2, 3, 4, 5)),), (SignedPermutation((1, -2, 3)),)]:
             assert avoiders(patterns, [3])[3] == frozenset(avoiders_oracle(3, patterns))
@@ -539,10 +539,10 @@ class TestAvoidersOracle:
          ([9], bperm.SizeCapExceededError), ([2, 9, 1], bperm.SizeCapExceededError)],
     )
     def test_bad_sizes_are_rejected_before_any_growth(self, monkeypatch, engine, sizes, error):
-        def no_growth(previous, k):
-            raise AssertionError(f"grew size {k}")
+        def no_walk(*args):
+            raise AssertionError("walked a class")
 
-        monkeypatch.setattr(enumeration, "grown", no_growth)
+        monkeypatch.setattr(enumeration, "walk", no_walk)
         with pytest.raises(error, match="sizes"):
             engine([Permutation((2, 1))], sizes)
         assert bperm.SizeCapExceededError is enumeration.SizeCapExceededError
@@ -558,7 +558,7 @@ class TestAvoidersOracle:
             raise AssertionError("built windows")
 
         monkeypatch.setattr(enumeration, "iter_windows", build)
-        monkeypatch.setattr(enumeration, "grown", build)
+        monkeypatch.setattr(enumeration, "walk", build)
         with pytest.raises(bperm.SizeCapExceededError, match="all of B_8.*`sequence` counts"):
             avoiders(patterns, [2, enumeration.MAX_SIGNED_SIZE])
         assert sequence(patterns, [8]) == {8: 10321920}
@@ -590,7 +590,6 @@ class TestPrunedWalk:
             below = list(filter(test, iter_windows(k - 1)))
             # Sorting keeps repeats, so a window grown twice fails the comparison.
             assert sorted(filter(test, grown(below, k))) == filtered
-            assert sorted(filter(test, grown(None, k))) == filtered
 
 
 @st.composite
@@ -616,10 +615,11 @@ class TestAnchoredSearch:
     A child from `grown` of an avoiding window contains a pattern only
     through its appended entry, so an anchored avoidance test, which finds
     only the occurrences using that entry, answers as the whole-word
-    kernels do.  Its global half skips the first-letter search of a pattern
-    whose reverse-complement is in the set, which holds on mirror words, so
-    it is checked on the mirror words of grown children, the only words it
-    is given; the pinned searches it calls are checked on arbitrary words.
+    kernels do.  Its global half searches the occurrences through -w(k) as
+    those of the reverse-complements through w(k), which holds on mirror
+    words, so it is checked on the mirror words of grown children, the only
+    words it is given; the pinned searches it calls are checked on arbitrary
+    words.
     """
 
     @given(case=grown_child_and_pattern())
@@ -697,8 +697,8 @@ class TestAnchoredSearch:
         ids=["rc-pair", "rc-pair-and-fixed", "rc-fixed-3412", "rc-fixed-321"],
     )
     def test_sets_closed_under_rc_walk_as_the_whole_group_filters(self, patterns):
-        # Every pattern's reverse-complement is in the set, so no first-letter
-        # search is made: the w(k) end alone decides each child.
+        # Every pattern's reverse-complement is in the set, so the anchored
+        # test searches the set itself at w(k).
         patterns = parse_unsigned_patterns(patterns)
         filtered = {n: frozenset(w for w in iter_windows(n) if not any(
                         word_contains(mirror_of_window(w), p.oneline) for p in patterns))
@@ -707,37 +707,50 @@ class TestAnchoredSearch:
         assert sequence(patterns, range(7)) == {n: len(members) for n, members in filtered.items()}
 
     @pytest.mark.parametrize(
+        "pair",
+        sorted({tuple(sorted((p, p[::-1]))) for p in permutations(range(1, 5))
+                if p != tuple(5 - v for v in reversed(p))}),
+        ids=lambda pair: "+".join("".join(map(str, p)) for p in pair),
+    )
+    def test_reverse_pairs_walk_as_the_whole_group_filters(self, pair):
+        # {p, reverse(p)} without rc(p): the anchored test must search the
+        # reverse-complements at w(k), which reverses alone would not give.
+        patterns = [Permutation(p) for p in pair]
+        filtered = {n: frozenset(w for w in iter_windows(n) if not any(
+                        word_contains(mirror_of_window(w), p) for p in pair))
+                    for n in range(6)}
+        assert avoiders(patterns, range(6)) == filtered
+        assert global_basis(patterns) == basis_by_scan(patterns)
+
+    @pytest.mark.parametrize(
         "patterns",
         [fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL,
          [Permutation((1, 2, 3, 4, 5))], [SignedPermutation((2, -3, 1))]],
         ids=["smooth-global", "smooth-classical", "12345", "(2,-3,1)"],
     )
     def test_only_children_of_filtered_levels_are_searched_anchored(self, probes, patterns):
-        # The children of B_(k-1), where no pattern fits at k - 1 (a None
-        # level, and the first sizes of global_basis), are searched whole.
+        # The children of B_(k-1), where no pattern fits at k - 1 (the roots
+        # of a walk), are searched whole.
         patterns = tuple(patterns)
         globally = isinstance(patterns[0], Permutation)
+
+        def seen():
+            return {(search == "anchored", len(word) // 2 if globally else len(word))
+                    for search, word in probes}
+
         sequence(patterns, range(7))
         avoiders(patterns, [5])
+        assert {anchored for anchored, _ in seen()} == {False, True}
+        assert all(anchored == patterns_module._fits(patterns, size - 1) for anchored, size in seen())
         if globally:
+            # global_basis searches the deletions of its candidates anchored,
+            # also those of the first size at which a pattern fits: their
+            # first entries avoid, as every window one size down does.
+            first = next(k for k in range(7) if patterns_module._fits(patterns, k))
+            probes.clear()
             global_basis(patterns)
-        seen = {(search == "anchored", len(word) // 2 if globally else len(word))
-                for search, word in probes}
-        assert {anchored for anchored, _ in seen} == {False, True}
-        assert all(anchored == patterns_module._fits(patterns, size - 1) for anchored, size in seen)
-
-
-class TestDeleteEntry:
-    def test_reranks_and_keeps_signs(self):
-        assert delete_window_entry((-2, 1, 3, -4), 2) == (-2, 1, -3)
-        assert delete_window_entry((3, -1, 2), 0) == (-1, 2)
-
-    @given(pair=window_and_signed_pattern())
-    def test_deletion_is_classically_contained(self, pair):
-        window, _ = pair
-        for j in range(len(window)):
-            smaller = delete_window_entry(window, j)
-            assert signed_occurrence_oracle(window, smaller) > 0
+            assert {size for anchored, size in seen() if not anchored} == {first}
+            assert min(size for anchored, size in seen() if anchored) == first
 
 
 def basis_by_scan(patterns):
@@ -756,7 +769,7 @@ def basis_by_scan(patterns):
     return tuple(
         SignedPermutation(window)
         for window in sorted(members, key=lambda w: (len(w), w))
-        if all(delete_window_entry(window, j) not in members for j in range(len(window)))
+        if all(_signed_rank(window[:j] + window[j + 1:]) not in members for j in range(len(window)))
     )
 
 
@@ -860,11 +873,11 @@ class TestGlobalBasis:
             global_basis([Permutation(tuple(range(1, 10)))])
 
     def test_size_8_is_rejected_before_any_window(self, monkeypatch):
-        # Growing the class to size 8 would take minutes.
-        def no_growth(previous, k):
-            raise AssertionError("global_basis grew windows")
+        # Walking the class to size 8 would take minutes.
+        def no_walk(*args):
+            raise AssertionError("global_basis walked the class")
 
-        monkeypatch.setattr(patterns_module, "grown", no_growth)
+        monkeypatch.setattr(patterns_module, "walk", no_walk)
         with pytest.raises(PatternTooLargeError, match="size 8 exceeds basis cap 7"):
             global_basis([Permutation(tuple(range(1, 9)))])
 
