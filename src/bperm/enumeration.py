@@ -166,15 +166,13 @@ def avoiders(
         return {n: frozenset(iter_windows(n)) for n in wanted}
     m = next(k for k in range(top + 1) if _fits(patterns, k))
     whole, anchored = _avoidance_test(patterns), _avoidance_test(patterns, anchored=True)
-    members, nodes = {n: [] for n in wanted}, []
+    test = anchored if _fits(patterns, top - 1) else whole
+    members = {n: [] for n in wanted}
     for window, sites in walk(m - 1, top - 1, whole, anchored):
         if len(window) in members:
             members[len(window)].append(window)
         if len(window) == top - 1:
-            nodes.append((window, sites))
-    test = anchored if _fits(patterns, top - 1) else whole
-    members[top] = [child for window, sites in nodes for child in grown_at(window, sites)
-                    if test(child)]
+            members[top] += filter(test, grown_at(window, sites))
     # Below the walk's roots, B_(m-1), no pattern fits.
     return {n: frozenset(iter_windows(n) if n < m - 1 else found) for n, found in members.items()}
 
