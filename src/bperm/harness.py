@@ -19,8 +19,9 @@ built from those dicts by `_set_rows` (a reference set against named
 alternates) and `_count_rows` (a reference count against an observed one);
 `_basis_row` and `_formula_rows` (a closed form against brute force) serve
 the rest, and `_check_family` and `_check_es` each serve several checks.
-The builders share only the row format.  `sequence` alone picks serial or
-pool, and nothing is kept between checks.
+The builders share only the row format.  Nothing is kept between checks, so
+`run_all` spreads whole checks over one pool, each check serial, while
+`run_check` passes its jobs to `sequence`, which spreads one count's top size.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, permutations as iter_permutations
 from math import comb
+from multiprocessing import Pool
 from typing import Callable, Iterable, Sequence
 
 from . import fixtures
@@ -564,12 +566,17 @@ def run_all(max_n: int | None = None, jobs: int = 1) -> list[CheckReport]:
     """
     if max_n is not None:
         _valid_max_n(max_n)
-    reports = []
-    for check_id in sorted(CHECKS):
-        check = CHECKS[check_id]
-        cap = check.max_n if max_n is None else min(max_n, check.max_n)
-        reports.append(run_check(check_id, cap, jobs))
-    return reports
+    caps = [
+        (check_id, check.max_n if max_n is None else min(max_n, check.max_n))
+        for check_id, check in sorted(CHECKS.items())
+    ]
+    if jobs <= 1:
+        return [run_check(check_id, cap, jobs) for check_id, cap in caps]
+    # The checks share no state, so whole checks run side by side.  Pool
+    # workers are daemonic and cannot start a count pool, so each check runs
+    # serially; chunksize 1 hands them out one at a time, in id order.
+    with Pool(processes=min(jobs, len(caps))) as pool:
+        return pool.starmap(run_check, [(check_id, cap, 1) for check_id, cap in caps], chunksize=1)
 
 
 def any_theorem_failed(reports: Iterable[CheckReport]) -> bool:

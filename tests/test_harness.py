@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import re
 from collections import Counter
 from dataclasses import asdict, replace
@@ -267,6 +268,35 @@ class TestRunAll:
             for r in desk_reports
         }
         assert observed == snapshot
+
+    def test_jobs_do_not_change_the_report(self):
+        # Cap 5 is POOL_MIN_SIZE: a check handed jobs=2 inside a pool worker
+        # would try to start a count pool there and fail its row.
+        serial = run_all(5, jobs=1)
+        pooled = run_all(5, jobs=2)
+        assert multiprocessing.active_children() == []
+        assert [replace(r, millis=0) for r in pooled] == [replace(r, millis=0) for r in serial]
+
+    def test_pool_has_at_most_one_process_per_check(self, monkeypatch):
+        asked = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def starmap(self, func, tasks, chunksize):
+                return [func(*task) for task in tasks]
+
+        monkeypatch.setattr(bperm.harness, "Pool", InlinePool)
+        pooled = run_all(2, jobs=64)
+        assert asked == [len(CHECKS)]
+        assert [replace(r, millis=0) for r in pooled] == [replace(r, millis=0) for r in run_all(2)]
 
     def test_max_n_zero_is_rejected(self):
         with pytest.raises(ValueError, match="max_n 0 checks nothing"):
