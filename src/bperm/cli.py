@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from . import fixtures
 from .classes import is_bigrassmannian, is_grassmannian
-from .core import Permutation, SignedPermutation, format_window, grown
+from .core import Permutation, SignedPermutation, format_window, grown_at
 from .enumeration import MAX_SIGNED_SIZE, avoiders, sequence as count_sequence
 from .harness import CHECKS, any_theorem_failed, run_all, run_check
 from .patterns import (
@@ -101,7 +101,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
     if callable(family):
         level = [()]
         for k in range(1, args.n + 1):
-            level = [window for window in grown(level, k) if family(SignedPermutation(window))]
+            sites = [site for a in range(1, k + 1) for site in (a, -a)]
+            level = [child for window in level for child in grown_at(window, sites)
+                     if family(SignedPermutation(child))]
         windows = sorted(level)
     else:
         windows = sorted(avoiders(family, [args.n])[args.n])

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, permutations, product
 from math import factorial
 from operator import neg
 from typing import Callable, Iterable, Iterator, Sequence
@@ -118,26 +118,14 @@ def window_apply_generator(window: Sequence[int], i: int) -> tuple[int, ...]:
 
 def iter_windows(n: int) -> Iterator[tuple[int, ...]]:
     """
-    All signed-permutation windows of size n, in lexicographic order.  Classes
-    are walked from smaller ones (`walk`); the whole group streams through
-    here only where it is the answer or the route being compared.
+    All signed-permutation windows of size n (none if n < 0), each once.
+    Classes are walked from smaller ones (`walk`); the whole group streams
+    through here only where it is the answer or the route being compared.
     """
-    if n == 0:
-        yield ()
+    if n < 0:
         return
-    yield from _extend([], [False] * (n + 1))
-
-
-def grown(previous: Iterable[tuple[int, ...]], k: int) -> Iterator[tuple[int, ...]]:
-    """
-    The children of the size-(k - 1) windows of `previous` at every site
-    (`grown_at`).  A window is the child of one window only, its first k - 1
-    entries re-ranked, so B_(k-1) grows B_k once, and the members of a family
-    closed under deleting the last entry grow each member one size up once.
-    """
-    sites = [site for a in range(1, k + 1) for site in (a, -a)]
-    for window in previous:
-        yield from grown_at(window, sites)
+    for values in permutations(range(1, n + 1)):
+        yield from product(*((-v, v) for v in values))
 
 
 def grown_at(window: tuple[int, ...], sites: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -187,22 +175,6 @@ def _descend(window: tuple[int, ...], sites: list[int], top: int, test: Callable
         inherited = ([site for site in opened if abs(site) <= a]
                      + [site + 1 if site > 0 else site - 1 for site in opened if abs(site) >= a])
         yield from _descend(child, inherited, top, anchored, anchored)
-
-
-def _extend(prefix: list[int], used: list[bool]) -> Iterator[tuple[int, ...]]:
-    """The windows that extend `prefix` by entries whose absolute values are not `used`."""
-    n = len(used) - 1
-    for v in range(-n, n + 1):
-        if v == 0 or used[abs(v)]:
-            continue
-        prefix.append(v)
-        if len(prefix) == n:
-            yield tuple(prefix)
-        else:
-            used[abs(v)] = True
-            yield from _extend(prefix, used)
-            used[abs(v)] = False
-        prefix.pop()
 
 
 def window_all_reduced_words(window: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -385,7 +357,7 @@ class SignedPermutation:
 
 
 def signed_permutations(n: int) -> Iterator[SignedPermutation]:
-    """All of the 2^n n! signed permutations of size n, in lexicographic window order."""
+    """All of the 2^n n! signed permutations of size n, each once."""
     for window in iter_windows(n):
         yield SignedPermutation(window)
 

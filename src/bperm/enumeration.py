@@ -138,13 +138,15 @@ def es_extremal_count(k: int, j: int, signed: bool) -> int:
 
 
 def _valid_sizes(sizes: Iterable[int], cap: int = MAX_SIGNED_SIZE) -> list[int]:
-    """The distinct sizes, ascending, if none is negative or above `cap`."""
-    sizes = sorted(set(sizes))
-    if sizes and sizes[0] < 0:
-        raise ValueError("sizes must be nonnegative")
-    if sizes and sizes[-1] > cap:
-        raise SizeCapExceededError(f"sizes beyond {cap} are not supported")
-    return sizes
+    """The distinct sizes, ascending, refused at the first one below 0 or above `cap`."""
+    distinct = set()
+    for n in sizes:
+        if n < 0:
+            raise ValueError("sizes must be nonnegative")
+        if n > cap:
+            raise SizeCapExceededError(f"sizes beyond {cap} are not supported")
+        distinct.add(n)
+    return sorted(distinct)
 
 
 def avoiders(
@@ -225,10 +227,11 @@ def normalized_pattern_key(pattern_words: Iterable[Sequence[int]]) -> str:
 
 def load_cache(path: str) -> dict[str, int]:
     """
-    Read a memo file of "patterns|order|n|count" lines.  Malformed lines are
-    skipped with one warning on stderr; their counts are recomputed, and
-    `sequence` rewrites the file without them.  A missing file is an empty
-    memo; any other unreadable path raises ValueError.
+    Read a memo file of "patterns|order|n|count" lines.  Malformed lines, a
+    negative n or count included, are skipped with one warning on stderr;
+    their counts are recomputed, and `sequence` rewrites the file without
+    them.  A missing file is an empty memo; any other unreadable path raises
+    ValueError.
     """
     cache: dict[str, int] = {}
     skipped = 0
@@ -240,6 +243,8 @@ def load_cache(path: str) -> dict[str, int]:
                     line = line.decode("utf-8").strip()
                     if line:
                         patterns, order, n, count = line.rsplit("|", 3)
+                        if int(n) < 0 or int(count) < 0:
+                            raise ValueError("negative size or count")
                         cache[f"{patterns}|{order}|{int(n)}"] = int(count)
                 except ValueError:  # UnicodeDecodeError is a ValueError
                     skipped += 1

@@ -14,7 +14,7 @@ from bperm.classes import (
     is_vexillary,
 )
 from bperm.cli import PROPERTIES, main, parse_size_range
-from bperm.core import signed_permutations
+from bperm.core import format_window, signed_permutations
 
 # Each `list` property's predicate, tested on every element: a route apart
 # from the pattern list that `list` walks.
@@ -133,8 +133,10 @@ class TestCount:
             (b"garbage\n3,2,1|global|1|2\n3,2,1|global|2|notanint\n", 2),
             # A line that is not UTF-8 is malformed too, not a usage error.
             (b"3,2,1|global|1|2\n\xff\xfe|global|2|6\n", 1),
+            # A negative size or count is never a count, so it is not served.
+            (b"3,2,1|global|1|2\n3,2,1|global|-2|6\n3,2,1|global|2|-6\n", 2),
         ],
-        ids=["unparsable", "not-utf-8"],
+        ids=["unparsable", "not-utf-8", "negative"],
     )
     def test_malformed_memo_lines_are_skipped_and_recomputed(
         self, capsys, tmp_path, monkeypatch, text, skipped
@@ -226,7 +228,8 @@ class TestListBasisTableaux:
             code, out = run_cli(capsys, "list", "--property", name, "--n", str(n))
             assert code == 0
             predicate = PREDICATES[name]
-            assert out == "".join(f"{w}\n" for w in signed_permutations(n) if predicate(w))
+            members = sorted(w.window for w in signed_permutations(n) if predicate(w))
+            assert out == "".join(f"{format_window(w)}\n" for w in members)
 
     @pytest.mark.parametrize(
         "name, lines",

@@ -4,6 +4,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, strategies as st
 
+from bperm import core
 from bperm.core import (
     DihedralSymmetry,
     InvalidOneLineError,
@@ -11,7 +12,7 @@ from bperm.core import (
     Permutation,
     SignedPermutation,
     format_window,
-    grown,
+    is_signed_window,
     iter_windows,
     parse_window,
     signed_group_order,
@@ -21,6 +22,7 @@ from bperm.core import (
     window_descents,
     window_length,
 )
+from growth import every_child
 
 
 def window_from_reduced_word(n, letters):
@@ -382,14 +384,26 @@ class TestEnumeration:
         for n in range(5):
             assert sum(1 for _ in signed_permutations(n)) == signed_group_order(n)
 
-    def test_lexicographic_order(self):
-        windows = list(iter_windows(2))
-        assert windows == sorted(windows)
-        assert windows[0] == (-2, -1)
-        assert windows[-1] == (2, 1)
+    def test_each_window_once(self):
+        for n in range(7):
+            windows = list(iter_windows(n))
+            assert len(set(windows)) == len(windows) == signed_group_order(n)
+            assert all(map(is_signed_window, windows))
+        # The walk of the empty pattern starts at B_(-1), which is empty.
+        assert list(iter_windows(-1)) == []
 
     def test_growth_from_the_whole_group_gives_each_window_once(self):
         # Sorting keeps repeats, so a window grown twice fails the comparison.
         for k in range(1, 6):
-            group = list(iter_windows(k))
-            assert sorted(grown(iter_windows(k - 1), k)) == group
+            group = sorted(iter_windows(k))
+            assert sorted(c for w in iter_windows(k - 1) for c in every_child(w)) == group
+
+    def test_the_whole_group_is_not_grown(self, monkeypatch):
+        # The predicate routes scan whole groups to check the grown classes,
+        # so a growth bug must not reach the scan.
+        def refuse(*args):
+            raise AssertionError("whole group built by growth")
+
+        monkeypatch.setattr(core, "grown_at", refuse)
+        assert len(list(iter_windows(5))) == signed_group_order(5)
+        assert len(list(signed_permutations(4))) == signed_group_order(4)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bperm import enumeration, fixtures
 from bperm import patterns as patterns_module
 from bperm.core import (
-    Permutation, SignedPermutation, grown, grown_at, iter_windows, mirror_of_window, walk,
+    Permutation, SignedPermutation, grown_at, iter_windows, mirror_of_window, walk,
 )
 from bperm.enumeration import (
     SizeCapExceededError,
@@ -35,6 +35,7 @@ from bperm.patterns import (
     _avoidance_test, _fits, parse_unsigned_patterns, signed_word_contains, word_contains,
 )
 from bperm.tableaux import domino_count, syt_count
+from growth import every_child
 
 
 @st.composite
@@ -354,6 +355,21 @@ class TestSequenceEngine:
         with pytest.raises(SizeCapExceededError):
             sequence([Permutation((2, 1))], [9])
 
+    @pytest.mark.parametrize(
+        "head, error", [(range(10), SizeCapExceededError), ((0, 1, 2, -1), ValueError)],
+        ids=["above-cap", "negative"],
+    )
+    @pytest.mark.parametrize("route", [sequence, avoiders])
+    def test_sizes_are_refused_at_the_first_bad_one(self, route, head, error):
+        # Sizes are read one by one, so a huge range is refused at its first
+        # bad size, before the rest of it is read.
+        def sizes():
+            yield from head
+            raise AssertionError("read past the first bad size")
+
+        with pytest.raises(error):
+            route([Permutation((2, 1))], sizes())
+
     def test_size_zero(self):
         assert sequence([Permutation((2, 1))], [0]) == {0: 1}
 
@@ -409,8 +425,7 @@ class TestWalk:
         for window, sites in nodes:
             tried = set(grown_at(window, sites))
             assert len(tried) == len(sites)
-            assert all(contains(child) for child in grown([window], len(window) + 1)
-                       if child not in tried)
+            assert all(contains(child) for child in every_child(window) if child not in tried)
 
 
 class TestMemoCache:

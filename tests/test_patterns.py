@@ -16,7 +16,6 @@ from bperm.core import (
     DihedralSymmetry,
     Permutation,
     SignedPermutation,
-    grown,
     iter_windows,
     mirror_of_window,
     rank_word,
@@ -44,6 +43,7 @@ from bperm.patterns import (
 from bperm.tableaux import domino_count, domino_tableaux, standard_tableaux
 import bperm
 from bperm import fixtures
+from growth import every_child
 
 
 def contains_oracle(word, pattern):
@@ -198,7 +198,7 @@ class TestProbeGarbage:
             assert next(domino_tableaux((4, 2))) == ((1, 1, 2, 2), (3, 3))
             assert len(list(standard_tableaux((2, 1)))) == 2
             assert len(list(palindromic_compositions(4))) == 4
-            assert next(grown(iter_windows(4), 5)) == (-5, -4, -3, -2, 1)
+            assert next(iter_windows(4)) == (-1, -2, -3, -4)
             assert next(standard_tableaux((3, 2))) == ((1, 2, 3), (4, 5))
             assert next(palindromic_compositions(6)) == (6,)
             assert count_matches(tuple(range(1, 33)), range(1, 32), False) == 32
@@ -359,7 +359,8 @@ class TestCompiledLoops:
         # Each avoidance test holds its searches, so an evicted entry costs
         # nothing to a test already built.
         test = patterns_module._avoidance_test(patterns, anchored=True)
-        children = list(grown(avoiders(patterns, [4])[4], 5))
+        avoiding = avoiders(patterns, [4])[4]
+        children = [child for window in avoiding for child in every_child(window)]
         before = patterns_module._compiled.cache_info()
         for window in islice(cycle(children), 1000):
             test(window)
@@ -586,10 +587,10 @@ class TestPrunedWalk:
     def test_pruning_equals_filtering(self, test):
         test = functools.lru_cache(maxsize=None)(test)  # each window is tested up to three times
         for k in range(1, 6):
-            filtered = list(filter(test, iter_windows(k)))
-            below = list(filter(test, iter_windows(k - 1)))
+            filtered = sorted(filter(test, iter_windows(k)))
+            below = filter(test, iter_windows(k - 1))
             # Sorting keeps repeats, so a window grown twice fails the comparison.
-            assert sorted(filter(test, grown(below, k))) == filtered
+            assert sorted(filter(test, (c for w in below for c in every_child(w)))) == filtered
 
 
 @st.composite
@@ -597,7 +598,7 @@ def grown_child_and_pattern(draw):
     """
     (signed, parent, child, pattern): a pattern, unsigned or signed, a window
     of size at most 3 avoiding it (by `_patterns_in`, no bperm kernel), and
-    one of the parent's children from `grown`.
+    one of the parent's children, at any site.
     """
     signed = draw(st.booleans())
     size = draw(st.integers(min_value=1, max_value=5 if signed else 6))
@@ -607,15 +608,14 @@ def grown_child_and_pattern(draw):
     parents = [w for w in iter_windows(k - 1) if pattern not in _patterns_in(w, size, signed)]
     assume(parents)
     parent = draw(st.sampled_from(parents))
-    return signed, parent, draw(st.sampled_from(list(grown([parent], k)))), pattern
+    return signed, parent, draw(st.sampled_from(list(every_child(parent)))), pattern
 
 
 class TestAnchoredSearch:
     """
-    A child from `grown` of an avoiding window contains a pattern only
-    through its appended entry, so an anchored avoidance test, which finds
-    only the occurrences using that entry, answers as the whole-word
-    kernels do.  Its global half searches the occurrences through -w(k) as
+    A child of an avoiding window contains a pattern only through its
+    appended entry, so an anchored avoidance test, which finds only the
+    occurrences using that entry, answers as the whole-word kernels do.  Its global half searches the occurrences through -w(k) as
     those of the reverse-complements through w(k), which holds on mirror
     words, so it is checked on the mirror words of grown children, the only
     words it is given; the pinned searches it calls are checked on arbitrary
@@ -633,7 +633,7 @@ class TestAnchoredSearch:
     def test_anchored_equals_whole_on_grown_children(self, nested, case):
         signed, parent, child, pattern = case
         assert pattern not in _patterns_in(parent, len(pattern), signed)
-        assert child in set(grown([parent], len(child)))
+        assert child in set(every_child(parent))
         avoids = patterns_module._avoidance_test(
             [SignedPermutation(pattern) if signed else Permutation(pattern)], anchored=True
         )
