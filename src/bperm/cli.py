@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from . import fixtures
 from .classes import is_bigrassmannian, is_grassmannian
-from .core import Permutation, SignedPermutation, format_window, grown_at
+from .core import Permutation, SignedPermutation, format_window, walk
 from .enumeration import MAX_SIGNED_SIZE, avoiders, sequence as count_sequence
 from .harness import CHECKS, any_theorem_failed, run_all, run_check
 from .patterns import (
@@ -42,10 +42,11 @@ from .tableaux import (
     syt_count,
 )
 
-# Each family's pattern list, listed by `avoiders`, or, for the two families
-# that are not pattern classes, a predicate that grows the family size by
-# size: deleting the last entry never adds a descent to a window or to its
-# inverse, so each member grows from a member one size smaller.
+# Each family's pattern list, listed by `avoiders`, or, for the two families with
+# no stored pattern list, a predicate that `core.walk` takes as both its tests.
+# Its site inheritance needs them closed under deleting any entry, and they are:
+# re-ranking keeps the signs and the signed order of 0, w(1), ..., w(n), so
+# deleting an entry adds no descent, and deleting one of w deletes one of w^-1.
 PROPERTIES: dict[str, Sequence | Callable[[SignedPermutation], bool]] = {
     "vexillary": fixtures.VEXILLARY_GLOBAL,
     "boolean": fixtures.BOOLEAN_GLOBAL,
@@ -99,12 +100,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must be between 0 and {MAX_SIGNED_SIZE}, not {args.n}")
     family = PROPERTIES[args.property]
     if callable(family):
-        level = [()]
-        for k in range(1, args.n + 1):
-            sites = [site for a in range(1, k + 1) for site in (a, -a)]
-            level = [child for window in level for child in grown_at(window, sites)
-                     if family(SignedPermutation(child))]
-        windows = sorted(level)
+        def member(window: tuple[int, ...]) -> bool:
+            return family(SignedPermutation(window))
+        windows = sorted(w for w, _, _ in walk(0, args.n, member, member) if len(w) == args.n)
     else:
         windows = sorted(avoiders(family, [args.n])[args.n])
     for window in windows:

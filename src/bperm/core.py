@@ -143,18 +143,18 @@ def grown_at(window: tuple[int, ...], sites: Iterable[int]) -> Iterator[tuple[in
 
 def walk(
     start: int, top: int, whole: Callable[[tuple], bool], anchored: Callable[[tuple], bool]
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+) -> Iterator[tuple[tuple[int, ...], list[int], Callable]]:
     """
-    The members of sizes `start` to `top` of a pattern class, depth first,
-    each with the sites its parent left open: a generating tree (West 1995)
-    whose roots are all of B_start, with every site open.  `whole` decides
-    the roots' children, `anchored` every deeper child, whose parent sits in
-    it re-ranked at its first positions and in the middle of its mirror
-    word, so that a pattern occurs in the child of an avoider only through
-    the appended entry.  If the child at a site contains a pattern, so does
-    every grandchild at a matching site, as deleting the middle entry leaves
-    that child; so each child tries only the sites its parent left open, as
-    in Vatter's enumeration schemes (2008).
+    The members of sizes `start` to `top` of a pattern class, depth first, each
+    with the sites its parent left open and the test that decides its children:
+    a generating tree (West 1995) whose roots are all of B_start, every site
+    open.  `whole` decides the roots' children and `anchored` every deeper one,
+    whose parent sits in it re-ranked at its first positions and in the middle
+    of its mirror word: a pattern occurs in the child of an avoider only through
+    the appended entry.  If the child at a site contains a pattern, so does each
+    grandchild at a matching site, as deleting the middle entry leaves that
+    child; so each child tries only the sites its parent left open, as in
+    Vatter's enumeration schemes (2008).
     """
     every = [site for a in range(1, start + 2) for site in (a, -a)]
     for root in iter_windows(start):
@@ -162,9 +162,9 @@ def walk(
 
 
 def _descend(window: tuple[int, ...], sites: list[int], top: int, test: Callable,
-             anchored: Callable) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+             anchored: Callable) -> Iterator[tuple[tuple[int, ...], list[int], Callable]]:
     """`walk` from the member `window`, whose children `test` decides at `sites`."""
-    yield window, sites
+    yield window, sites, test
     if len(window) == top:
         return
     children = list(filter(test, grown_at(window, sites)))

@@ -5,22 +5,18 @@ The avoidance-class engine, closed-form counting formulas, and the memo.
 `sequence(patterns, sizes)` "how many?", each for every size it is asked for
 in one pass; both check the sizes with `_valid_sizes` before growing
 anything.  The pattern type picks the containment order (unsigned: global,
-signed: classical).  Deleting the last entry of a window and re-ranking the
-rest gives a window of size n - 1 that occurs in it, so each avoider of size
-n is a child (`core.grown_at`) of one of size n - 1, a generating tree (West
-1995), and the avoidance test searches a child of an avoider only through its
-appended entry.  Where no pattern fits (`_fits`) every window avoids, and
-nothing is grown or searched; the children of B_(n-1) are searched whole.
+signed: classical).  Where no pattern fits (`_fits`) every window avoids, and
+nothing is grown or searched.
 
-Both walk the tree depth first from B_(m-1), m the first size at which some
-pattern fits, down to the avoiders one size below the top, each child trying
-only the sites its parent left open (`core.walk`), and filter the children of
-those avoiders at their sites.  Counts store no avoider.  A window's site a
-or -a is where its child appends a or -a.  Unsigned counts walk S_n as the
-classical class of -1, whose negative sites close at the root.  From size 5
-the count can hand the nodes one size below the top to a process pool and
-still merge deterministically (an integer sum).  An optional on-disk memo
-keyed by normalized pattern set, order, and size caches counts between runs.
+Both walk the class depth first (`core.walk`, a generating tree) from
+B_(m-1), m the first size at which some pattern fits, to the avoiders one
+size below the top, and filter the children of those avoiders at their sites.
+Counts store no avoider.  A window's site a or -a is where its child appends
+a or -a.  Unsigned counts walk S_n as the classical class of -1, whose
+negative sites close at the root.  From size 5 the count can hand the nodes
+one size below the top to a process pool and still merge deterministically
+(an integer sum).  An optional on-disk memo keyed by normalized pattern set,
+order, and size caches counts between runs.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -168,9 +164,8 @@ def avoiders(
         return {n: frozenset(iter_windows(n)) for n in wanted}
     m = next(k for k in range(top + 1) if _fits(patterns, k))
     whole, anchored = _avoidance_test(patterns), _avoidance_test(patterns, anchored=True)
-    test = anchored if _fits(patterns, top - 1) else whole
     members = {n: [] for n in wanted}
-    for window, sites in walk(m - 1, top - 1, whole, anchored):
+    for window, sites, test in walk(m - 1, top - 1, whole, anchored):
         if len(window) in members:
             members[len(window)].append(window)
         if len(window) == top - 1:
@@ -180,7 +175,10 @@ def avoiders(
 
 
 def _branch_count(task: tuple) -> int:
-    """The number of avoiders among the children of the task's nodes at their sites."""
+    """
+    The number of avoiders among the children of the task's nodes at their sites,
+    by a test built here: pool tasks are pickled, and avoidance tests are closures.
+    """
     n, patterns, nodes = task
     test = _avoidance_test(patterns, anchored=_fits(patterns, n - 1))
     return sum(sum(map(test, grown_at(window, sites))) for window, sites in nodes)
@@ -213,9 +211,9 @@ def _count_exhaustive(
     return counts
 
 
-def _tally(nodes: Iterator[tuple[tuple, list[int]]], top: int, counts: list[int]) -> Iterator:
-    """The `nodes` of size `top`, adding those of each size k to `counts[k]`."""
-    for window, sites in nodes:
+def _tally(nodes: Iterator[tuple], top: int, counts: list[int]) -> Iterator:
+    """The `nodes` of size `top` with their sites, adding those of each size k to `counts[k]`."""
+    for window, sites, _ in nodes:
         counts[len(window)] += 1
         if len(window) == top:
             yield window, sites

@@ -288,14 +288,12 @@ def global_basis(patterns: Iterable[Permutation]) -> tuple[SignedPermutation, ..
     first = next(k for k in range(m + 1) if _fits(patterns, k))
     whole, anchored = _avoidance_test(patterns), _avoidance_test(patterns, anchored=True)
     basis = []
-    for window, sites in walk(first - 1, m - 1, whole, anchored):
-        k = len(window)
-        # As in the walk, the children of B_(first - 1) are searched whole;
-        # their deletions, of size first - 1, all avoid.
-        test = whole if k < first else anchored
+    for window, sites, test in walk(first - 1, m - 1, whole, anchored):
+        # At the roots `test` is `whole`: their children's deletions, of size
+        # first - 1, all avoid.
         for child in grown_at(window, sites):
-            if not test(child) and (k < first or all(
-                    anchored(child[:j] + child[j + 1:]) for j in range(k))):
+            if not test(child) and (test is whole or all(
+                    anchored(child[:j] + child[j + 1:]) for j in range(len(window)))):
                 basis.append(child)
     return tuple(SignedPermutation(window) for window in sorted(basis, key=lambda w: (len(w), w)))
 

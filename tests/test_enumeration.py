@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from bperm import enumeration, fixtures
 from bperm import patterns as patterns_module
+from bperm.classes import is_bigrassmannian, is_grassmannian
 from bperm.core import (
     Permutation, SignedPermutation, grown_at, iter_windows, mirror_of_window, walk,
 )
@@ -416,16 +417,34 @@ class TestWalk:
     def test_every_child_that_inheritance_skips_contains_a_pattern(self, patterns):
         # The walk from B_(m-1), m the first size at which a pattern fits,
         # yields each avoider of sizes m - 1 to 4 once, with its open sites.
+        # Each yields the test that decides its children: `whole` at the
+        # roots, `anchored` below them.
         contains = whole_containment(patterns)
         m = next(k for k in range(5) if _fits(patterns, k))
-        nodes = list(walk(m - 1, 4, _avoidance_test(patterns),
-                          _avoidance_test(patterns, anchored=True)))
-        assert sorted(window for window, _ in nodes) == sorted(
+        whole, anchored = _avoidance_test(patterns), _avoidance_test(patterns, anchored=True)
+        nodes = list(walk(m - 1, 4, whole, anchored))
+        assert sorted(window for window, _, _ in nodes) == sorted(
             window for k in range(m - 1, 5) for window in whole_group(k) if not contains(window))
-        for window, sites in nodes:
+        for window, sites, test in nodes:
+            assert test is (whole if len(window) == m - 1 else anchored)
             tried = set(grown_at(window, sites))
             assert len(tried) == len(sites)
             assert all(contains(child) for child in every_child(window) if child not in tried)
+
+    @pytest.mark.parametrize("family", [is_grassmannian, is_bigrassmannian])
+    def test_a_family_closed_under_deletion_walks_with_its_predicate(self, family):
+        # `list` walks the two families with no stored pattern list this way:
+        # each member of sizes 0 to 5 once, and every child that inheritance
+        # skips is outside the family.
+        def member(window):
+            return family(SignedPermutation(window))
+
+        nodes = list(walk(0, 5, member, member))
+        assert sorted(window for window, _, _ in nodes) == sorted(
+            window for k in range(6) for window in whole_group(k) if member(window))
+        for window, sites, _ in nodes:
+            tried = set(grown_at(window, sites))
+            assert not any(member(child) for child in every_child(window) if child not in tried)
 
 
 class TestMemoCache:
