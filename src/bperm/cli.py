@@ -136,7 +136,7 @@ def _cmd_occurrences(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.check is not None:
-        reports = [run_check(args.check, args.max_n, jobs=args.jobs)]
+        reports = [run_check(args.check, args.max_n)]
     else:
         reports = run_all(args.max_n, jobs=args.jobs)
     if args.format == "json":
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the theorem/conjecture checks")
     p.add_argument("--check", choices=sorted(CHECKS), help="run one check only")
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="checks side by side; a --check runs alone")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(run=_cmd_verify)
 

@@ -1,7 +1,7 @@
 """
 The verification registry: each check replays one counting identity or set
 equality across all sizes up to a cap, recording expected/observed pairs.
-A check is one function `run(max_n, jobs) -> rows`, decorated with
+A check is one function `run(max_n) -> rows`, decorated with
 `@_check(id, max_n, description)`, which enters it into `CHECKS`.
 
 Checks whose id starts with "thm-", "prop-", "lemma-", or "cor-" verify
@@ -20,8 +20,8 @@ alternates) and `_count_rows` (a reference count against an observed one);
 `_basis_row` and `_formula_rows` (a closed form against brute force) serve
 the rest, and `_check_family` and `_check_es` each serve several checks.
 The builders share only the row format.  Nothing is kept between checks, so
-`run_all` spreads whole checks over one pool, each check serial, while
-`run_check` passes its jobs to `sequence`, which spreads one count's top size.
+`run_all` may spread whole checks over one pool; it alone starts processes,
+and a check runs in the process that calls `run_check`.
 """
 from __future__ import annotations
 
@@ -103,7 +103,7 @@ class Check:
     id: str
     description: str
     max_n: int
-    run: Callable[[int, int], list[CheckRow]]
+    run: Callable[[int], list[CheckRow]]
 
     @property
     def kind(self) -> str:
@@ -116,7 +116,7 @@ CHECKS: dict[str, Check] = {}
 def _check(check_id: str, max_n: int, description: str):
     """Register the decorated function as check `check_id`, with default cap `max_n`."""
 
-    def register(run: Callable[[int, int], list[CheckRow]]):
+    def register(run: Callable[[int], list[CheckRow]]):
         CHECKS[check_id] = Check(check_id, description, max_n, run)
         return run
 
@@ -183,19 +183,19 @@ def _check_family(
 
 
 @_check("thm-boolean", 4, "global {321,3412} = classical 10-list = distinct-letter reduced words")
-def _check_boolean(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_boolean(max_n: int) -> list[CheckRow]:
     return _check_family(
         fixtures.BOOLEAN_GLOBAL, fixtures.BOOLEAN_CLASSICAL, is_boolean, "reduced-words", max_n
     )
 
 
 @_check("thm-free", 5, "global {231,312,321} = classical 8-list = sparse support")
-def _check_free(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_free(max_n: int) -> list[CheckRow]:
     return _check_family(fixtures.FREE_GLOBAL, fixtures.FREE_CLASSICAL, is_free, "support", max_n)
 
 
 @_check("thm-vexillary", 5, "global 2143-avoidance = classical 9-pattern list = computed basis")
-def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_vexillary(max_n: int) -> list[CheckRow]:
     # Vexillarity has no structural criterion: whole-group filters by the
     # predicate and the classical list meet the grown classes in rows of their own.
     rows = [_basis_row(fixtures.VEXILLARY_CLASSICAL, global_basis(fixtures.VEXILLARY_GLOBAL))]
@@ -213,7 +213,7 @@ def _check_vexillary(max_n: int, jobs: int) -> list[CheckRow]:
 
 
 @_check("thm-smooth-bc", 5, "global {3412,4231} = classical 11-list = smooth in both types")
-def _check_smooth_bc(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_smooth_bc(max_n: int) -> list[CheckRow]:
     rows = _check_family(
         fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL, is_smooth_BC, "B-and-C", max_n
     )
@@ -238,11 +238,11 @@ def _check_smooth_bc(max_n: int, jobs: int) -> list[CheckRow]:
 @_check(
     "thm-central-binomial", 7, "|GAV_n(321)| = |GAV_n(123)| = C(2n,n), with two-row domino counts"
 )
-def _check_central_binomial(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_central_binomial(max_n: int) -> list[CheckRow]:
     rows = []
     sizes = range(1, max_n + 1)
-    decreasing = sequence([_decreasing(3)], sizes, jobs=jobs)
-    increasing = sequence([Permutation.identity(3)], sizes, jobs=jobs)
+    decreasing = sequence([_decreasing(3)], sizes)
+    increasing = sequence([Permutation.identity(3)], sizes)
     for n in sizes:
         expected = str(comb(2 * n, n))
         c_dec, c_inc = decreasing[n], increasing[n]
@@ -260,13 +260,13 @@ def _check_central_binomial(max_n: int, jobs: int) -> list[CheckRow]:
 
 
 @_check("thm-greene-counts", 4, "monotone global avoiders counted by squared domino-tableau sums")
-def _check_greene_counts(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_greene_counts(max_n: int) -> list[CheckRow]:
     # Avoiding 12..(k+1) bounds a shape's first row by k; avoiding
     # (j+1)..1 bounds its number of rows by j.
     # Each pattern is counted at the sizes n with k <= 2n, all in one sequence.
     sides = (("rows", Permutation.identity, lambda shape: shape[0]), ("cols", _decreasing, len))
     counts = {
-        (label, k): sequence([monotone(k + 1)], range((k + 1) // 2, max_n + 1), jobs=jobs)
+        (label, k): sequence([monotone(k + 1)], range((k + 1) // 2, max_n + 1))
         for label, monotone, _ in sides
         for k in range(1, 2 * max_n + 1)
     }
@@ -292,14 +292,13 @@ def _closed_form(k: int, n: int) -> int:
 
 def _formula_rows(
     max_n: int,
-    jobs: int,
     formula: Callable[[int, int], int],
     monotone: Callable[[int], Permutation],
     ks: range,
 ) -> list[CheckRow]:
     """Per size 1..max_n, formula(n, k) against a brute-force count of {132, monotone(k+1)}."""
     sizes = range(1, max_n + 1)
-    brutes = [sequence([fixtures.PATTERN_132, monotone(k + 1)], sizes, jobs=jobs) for k in ks]
+    brutes = [sequence([fixtures.PATTERN_132, monotone(k + 1)], sizes) for k in ks]
     return [
         CheckRow(
             n,
@@ -311,15 +310,13 @@ def _formula_rows(
 
 
 @_check("thm-fib-like", 6, "|GAV_n({132, 12..(k+1)})| satisfies the order-k recurrence")
-def _check_fib_like(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_fib_like(max_n: int) -> list[CheckRow]:
     rows = []
     for k in range(1, 11):
         expected = ",".join(str(_closed_form(k, i - k - 1)) for i in range(k + 1, 2 * k + 1))
         observed = ",".join(str(fib_like(k, i)) for i in range(k + 1, 2 * k + 1))
         rows.append(CheckRow(k, f"k={k}:{expected}", f"k={k}:{observed}"))
-    rows += _formula_rows(
-        max_n, jobs, count_gav_132_and_increasing, Permutation.identity, range(1, 5)
-    )
+    rows += _formula_rows(max_n, count_gav_132_and_increasing, Permutation.identity, range(1, 5))
     fib_expected = "2,3,5,8,13,21"
     fib_observed = ",".join(str(count_gav_132_and_increasing(n, 2)) for n in range(1, 7))
     rows.append(CheckRow(6, fib_expected, fib_observed))
@@ -329,11 +326,9 @@ def _check_fib_like(max_n: int, jobs: int) -> list[CheckRow]:
 @_check(
     "thm-binomial-sum", 6, "|GAV_n({132, (k+1)k..1})| equals a binomial sum; 132-avoiders are 2^n"
 )
-def _check_binomial_sum(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_binomial_sum(max_n: int) -> list[CheckRow]:
     rows = []
-    formula_rows = _formula_rows(
-        max_n, jobs, count_gav_132_and_decreasing, _decreasing, range(1, 6)
-    )
+    formula_rows = _formula_rows(max_n, count_gav_132_and_decreasing, _decreasing, range(1, 6))
     gav_132 = avoiders([fixtures.PATTERN_132], range(1, max_n + 1))
     for n, formula_row in enumerate(formula_rows, start=1):
         rows.append(formula_row)
@@ -353,7 +348,7 @@ def _check_binomial_sum(max_n: int, jobs: int) -> list[CheckRow]:
     return rows
 
 
-def _check_es(max_kj: int, jobs: int, signed: bool) -> list[CheckRow]:
+def _check_es(max_kj: int, signed: bool) -> list[CheckRow]:
     """Extremal {12..(k+1), (j+1)..1}-avoiders at the Erdős–Szekeres bound, none above."""
     rows = []
     for k in range(1, max_kj + 1):
@@ -362,8 +357,7 @@ def _check_es(max_kj: int, jobs: int, signed: bool) -> list[CheckRow]:
             bound = es_bound(k, j, signed=signed)
             extremal = es_extremal_count(k, j, signed=signed)
             sizes = (bound, bound + 1)
-            counts = (sequence(patterns, sizes, jobs=jobs) if signed
-                      else unsigned_sequence(patterns, sizes))
+            counts = sequence(patterns, sizes) if signed else unsigned_sequence(patterns, sizes)
             observed = f"{counts[bound]};{counts[bound + 1]}"
             rows.append(CheckRow(bound, f"k={k},j={j}:{extremal};0", f"k={k},j={j}:{observed}"))
     return rows
@@ -372,19 +366,19 @@ def _check_es(max_kj: int, jobs: int, signed: bool) -> list[CheckRow]:
 @_check(
     "prop-es-unsigned", 6, "extremal monotone avoiders in S_kj counted by squared rectangle tableaux"
 )
-def _check_es_unsigned(max_kj: int, jobs: int) -> list[CheckRow]:
-    return _check_es(max_kj, jobs, signed=False)
+def _check_es_unsigned(max_kj: int) -> list[CheckRow]:
+    return _check_es(max_kj, signed=False)
 
 
 @_check(
     "prop-es-signed", 6, "extremal monotone global avoiders counted by squared domino tableaux"
 )
-def _check_es_signed(max_kj: int, jobs: int) -> list[CheckRow]:
-    return _check_es(max_kj, jobs, signed=True)
+def _check_es_signed(max_kj: int) -> list[CheckRow]:
+    return _check_es(max_kj, signed=True)
 
 
 @_check("lemma-symmetry", 4, "dihedral symmetries preserve global avoidance counts")
-def _check_symmetry(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_symmetry(max_n: int) -> list[CheckRow]:
     s3 = [Permutation(p) for p in iter_permutations((1, 2, 3))]
     subsets = [frozenset(c) for r in range(1, len(s3) + 1) for c in combinations(s3, r)]
     expected = f"symmetric:{len(subsets) * len(DihedralSymmetry)};rc-stable:{len(subsets)}"
@@ -404,7 +398,7 @@ def _check_symmetry(max_n: int, jobs: int) -> list[CheckRow]:
 
 
 @_check("cor-iota", 4, "the doubling embedding hits exactly the rc-invariant permutations")
-def _check_iota(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_iota(max_n: int) -> list[CheckRow]:
     test_patterns = [Permutation(p) for p in iter_permutations((1, 2, 3))]
     test_patterns += [Permutation(p) for p in iter_permutations((1, 2, 3, 4))]
     zero_based = [(p, tuple(v - 1 for v in p.oneline)) for p in test_patterns]
@@ -449,7 +443,7 @@ _FEATURED_SETS: dict[str, tuple[Permutation, ...]] = {
 
 
 @_check("prop-gl-basis", 4, "global classes equal classical classes of their computed bases")
-def _check_gl_basis(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_gl_basis(max_n: int) -> list[CheckRow]:
     bases = {name: global_basis(patterns) for name, patterns in _FEATURED_SETS.items()}
     antichain_ok = all(
         not classical_contains(a, b)
@@ -471,7 +465,7 @@ def _check_gl_basis(max_n: int, jobs: int) -> list[CheckRow]:
 
 
 @_check("conj-grassmannian", 5, "(bi)grassmannian = global avoidance of the conjectured lists")
-def _check_grassmannian(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_grassmannian(max_n: int) -> list[CheckRow]:
     sizes = range(1, max_n + 1)
     patterns = {"global-patterns": avoiders(fixtures.GRASSMANNIAN_GLOBAL, sizes)}
     gr = _set_rows(_members(sizes, is_grassmannian), patterns)
@@ -484,25 +478,25 @@ def _check_grassmannian(max_n: int, jobs: int) -> list[CheckRow]:
 
 
 @_check("conj-smooth-count", 5, "|GAV_n({3412,4231})| matches unsigned smooth counts one size up")
-def _check_smooth_count(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_smooth_count(max_n: int) -> list[CheckRow]:
     unsigned = unsigned_sequence(fixtures.SMOOTH_A_UNSIGNED, range(2, max_n + 2))
-    globally = sequence(fixtures.SMOOTH_BC_GLOBAL, range(1, max_n + 1), jobs=jobs)
+    globally = sequence(fixtures.SMOOTH_BC_GLOBAL, range(1, max_n + 1))
     return _count_rows({n - 1: count for n, count in unsigned.items()}, globally)
 
 
 @_check("oq-gao-hanni", 6, "|GAV_n(2143)| = |GAV_n(1234)|")
-def _check_gao_hanni(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_gao_hanni(max_n: int) -> list[CheckRow]:
     sizes = range(1, max_n + 1)
-    left = sequence(fixtures.GAO_HANNI_LEFT, sizes, jobs=jobs)
-    return _count_rows(left, sequence(fixtures.GAO_HANNI_RIGHT, sizes, jobs=jobs))
+    left = sequence(fixtures.GAO_HANNI_LEFT, sizes)
+    return _count_rows(left, sequence(fixtures.GAO_HANNI_RIGHT, sizes))
 
 
 @_check("oq-a115197", 5, "|GAV_n({2413,3142})| matches the stored OEIS A115197 prefix")
-def _check_a115197(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_a115197(max_n: int) -> list[CheckRow]:
     # The stored prefix bounds the sizes compared, whatever max_n asks for.
     sizes = range(1, min(max_n, len(fixtures.A115197_PREFIX) - 1) + 1)
     prefix = {n: fixtures.A115197_PREFIX[n] for n in sizes}
-    return _count_rows(prefix, sequence(fixtures.SEPARABLE_GLOBAL, sizes, jobs=jobs))
+    return _count_rows(prefix, sequence(fixtures.SEPARABLE_GLOBAL, sizes))
 
 
 def _uses_each_generator_at_most_twice(w: SignedPermutation) -> bool:
@@ -515,7 +509,7 @@ def _uses_each_generator_at_most_twice(w: SignedPermutation) -> bool:
 
 
 @_check("oq-two-boolean", 4, "each-generator-at-most-twice vs global {3421,4312,4321,456123}")
-def _check_two_boolean(max_n: int, jobs: int) -> list[CheckRow]:
+def _check_two_boolean(max_n: int) -> list[CheckRow]:
     sizes = range(1, max_n + 1)
     pattern_side = {"global-patterns": avoiders(fixtures.TWO_BOOLEAN_GLOBAL, sizes)}
     return _set_rows(_members(sizes, _uses_each_generator_at_most_twice), pattern_side)
@@ -532,7 +526,7 @@ def _valid_max_n(max_n: int) -> int:
     return max_n
 
 
-def run_check(check_id: str, max_n: int | None = None, jobs: int = 1) -> CheckReport:
+def run_check(check_id: str, max_n: int | None = None) -> CheckReport:
     """
     Run one registered check across sizes 1..max_n.  Mismatches are recorded,
     never raised; theorem checks report pass/fail and conjecture checks
@@ -546,7 +540,7 @@ def run_check(check_id: str, max_n: int | None = None, jobs: int = 1) -> CheckRe
     cap = _valid_max_n(check.max_n if max_n is None else max_n)
     start = time.perf_counter()
     try:
-        rows = tuple(check.run(cap, jobs))
+        rows = tuple(check.run(cap))
     except Exception as exc:  # a crashing check is a failed check, not bad input
         rows = (CheckRow(cap, "no error", f"{type(exc).__name__}: {exc}"),)
     millis = int((time.perf_counter() - start) * 1000)
@@ -561,8 +555,10 @@ def run_check(check_id: str, max_n: int | None = None, jobs: int = 1) -> CheckRe
 def run_all(max_n: int | None = None, jobs: int = 1) -> list[CheckReport]:
     """
     Run every registered check, ordered by id; each check runs at its own
-    default cap, lowered to max_n when that is given.  Failures are collected,
-    not fatal; a bad max_n raises before any check runs, as in `run_check`.
+    default cap, lowered to max_n when that is given.  With jobs > 1, whole
+    checks run side by side on one pool of at most `jobs` processes, handed
+    out one at a time in id order.  Failures are collected, not fatal; a bad
+    max_n raises before any check runs, as in `run_check`.
     """
     if max_n is not None:
         _valid_max_n(max_n)
@@ -571,12 +567,9 @@ def run_all(max_n: int | None = None, jobs: int = 1) -> list[CheckReport]:
         for check_id, check in sorted(CHECKS.items())
     ]
     if jobs <= 1:
-        return [run_check(check_id, cap, jobs) for check_id, cap in caps]
-    # The checks share no state, so whole checks run side by side.  Pool
-    # workers are daemonic and cannot start a count pool, so each check runs
-    # serially; chunksize 1 hands them out one at a time, in id order.
+        return [run_check(check_id, cap) for check_id, cap in caps]
     with Pool(processes=min(jobs, len(caps))) as pool:
-        return pool.starmap(run_check, [(check_id, cap, 1) for check_id, cap in caps], chunksize=1)
+        return pool.starmap(run_check, caps, chunksize=1)
 
 
 def any_theorem_failed(reports: Iterable[CheckReport]) -> bool:

@@ -14,8 +14,6 @@ from bperm.enumeration import palindromic_composition_count, sequence
 from bperm.harness import run_check
 from bperm.patterns import global_contains
 
-JOBS = 2
-
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
     line = f"{'PASS' if ok else 'FAIL'} {name}"
@@ -34,7 +32,7 @@ def _mismatches(report) -> str:
 
 
 def _criterion_from_check(name, check_id, max_n, expect_status):
-    report = run_check(check_id, max_n, jobs=JOBS)
+    report = run_check(check_id, max_n)
     _report(
         name,
         report.status == expect_status,
@@ -196,7 +194,7 @@ def test_criterion_11_conjecture_monitoring():
     # The 2-boolean question is monitored but makes no claim either way; at
     # desk scale the answer is already negative (rank-2 longest element), and
     # that must be reported without failing the build.
-    report = run_check("oq-two-boolean", 4, jobs=JOBS)
+    report = run_check("oq-two-boolean", 4)
     _report(
         "criterion-11e 2-boolean monitoring reports without breaking",
         report.status in ("conjecture-holds", "conjecture-fails"),

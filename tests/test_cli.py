@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import bperm.enumeration
 from bperm.classes import (
     is_bigrassmannian,
     is_boolean,
@@ -15,6 +16,7 @@ from bperm.classes import (
 )
 from bperm.cli import PROPERTIES, main, parse_size_range
 from bperm.core import format_window, signed_permutations
+from bperm.harness import CHECKS, Check, CheckRow
 
 # Each `list` property's predicate, tested on every element: a route apart
 # from the pattern list that `list` walks.
@@ -331,6 +333,24 @@ class TestVerify:
         assert out.startswith("PASS")
         assert "thm-central-binomial" in out
 
+    @pytest.mark.parametrize("check_id", sorted(CHECKS))
+    def test_one_check_runs_alone_at_any_jobs(self, capsys, monkeypatch, check_id):
+        # At their default caps six checks count a size of 5 or more, where a
+        # count given jobs > 1 starts a pool.  --jobs sizes only the pool of
+        # whole checks, as make -jN does with one target: one check starts none.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single check started a count pool")
+
+        def report(jobs):
+            code, out = run_cli(capsys, "verify", "--check", check_id, "--jobs", jobs,
+                                "--format", "json")
+            assert code == 0
+            return [{k: v for k, v in r.items() if k != "millis"} for r in json.loads(out)]
+
+        serial = report("1")
+        monkeypatch.setattr(bperm.enumeration, "Pool", no_pool)
+        assert report("2") == serial
+
     def test_conjecture_failure_keeps_exit_zero(self, capsys):
         code, out = run_cli(capsys, "verify", "--check", "oq-two-boolean", "--max-n", "2")
         assert code == 0
@@ -360,13 +380,11 @@ class TestVerify:
 
     def test_theorem_failure_exits_one(self, capsys, monkeypatch):
         # Install a synthetic always-failing theorem check to pin the contract.
-        from bperm.harness import CHECKS, Check, CheckRow
-
         failing = Check(
             "thm-synthetic-failure",
             "always fails",
             2,
-            lambda max_n, jobs: [CheckRow(1, "0", "1")],
+            lambda max_n: [CheckRow(1, "0", "1")],
         )
         monkeypatch.setitem(CHECKS, failing.id, failing)
         code = main(["verify", "--check", failing.id])
@@ -379,9 +397,8 @@ class TestVerify:
         # The exception is a ValueError, which the CLI otherwise reports as a
         # usage error (exit 2) with every other check's report lost.
         from bperm.classes import NotColayeredError
-        from bperm.harness import CHECKS
 
-        def crash(max_n, jobs):
+        def crash(max_n):
             raise NotColayeredError("3,1,4,2 is not colayered")
 
         crashing = replace(CHECKS["thm-binomial-sum"], run=crash)

@@ -145,7 +145,7 @@ class TestRunCheck:
     def test_crashing_check_fails_with_a_row_naming_the_error(
         self, monkeypatch, check_id, status
     ):
-        def crash(max_n, jobs):
+        def crash(max_n):
             raise NotColayeredError("3,1,4,2 is not colayered")
 
         monkeypatch.setitem(CHECKS, check_id, replace(CHECKS[check_id], run=crash))
@@ -182,16 +182,6 @@ class TestRunCheck:
         monkeypatch.setattr(bperm.harness, predicate, counting)
         assert run_check(check_id, 2).status == "pass"
         assert len(calls) == 2 + 8  # every element of B_1 and B_2
-
-    @pytest.mark.parametrize(
-        "check_id", ["thm-central-binomial", "thm-fib-like", "thm-binomial-sum"]
-    )
-    def test_jobs_do_not_change_report(self, check_id):
-        # Size 5 is the first that `_count_exhaustive` sends to the pool.
-        serial = run_check(check_id, 5, jobs=1)
-        parallel = run_check(check_id, 5, jobs=2)
-        assert serial.rows == parallel.rows
-        assert serial.status == parallel.status == "pass"
 
     @pytest.mark.parametrize(
         "check_id, max_n, walks",
@@ -270,8 +260,8 @@ class TestRunAll:
         assert observed == snapshot
 
     def test_jobs_do_not_change_the_report(self):
-        # Cap 5 is POOL_MIN_SIZE: a check handed jobs=2 inside a pool worker
-        # would try to start a count pool there and fail its row.
+        # Cap 5 is POOL_MIN_SIZE, the first size at which a count may pool:
+        # each check runs in its worker as it runs alone, starting no pool.
         serial = run_all(5, jobs=1)
         pooled = run_all(5, jobs=2)
         assert multiprocessing.active_children() == []

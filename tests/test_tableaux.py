@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -384,3 +385,11 @@ class TestShapeOfSigned:
                 mirror = w.mirror_word()
                 assert shape[0] == lis(mirror)
                 assert len(shape) == lds(mirror)
+
+    def test_shapes_are_counted_by_squared_domino_counts(self):
+        # The Garfinkle-Barbasch-Vogan identity shape by shape: RS insertion
+        # of each mirror word against the 2-quotient hook formula.
+        for n in range(7):
+            by_shape = Counter(shape_of_signed(w) for w in signed_permutations(n))
+            tileable = (s for s in partitions(2 * n) if is_domino_tileable(s))
+            assert by_shape == {s: domino_count(s) ** 2 for s in tileable}
