@@ -19,13 +19,13 @@ classes: `global_basis` computes, for a set P of unsigned patterns, the
 unique minimal antichain of signed patterns whose classical avoidance class
 coincides with the global avoidance class of P.
 
-One search decides or counts in both orders: a plan made once per pattern
-bounds each entry by its nearest smaller and larger earlier entries, and
-`_compiled` turns it, on first use, into a function of nested loops, one
-`for` loop per entry.  `word_contains` and `signed_word_contains` search a
-whole word.  An avoidance test of a child of an avoider in a walk of its
-class (`core.walk`) calls functions fetched once, pinned on its last letter,
-for the occurrences through its appended entry.
+One search decides or counts in both orders: `_compiled` builds, on first
+use, a function of nested loops, one `for` loop per entry, bounding each
+entry by its nearest smaller and larger earlier entries.  `word_contains`
+and `signed_word_contains` search a whole word.  An avoidance test of a
+child of an avoider in a walk of its class (`core.walk`) calls functions
+fetched once, pinned on its last letter, for the occurrences through its
+appended entry.
 
 Pattern-set text grammar (shared with the CLI): patterns separated by ";",
 entries by ",", e.g. "3,4,1,2;4,2,3,1" (unsigned) or "-2,1;-1,-2" (signed).
@@ -50,10 +50,10 @@ from .core import (
 # site.  For the identity, m = 7 tests nearly all of B_7 (3.2-3.7 s CPU at 18 MB
 # peak RSS on a 2-vCPU VM); B_8 is 16 times B_7, so m = 8 would take minutes.
 MAX_BASIS_PATTERN_SIZE = 7
-_BOUNDS = (-sys.maxsize, 0, sys.maxsize)  # floor, floor under signs, ceiling
-# Plans and compiled searches kept per process.  verify compiles about 200, and
-# one compiled search holds about 3.5 KB; an avoidance test holds its own.
+# Compiled searches kept per process.  verify compiles about 200, and one
+# holds about 3.5 KB; an avoidance test holds its own.
 _CACHE_SIZE = 4096
+_NESTED = 16  # entries per generated function: Python nests at most 20 loops
 
 
 class PatternTooLargeError(ValueError):
@@ -61,65 +61,49 @@ class PatternTooLargeError(ValueError):
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _plan(pattern: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
-    """
-    Per entry of `pattern`, (low, high, sign, rest, cut_low, cut_high): a
-    letter v fits iff sign*matched[low] < v < sign*matched[high], where slots
-    0-2 hold `_BOUNDS` and slot 3 + j entry j's letter times its sign: the
-    nearest smaller and larger earlier entries by absolute value, or bounds.
-    `rest` entries follow.  cut_high (cut_low): no later entry reads this one
-    as its high (low) bound, so after they fail at v, the scan's high (low)
-    bound moves to v.  Sign -1 swaps low with high and cut_low with cut_high.
-    """
-    keys = [abs(p) for p in pattern]
-    near = [
-        (3 + max((j for j in range(d) if keys[j] < key), key=keys.__getitem__, default=signed - 3),
-         3 + min((j for j in range(d) if keys[j] > key), key=keys.__getitem__, default=-1))
-        for d, key in enumerate(keys)
-    ]
-    lows, highs = {low for low, _ in near}, {high for _, high in near}
-    return tuple(
-        (high, low, -1, len(keys) - 1 - d, 3 + d not in highs, 3 + d not in lows)
-        if signed and pattern[d] < 0
-        else (low, high, 1, len(keys) - 1 - d, 3 + d not in lows, 3 + d not in highs)
-        for d, (low, high) in enumerate(near)
-    )
-
-
-_NESTED = 16  # entries per generated function: Python nests at most 20 loops
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
               first: int = 0) -> Callable:
     """
-    `_plan` of `pattern` compiled into nested `for` loops, one per entry, with
-    each entry's bounds in locals, matching index subsets of a word (distinct
-    letters below sys.maxsize in absolute value) order-isomorphic to
-    `pattern` or, if `signed`, in absolute value with the same signs.  A
-    letter v bounds a later entry as v times both entries' signs, so under
-    signs the floor 0 rejects a wrong sign and one test serves both orders.
+    Nested `for` loops, one per entry, matching index subsets of a word
+    (distinct letters below sys.maxsize in absolute value) order-isomorphic
+    to `pattern` or, if `signed`, in absolute value with the same signs.
+    Each entry lies strictly between its nearest smaller and nearest larger
+    earlier entries by absolute value, or the floor and sys.maxsize, each
+    bound held in a local: an earlier letter times both entries' signs, or
+    the floor or sys.maxsize times the entry's sign, which swaps the two
+    bounds if -1.  Under signs the floor 0 rejects a wrong sign, so one test
+    serves both orders.
     The function takes (word, start, end), or (v0, word, start, end) if
     `pinned`, which matches entry 0 on the letter v0 alone; the other entries
     match in word[start:end].  It returns the number of matches if `count`,
     else whether there is one.  It holds at most `_NESTED` entries from
     `first`, taking the letters v0..v(first - 1) of the earlier entries as
     more arguments, and its innermost loop hands the later entries to the next
-    such function.  The source holds only the plan's integers and fixed names.
+    such function.  The source holds only integers and fixed names, never
+    pattern text.
+
+    The cuts: when no later entry reads entry d as its upper (lower) bound,
+    a letter for d further along the word and larger (smaller) in absolute
+    value than a letter v whose subtree found nothing only narrows the later
+    entries' ranges, so it finds nothing either: the scan's bound moves to v.
     """
-    steps = _plan(pattern, signed)
-    last = min(first + _NESTED, len(steps))
+    keys = [abs(v) for v in pattern]
+    signs = [-1 if signed and v < 0 else 1 for v in pattern]
+    smaller = [max((j for j in range(d) if keys[j] < key), key=keys.__getitem__, default=None)
+               for d, key in enumerate(keys)]
+    larger = [min((j for j in range(d) if keys[j] > key), key=keys.__getitem__, default=None)
+              for d, key in enumerate(keys)]
+    floor = 0 if signed else -sys.maxsize
+    last = min(first + _NESTED, len(pattern))
     params = ["v0"] * pinned + ["word", "start", "end"] + [f"v{j}" for j in range(first)]
     lines, closers, pad, begin = [f"def f({', '.join(params)}):"], [], " ", "start"
     if count:
         lines.append(" found = 0")
     for d in range(first, last):
-        low_slot, high_slot, sign, rest, cut_low, cut_high = steps[d]
-        low, high = (
-            str(sign * _BOUNDS[slot]) if slot < 3
-            else f"{'-' * (sign * steps[slot - 3][2] < 0)}v{slot - 3}"
-            for slot in (low_slot, high_slot)
-        )
+        sign, rest = signs[d], len(pattern) - 1 - d
+        low, high = (str(sign * bound) if j is None else f"{'-' * (signs[j] != sign)}v{j}"
+                     for j, bound in ((smaller[d], floor), (larger[d], sys.maxsize))[::sign])
+        cut_low, cut_high = (d not in reads for reads in (smaller, larger)[::sign])
         if pinned and d == 0:
             lines += [f" if not {low} < v0 < {high}:", f"  return {'0' if count else 'False'}"]
             continue
@@ -128,7 +112,6 @@ def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
                   f"{pad} v{d} = word[i{d}]",
                   f"{pad} if lo{d} < v{d} < hi{d}:"]
         pad, begin = pad + "  ", f"i{d} + 1"
-        # After a failed subtree at v, the scan's bound moves to v.
         cuts = "; ".join([f"lo{d} = v{d}"] * cut_low + [f"hi{d} = v{d}"] * cut_high)
         if rest and cuts and count:
             lines.append(f"{pad}c{d} = found")
@@ -136,7 +119,7 @@ def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
         elif rest and cuts:  # deciding: reached only past a subtree that found nothing
             closers.append(pad + cuts)
     namespace = {}
-    if last < len(steps):
+    if last < len(pattern):
         namespace["g"] = _compiled(pattern, signed, False, count, last)
         below = f"g(word, {begin}, end, {', '.join(f'v{j}' for j in range(last))})"
         lines += ([f"{pad}found += {below}"] if count

@@ -85,6 +85,8 @@ def count_matches(word, pattern, signed):
     return patterns_module._compiled(tuple(pattern), signed, False, True)(word, 0, len(word))
 
 
+TOP = str(sys.maxsize)  # the ceiling in generated sources
+
 # `nested` holds for every example of a test, so its function scope is meant.
 oracle_settings = settings(
     max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -373,8 +375,126 @@ class TestCompiledLoops:
         assert len(patterns) > bound
         for q in patterns:
             signed_word_contains((2, -3, 1), q)
-        for cache in (patterns_module._compiled, patterns_module._plan):
-            assert cache.cache_info().currsize <= bound
+        assert patterns_module._compiled.cache_info().currsize <= bound
+
+    # No result shows the cuts: a search without them finds the same
+    # matches, only more slowly.  So the generated source itself is pinned,
+    # a chained search listed after the one it hands its later entries to.
+    @pytest.mark.parametrize(
+        "key, nested, sources",
+        [
+            (((2, -3, 1), True, False, False), None, [[
+                "def f(word, start, end):",
+                f" lo0, hi0 = 0, {TOP}",
+                " for i0 in range(start, end - 2):",
+                "  v0 = word[i0]",
+                "  if lo0 < v0 < hi0:",
+                f"   lo1, hi1 = -{TOP}, -v0",
+                "   for i1 in range(i0 + 1, end - 1):",
+                "    v1 = word[i1]",
+                "    if lo1 < v1 < hi1:",
+                "     lo2, hi2 = 0, v0",
+                "     for i2 in range(i1 + 1, end):",
+                "      v2 = word[i2]",
+                "      if lo2 < v2 < hi2:",
+                "       return True",
+                "     lo1 = v1; hi1 = v1",
+                " return False",
+            ]]),
+            (((-2, 3, -1, 4), True, False, True), None, [[
+                "def f(word, start, end):",
+                " found = 0",
+                f" lo0, hi0 = -{TOP}, 0",
+                " for i0 in range(start, end - 3):",
+                "  v0 = word[i0]",
+                "  if lo0 < v0 < hi0:",
+                f"   lo1, hi1 = -v0, {TOP}",
+                "   for i1 in range(i0 + 1, end - 2):",
+                "    v1 = word[i1]",
+                "    if lo1 < v1 < hi1:",
+                "     c1 = found",
+                "     lo2, hi2 = v0, 0",
+                "     for i2 in range(i1 + 1, end - 1):",
+                "      v2 = word[i2]",
+                "      if lo2 < v2 < hi2:",
+                "       c2 = found",
+                f"       lo3, hi3 = v1, {TOP}",
+                "       for i3 in range(i2 + 1, end):",
+                "        v3 = word[i3]",
+                "        if lo3 < v3 < hi3:",
+                "         found += 1",
+                "       if found == c2: lo2 = v2; hi2 = v2",
+                "     if found == c1: hi1 = v1",
+                " return found",
+            ]]),
+            (((1, 3, 2), False, True, False), None, [[
+                "def f(v0, word, start, end):",
+                f" if not -{TOP} < v0 < {TOP}:",
+                "  return False",
+                f" lo1, hi1 = v0, {TOP}",
+                " for i1 in range(start, end - 1):",
+                "  v1 = word[i1]",
+                "  if lo1 < v1 < hi1:",
+                "   lo2, hi2 = v0, v1",
+                "   for i2 in range(i1 + 1, end):",
+                "    v2 = word[i2]",
+                "    if lo2 < v2 < hi2:",
+                "     return True",
+                "   lo1 = v1",
+                " return False",
+            ]]),
+            (((1, 2, 3, 4), False, False, True), 2, [[
+                "def f(word, start, end, v0, v1):",
+                " found = 0",
+                f" lo2, hi2 = v1, {TOP}",
+                " for i2 in range(start, end - 1):",
+                "  v2 = word[i2]",
+                "  if lo2 < v2 < hi2:",
+                "   c2 = found",
+                f"   lo3, hi3 = v2, {TOP}",
+                "   for i3 in range(i2 + 1, end):",
+                "    v3 = word[i3]",
+                "    if lo3 < v3 < hi3:",
+                "     found += 1",
+                "   if found == c2: hi2 = v2",
+                " return found",
+            ], [
+                "def f(word, start, end):",
+                " found = 0",
+                f" lo0, hi0 = -{TOP}, {TOP}",
+                " for i0 in range(start, end - 3):",
+                "  v0 = word[i0]",
+                "  if lo0 < v0 < hi0:",
+                "   c0 = found",
+                f"   lo1, hi1 = v0, {TOP}",
+                "   for i1 in range(i0 + 1, end - 2):",
+                "    v1 = word[i1]",
+                "    if lo1 < v1 < hi1:",
+                "     c1 = found",
+                "     found += g(word, i1 + 1, end, v0, v1)",
+                "     if found == c1: hi1 = v1",
+                "   if found == c0: hi0 = v0",
+                " return found",
+            ]]),
+        ],
+        ids=["signed-decide", "signed-count", "unsigned-pinned", "unsigned-count-chained"],
+    )
+    def test_the_generated_source_is_pinned(self, monkeypatch, key, nested, sources):
+        captured = []
+
+        def exec_(source, namespace):
+            captured.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(patterns_module, "exec", exec_, raising=False)
+        if nested:
+            monkeypatch.setattr(patterns_module, "_NESTED", nested)
+        patterns_module._compiled.cache_clear()
+        try:
+            patterns_module._compiled(*key)
+        finally:
+            patterns_module._compiled.cache_clear()
+        assert captured == ["\n".join(lines) for lines in sources]
 
 
 class TestGav:
