@@ -8,7 +8,10 @@ and in type C by Billey's classical lists (smooth in both types), or the
 defining patterns (vexillary: global 2143; colayered: 132 and 213).  The
 other characterizations are pattern lists in `bperm.fixtures`, whose classes
 `enumeration.avoiders(patterns, sizes)` grows; the harness compares each class,
-size by size, with the predicate's members filtered from the whole group.
+size by size, with a structural route: generated from the definition for the
+boolean, free and (bi)Grassmannian families (`boolean_elements` and the like,
+which read no support or descent set), else the predicate's members filtered
+from the whole group.
 
 A colayered permutation (one avoiding 132 and 213) decomposes into increasing
 runs on strictly descending value blocks; recording the run lengths maps the
@@ -17,8 +20,13 @@ compositions.
 """
 from __future__ import annotations
 
+from itertools import combinations, product
+from operator import mul
+from typing import Iterable
+
 from . import fixtures
-from .core import Permutation, SignedPermutation
+from .core import (Permutation, SignedPermutation, window_apply_generator, window_inverse,
+                   window_length)
 from .patterns import classical_contains, global_contains, unsigned_contains
 
 
@@ -82,6 +90,63 @@ def is_grassmannian(w: SignedPermutation) -> bool:
 def is_bigrassmannian(w: SignedPermutation) -> bool:
     """Both the permutation and its inverse are Grassmannian."""
     return is_grassmannian(w) and is_grassmannian(w.inverse())
+
+
+def boolean_elements(sizes: Iterable[int]) -> dict[int, set[tuple[int, ...]]]:
+    """
+    Per size n, the products of distinct generators whose length is their
+    number of letters.  All reduced words of an element use the letters of its
+    support, so each element is extended once, by each letter it lacks.
+    """
+    members = {}
+    for n in sizes:
+        letters = {tuple(range(1, n + 1)): frozenset()}
+        stack = list(letters)
+        while stack:
+            window = stack.pop()
+            used = letters[window]
+            for i in set(range(n)) - used:
+                child = window_apply_generator(window, i)
+                if child not in letters and window_length(child) == len(used) + 1:
+                    letters[child] = used | {i}
+                    stack.append(child)
+        members[n] = set(letters)
+    return members
+
+
+def free_elements(sizes: Iterable[int]) -> dict[int, set[tuple[int, ...]]]:
+    """Per size n, the product of each set of generators no two adjacent (s_0, s_1 too)."""
+    members = {n: set() for n in sizes}
+    for n, windows in members.items():
+        stack = [(tuple(range(1, n + 1)), 0)]  # a product, and its next letter's least index
+        while stack:
+            window, low = stack.pop()
+            windows.add(window)
+            stack += ((window_apply_generator(window, i), i + 2) for i in range(low, n))
+    return members
+
+
+def grassmannian_elements(sizes: Iterable[int]) -> dict[int, set[tuple[int, ...]]]:
+    """
+    Per size n, the windows with at most one descent: for d = 0..n, entries
+    0 < w(1) < ... < w(d), then w(d+1) < ... < w(n) of any signs.
+    """
+    members = {n: set() for n in sizes}
+    for n, windows in members.items():
+        for d in range(n + 1):
+            for head in combinations(range(1, n + 1), d):
+                tail = [v for v in range(1, n + 1) if v not in head]
+                for signs in product((-1, 1), repeat=n - d):
+                    windows.add(head + tuple(sorted(map(mul, signs, tail))))
+    return members
+
+
+def bigrassmannian_elements(sizes: Iterable[int]) -> dict[int, set[tuple[int, ...]]]:
+    """Per size n, the generated Grassmannian windows whose inverse is generated too."""
+    return {
+        n: {w for w in windows if window_inverse(w) in windows}
+        for n, windows in grassmannian_elements(sizes).items()
+    }
 
 
 def increasing_runs(v: Permutation) -> tuple[tuple[int, ...], ...]:

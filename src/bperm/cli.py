@@ -21,11 +21,12 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 from typing import Callable, Sequence
 
 from . import fixtures
-from .classes import is_bigrassmannian, is_grassmannian
-from .core import Permutation, SignedPermutation, format_window, walk
+from .classes import bigrassmannian_elements, grassmannian_elements
+from .core import Permutation, SignedPermutation, format_window
 from .enumeration import MAX_SIGNED_SIZE, avoiders, sequence as count_sequence
 from .harness import CHECKS, any_theorem_failed, run_all, run_check
 from .patterns import (
@@ -42,20 +43,17 @@ from .tableaux import (
     syt_count,
 )
 
-# Each family's pattern list, listed by `avoiders`, or, for the two families with
-# no stored pattern list, a predicate that `core.walk` takes as both its tests.
-# Its site inheritance needs them closed under deleting any entry, and they are:
-# re-ranking keeps the signs and the signed order of 0, w(1), ..., w(n), so
-# deleting an entry adds no descent, and deleting one of w deletes one of w^-1.
-PROPERTIES: dict[str, Sequence | Callable[[SignedPermutation], bool]] = {
-    "vexillary": fixtures.VEXILLARY_GLOBAL,
-    "boolean": fixtures.BOOLEAN_GLOBAL,
-    "free": fixtures.FREE_GLOBAL,
-    "smooth-b": fixtures.SMOOTH_B_CLASSICAL,
-    "smooth-c": fixtures.SMOOTH_C_CLASSICAL,
-    "smooth-bc": fixtures.SMOOTH_BC_GLOBAL,
-    "grassmannian": is_grassmannian,
-    "bigrassmannian": is_bigrassmannian,
+# Each family's members {n: windows} at the sizes asked for: the class of its
+# pattern list, or, for the two families with no stored pattern list, generated.
+PROPERTIES: dict[str, Callable[[Sequence[int]], dict]] = {
+    "vexillary": partial(avoiders, fixtures.VEXILLARY_GLOBAL),
+    "boolean": partial(avoiders, fixtures.BOOLEAN_GLOBAL),
+    "free": partial(avoiders, fixtures.FREE_GLOBAL),
+    "smooth-b": partial(avoiders, fixtures.SMOOTH_B_CLASSICAL),
+    "smooth-c": partial(avoiders, fixtures.SMOOTH_C_CLASSICAL),
+    "smooth-bc": partial(avoiders, fixtures.SMOOTH_BC_GLOBAL),
+    "grassmannian": grassmannian_elements,
+    "bigrassmannian": bigrassmannian_elements,
 }
 
 
@@ -98,14 +96,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_list(args: argparse.Namespace) -> int:
     if not 0 <= args.n <= MAX_SIGNED_SIZE:
         raise ValueError(f"--n must be between 0 and {MAX_SIGNED_SIZE}, not {args.n}")
-    family = PROPERTIES[args.property]
-    if callable(family):
-        def member(window: tuple[int, ...]) -> bool:
-            return family(SignedPermutation(window))
-        windows = sorted(w for w, _, _ in walk(0, args.n, member, member) if len(w) == args.n)
-    else:
-        windows = sorted(avoiders(family, [args.n])[args.n])
-    for window in windows:
+    for window in sorted(PROPERTIES[args.property]([args.n])[args.n]):
         print(format_window(window))
     return 0
 

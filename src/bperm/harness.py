@@ -13,8 +13,10 @@ failures make the command-line `verify` exit nonzero.
 Each compared route is computed apart, as one per-size dict for all the
 sizes its check needs.  A pattern route is one `enumeration.avoiders(patterns,
 sizes)` call for its members or one `enumeration.sequence` call for its
-counts, so each class is grown once per check; a predicate route is one
-`_members(sizes, predicate)` call, which filters whole groups.  Rows are
+counts, so each class is grown once per check.  A structural route is
+generated from the family's definition (`classes.boolean_elements` and the
+like) or, for a family with no generator, scanned: one `_members(sizes,
+predicate)` call, which filters whole groups.  Rows are
 built from those dicts by `_set_rows` (a reference set against named
 alternates) and `_count_rows` (a reference count against an observed one);
 `_basis_row` and `_formula_rows` (a closed form against brute force) serve
@@ -34,10 +36,11 @@ from typing import Callable, Iterable, Sequence
 
 from . import fixtures
 from .classes import (
+    bigrassmannian_elements,
+    boolean_elements,
+    free_elements,
+    grassmannian_elements,
     is_bigrassmannian,
-    is_boolean,
-    is_free,
-    is_grassmannian,
     is_smooth_B,
     is_smooth_BC,
     is_smooth_C,
@@ -167,31 +170,32 @@ def _basis_row(
 def _check_family(
     global_patterns: Sequence[Permutation],
     classical_patterns: Sequence[SignedPermutation],
-    structural: Callable[[SignedPermutation], bool],
     structural_name: str,
-    max_n: int,
+    structural: dict[int, set[tuple[int, ...]]],
 ) -> list[CheckRow]:
-    """A family's global class = its classical list = its structural criterion."""
+    """A family's global class = its classical list = `structural`, at the latter's sizes."""
     rows = [_basis_row(classical_patterns, global_basis(global_patterns))]
-    sizes = range(1, max_n + 1)
+    sizes = list(structural)
     reference = avoiders(global_patterns, sizes)
     alternates = {
         "classical": avoiders(classical_patterns, sizes),
-        structural_name: _members(sizes, structural),
+        structural_name: structural,
     }
     return rows + _set_rows(reference, alternates)
 
 
 @_check("thm-boolean", 4, "global {321,3412} = classical 10-list = distinct-letter reduced words")
 def _check_boolean(max_n: int) -> list[CheckRow]:
+    boolean = boolean_elements(range(1, max_n + 1))
     return _check_family(
-        fixtures.BOOLEAN_GLOBAL, fixtures.BOOLEAN_CLASSICAL, is_boolean, "reduced-words", max_n
+        fixtures.BOOLEAN_GLOBAL, fixtures.BOOLEAN_CLASSICAL, "reduced-words", boolean
     )
 
 
 @_check("thm-free", 5, "global {231,312,321} = classical 8-list = sparse support")
 def _check_free(max_n: int) -> list[CheckRow]:
-    return _check_family(fixtures.FREE_GLOBAL, fixtures.FREE_CLASSICAL, is_free, "support", max_n)
+    free = free_elements(range(1, max_n + 1))
+    return _check_family(fixtures.FREE_GLOBAL, fixtures.FREE_CLASSICAL, "support", free)
 
 
 @_check("thm-vexillary", 5, "global 2143-avoidance = classical 9-pattern list = computed basis")
@@ -214,8 +218,9 @@ def _check_vexillary(max_n: int) -> list[CheckRow]:
 
 @_check("thm-smooth-bc", 5, "global {3412,4231} = classical 11-list = smooth in both types")
 def _check_smooth_bc(max_n: int) -> list[CheckRow]:
+    smooth = _members(range(1, max_n + 1), is_smooth_BC)
     rows = _check_family(
-        fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL, is_smooth_BC, "B-and-C", max_n
+        fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL, "B-and-C", smooth
     )
     # Smoothness in one type alone does not persist: each witness below is
     # smooth on one side yet globally contains a forbidden pattern.
@@ -387,12 +392,11 @@ def _check_symmetry(max_n: int) -> list[CheckRow]:
     # Each symmetric image and rc-reduction of a subset is again a subset, so
     # each side of a comparison is the class computed from its own pattern set.
     classes = {p: avoiders(p, sizes) for p in subsets}
+    images = [(p, apply_symmetry_to_set(p, s)) for p in subsets for s in DihedralSymmetry]
+    reduced = [(p, rc_reduce(p)) for p in subsets]
     for n in sizes:
-        symmetric_ok = sum(
-            len(classes[apply_symmetry_to_set(p, symmetry)][n]) == len(classes[p][n])
-            for p in subsets for symmetry in DihedralSymmetry
-        )
-        rc_ok = sum(classes[rc_reduce(p)][n] == classes[p][n] for p in subsets)
+        symmetric_ok = sum(len(classes[image][n]) == len(classes[p][n]) for p, image in images)
+        rc_ok = sum(classes[r][n] == classes[p][n] for p, r in reduced)
         rows.append(CheckRow(n, expected, f"symmetric:{symmetric_ok};rc-stable:{rc_ok}"))
     return rows
 
@@ -468,9 +472,9 @@ def _check_gl_basis(max_n: int) -> list[CheckRow]:
 def _check_grassmannian(max_n: int) -> list[CheckRow]:
     sizes = range(1, max_n + 1)
     patterns = {"global-patterns": avoiders(fixtures.GRASSMANNIAN_GLOBAL, sizes)}
-    gr = _set_rows(_members(sizes, is_grassmannian), patterns)
+    gr = _set_rows(grassmannian_elements(sizes), patterns)
     bipatterns = {"global-patterns": avoiders(fixtures.BIGRASSMANNIAN_GLOBAL, sizes)}
-    bigr = _set_rows(_members(sizes, is_bigrassmannian), bipatterns)
+    bigr = _set_rows(bigrassmannian_elements(sizes), bipatterns)
     return [
         CheckRow(g.n, f"gr:{g.expected};bigr:{b.expected}", f"gr:{g.observed};bigr:{b.observed}")
         for g, b in zip(gr, bigr)

@@ -74,7 +74,8 @@ def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
     bounds if -1.  Under signs the floor 0 rejects a wrong sign, so one test
     serves both orders.
     The function takes (word, start, end), or (v0, word, start, end) if
-    `pinned`, which matches entry 0 on the letter v0 alone; the other entries
+    `pinned`, which matches entry 0 on the letter v0 alone, unchecked: the
+    caller passes a v0 of entry 0's sign if `signed`; the other entries
     match in word[start:end].  It returns the number of matches if `count`,
     else whether there is one.  It holds at most `_NESTED` entries from
     `first`, taking the letters v0..v(first - 1) of the earlier entries as
@@ -100,13 +101,12 @@ def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
     if count:
         lines.append(" found = 0")
     for d in range(first, last):
+        if pinned and d == 0:
+            continue
         sign, rest = signs[d], len(pattern) - 1 - d
         low, high = (str(sign * bound) if j is None else f"{'-' * (signs[j] != sign)}v{j}"
                      for j, bound in ((smaller[d], floor), (larger[d], sys.maxsize))[::sign])
         cut_low, cut_high = (d not in reads for reads in (smaller, larger)[::sign])
-        if pinned and d == 0:
-            lines += [f" if not {low} < v0 < {high}:", f"  return {'0' if count else 'False'}"]
-            continue
         lines += [f"{pad}lo{d}, hi{d} = {low}, {high}",
                   f"{pad}for i{d} in range({begin}, {f'end - {rest}' if rest else 'end'}):",
                   f"{pad} v{d} = word[i{d}]",

@@ -1,3 +1,4 @@
+import sys
 from itertools import permutations
 
 import pytest
@@ -6,7 +7,11 @@ from bperm import core, fixtures
 from bperm.classes import (
     Not132AvoidingError,
     NotColayeredError,
+    bigrassmannian_elements,
+    boolean_elements,
     composition_of,
+    free_elements,
+    grassmannian_elements,
     increasing_runs,
     is_bigrassmannian,
     is_boolean,
@@ -154,6 +159,96 @@ def test_boolean_and_free_apply_no_generator(monkeypatch):
     group = list(signed_permutations(4))
     assert sum(map(is_boolean, group)) == 34
     assert sum(map(is_free, group)) == 8
+
+
+# Each generated family with its predicate: two routes from one definition.
+GENERATED = {
+    "boolean": (boolean_elements, is_boolean),
+    "free": (free_elements, is_free),
+    "grassmannian": (grassmannian_elements, is_grassmannian),
+    "bigrassmannian": (bigrassmannian_elements, is_bigrassmannian),
+}
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def families_off_their_predicates(sizes):
+    """The generated families that differ from their predicate's whole-group scan."""
+    return {
+        name for name, (generate, predicate) in GENERATED.items()
+        if generate(sizes) != {n: whole_group_members(n, predicate) for n in sizes}
+    }
+
+
+def _support_without_s0(monkeypatch):
+    original = SignedPermutation.support
+    monkeypatch.setattr(SignedPermutation, "support", lambda self: original(self) - {0})
+
+
+def _descents_ignoring_position_0(monkeypatch):
+    original = core.window_descents
+    monkeypatch.setattr(core, "window_descents", lambda window: original(window) - {0})
+
+
+# Planted bugs in the predicates' supports and descent sets fail no check,
+# since the checks read the generators (see tests/test_mutations.py); holding
+# each generator against its predicate catches them, in the families pinned.
+PREDICATE_BUGS = {
+    "support drops s_0": (_support_without_s0, {"boolean", "free"}),
+    "descents ignore position 0": (
+        _descents_ignoring_position_0,
+        {"grassmannian", "bigrassmannian"},
+    ),
+}
+
+
+class TestGenerators:
+    def test_each_generator_is_its_predicate_scan(self):
+        assert families_off_their_predicates(range(7)) == set()
+
+    def test_counts_match_closed_forms(self):
+        sizes = range(9)
+        counts = {name: generate(sizes) for name, (generate, _) in GENERATED.items()}
+        for n in sizes:
+            assert len(counts["free"][n]) == fibonacci(n + 2)
+            assert len(counts["boolean"][n]) == fibonacci(2 * n + 1)
+            # Sum over d of C(n, d) positive heads times 2^(n - d) signed tails,
+            # 3^n, less the n repeats of the identity, which arises at every d.
+            assert len(counts["grassmannian"][n]) == 3**n - n
+        assert len(counts["bigrassmannian"][8]) == 415
+
+    def test_generators_read_no_support_descents_growth_or_search(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a generator took another route")
+
+        modules = [module for name, module in list(sys.modules.items())
+                   if name == "bperm" or name.startswith("bperm.")]
+        for name in ("grown_at", "walk", "window_descents", "iter_windows", "_compiled",
+                     "avoiders"):
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(SignedPermutation, "support", forbidden)
+        sizes = range(7)
+        counts = {name: [len(generate(sizes)[n]) for n in sizes]
+                  for name, (generate, _) in GENERATED.items()}
+        assert counts == {
+            "boolean": [1, 2, 5, 13, 34, 89, 233],
+            "free": [1, 2, 3, 5, 8, 13, 21],
+            "grassmannian": [1, 2, 7, 24, 77, 238, 723],
+            "bigrassmannian": [1, 2, 7, 20, 46, 91, 162],
+        }
+
+    @pytest.mark.parametrize("case", list(PREDICATE_BUGS))
+    def test_planted_predicate_bug_parts_the_routes(self, monkeypatch, case):
+        install, failing = PREDICATE_BUGS[case]
+        install(monkeypatch)
+        assert families_off_their_predicates(range(4)) == failing
 
 
 class TestSmooth:

@@ -19,7 +19,7 @@ from bperm.core import format_window, signed_permutations
 from bperm.harness import CHECKS, Check, CheckRow
 
 # Each `list` property's predicate, tested on every element: a route apart
-# from the pattern list that `list` walks.
+# from the pattern list that `list` walks or the definition it generates from.
 PREDICATES = {
     "vexillary": is_vexillary,
     "boolean": is_boolean,
@@ -238,7 +238,8 @@ class TestListBasisTableaux:
         [("free", 55), ("boolean", 1597), ("grassmannian", 6553), ("bigrassmannian", 415)],
     )
     def test_list_at_size_8_walks_only_the_class(self, capsys, name, lines):
-        # A whole-group scan of B_8 (10,321,920 elements) would take minutes.
+        # A whole-group scan of B_8 (10,321,920 elements) would take minutes;
+        # the Grassmannian and bigrassmannian families are generated instead.
         code, out = run_cli(capsys, "list", "--property", name, "--n", "8")
         assert code == 0
         assert len(out.splitlines()) == lines

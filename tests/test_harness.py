@@ -165,23 +165,31 @@ class TestRunCheck:
                 assert not mismatches
 
     @pytest.mark.parametrize(
-        "check_id, predicate", [("thm-boolean", "is_boolean"), ("thm-free", "is_free")]
+        "check_id, structural, expected_calls",
+        [
+            ("thm-boolean", "boolean_elements", 1),
+            ("thm-free", "free_elements", 1),
+            ("conj-grassmannian", "grassmannian_elements", 1),
+            ("thm-smooth-bc", "is_smooth_BC", 2 + 8),  # every element of B_1 and B_2
+        ],
+        ids=["thm-boolean", "thm-free", "conj-grassmannian", "thm-smooth-bc"],
     )
-    def test_structural_predicate_is_looked_up_at_call_time(
-        self, monkeypatch, check_id, predicate
+    def test_structural_route_is_looked_up_at_call_time(
+        self, monkeypatch, check_id, structural, expected_calls
     ):
-        # Tracers and mutation tests rebind module names; a predicate bound
-        # into the registry when it was built would never see the rebinding.
-        original = getattr(bperm.harness, predicate)
+        # Tracers and mutation tests rebind module names; a generator or
+        # predicate bound into the registry when it was built would never see
+        # the rebinding.
+        original = getattr(bperm.harness, structural)
         calls = []
 
-        def counting(w):
-            calls.append(w)
-            return original(w)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(bperm.harness, predicate, counting)
-        assert run_check(check_id, 2).status == "pass"
-        assert len(calls) == 2 + 8  # every element of B_1 and B_2
+        monkeypatch.setattr(bperm.harness, structural, counting)
+        assert run_check(check_id, 2).ok()
+        assert len(calls) == expected_calls
 
     @pytest.mark.parametrize(
         "check_id, max_n, walks",

@@ -13,8 +13,8 @@ import sys
 
 import pytest
 
-from bperm import core, enumeration, patterns, tableaux
-from bperm.core import DihedralSymmetry, Permutation, SignedPermutation
+from bperm import classes, core, enumeration, patterns, tableaux
+from bperm.core import DihedralSymmetry, Permutation
 from bperm.harness import run_all
 
 
@@ -101,12 +101,6 @@ def _rc_reduce_by_reverse(monkeypatch):
     return _patch_everywhere(monkeypatch, patterns.rc_reduce, rc_reduce)
 
 
-def _support_without_s0(monkeypatch):
-    original = SignedPermutation.support
-    monkeypatch.setattr(SignedPermutation, "support", lambda self: original(self) - {0})
-    return 1
-
-
 def _length_ignoring_negative_entries(monkeypatch):
     original = core.window_length
     return _patch_everywhere(
@@ -114,15 +108,48 @@ def _length_ignoring_negative_entries(monkeypatch):
     )
 
 
-def _descents_ignoring_position_0(monkeypatch):
-    original = core.window_descents
-    return _patch_everywhere(monkeypatch, original, lambda window: original(window) - {0})
-
-
 def _inverse_without_signs(monkeypatch):
     original = core.window_inverse
     return _patch_everywhere(
         monkeypatch, original, lambda window: tuple(abs(v) for v in original(window))
+    )
+
+
+def _generated_only(original, keep):
+    """A generator standing in for `original` that keeps only the windows `keep` accepts."""
+    return lambda sizes: {n: set(filter(keep, ws)) for n, ws in original(sizes).items()}
+
+
+def _boolean_generator_without_s0(monkeypatch):
+    # s_0 is the one generator that makes an entry negative.
+    original = classes.boolean_elements
+    replacement = _generated_only(original, lambda w: all(v > 0 for v in w))
+    return _patch_everywhere(monkeypatch, original, replacement)
+
+
+def _free_generator_with_s0_s1(monkeypatch):
+    original = classes.free_elements
+
+    def free_elements(sizes):
+        members = original(sizes)
+        for n, windows in members.items():
+            if n >= 2:
+                windows.add((2, -1, *range(3, n + 1)))  # s_0 s_1
+        return members
+
+    return _patch_everywhere(monkeypatch, original, free_elements)
+
+
+def _grassmannian_generator_without_d0(monkeypatch):
+    # d = 0 alone gives the windows with w(1) < 0.
+    original = classes.grassmannian_elements
+    replacement = _generated_only(original, lambda w: not w or w[0] > 0)
+    return _patch_everywhere(monkeypatch, original, replacement)
+
+
+def _bigrassmannian_generator_without_inverses(monkeypatch):
+    return _patch_everywhere(
+        monkeypatch, classes.bigrassmannian_elements, classes.grassmannian_elements
     )
 
 
@@ -242,14 +269,32 @@ MUTATIONS = {
     "REVERSE sends 132 to 123": (_reverse_sending_132_to_123, BASELINE | {"lemma-symmetry"}),
     "rc_reduce by reverse": (_rc_reduce_by_reverse, BASELINE | {"lemma-symmetry"}),
     # Below, the structural routes: each planted bug fails only the checks
-    # that read the broken function on one compared side.
-    "support drops s_0": (_support_without_s0, BASELINE | {"thm-boolean", "thm-free"}),
+    # that read the broken function on one compared side.  The boolean, free
+    # and Grassmannian families are generated, so no check reads a support or
+    # a descent set: planting a bug in either fails no check, and
+    # tests/test_classes.py catches it by holding each generator against its
+    # predicate.  The boolean generator reads lengths and the free one does
+    # not, so only thm-boolean fails with lengths.
     "length ignores negative entries": (
         _length_ignoring_negative_entries,
-        BASELINE | {"thm-boolean", "thm-free"},
+        BASELINE | {"thm-boolean"},
     ),
-    "descents ignore position 0": (_descents_ignoring_position_0, BASELINE | {"conj-grassmannian"}),
+    # The bigrassmannian generator inverts each generated Grassmannian element.
     "inverse drops signs": (_inverse_without_signs, BASELINE | {"conj-grassmannian"}),
+    "boolean generator never applies s_0": (
+        _boolean_generator_without_s0,
+        BASELINE | {"thm-boolean"},
+    ),
+    "free generator takes s_0 s_1": (_free_generator_with_s0_s1, BASELINE | {"thm-free"}),
+    # The bigrassmannian generator filters the Grassmannian one, so both fail.
+    "grassmannian generator drops d = 0": (
+        _grassmannian_generator_without_d0,
+        BASELINE | {"conj-grassmannian"},
+    ),
+    "bigrassmannian generator skips the inverse test": (
+        _bigrassmannian_generator_without_inverses,
+        BASELINE | {"conj-grassmannian"},
+    ),
     "rank_word reverses ranks": (_rank_word_reversed, BASELINE | {"cor-iota", "thm-binomial-sum"}),
     # Growth serves both sides of most pattern comparisons: the walk
     # (`core.walk`) builds every child through `grown_at`.  The bug is caught

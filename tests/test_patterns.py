@@ -429,8 +429,6 @@ class TestCompiledLoops:
             ]]),
             (((1, 3, 2), False, True, False), None, [[
                 "def f(v0, word, start, end):",
-                f" if not -{TOP} < v0 < {TOP}:",
-                "  return False",
                 f" lo1, hi1 = v0, {TOP}",
                 " for i1 in range(start, end - 1):",
                 "  v1 = word[i1]",
