@@ -141,39 +141,45 @@ def grown_at(window: tuple[int, ...], sites: Iterable[int]) -> Iterator[tuple[in
         yield (*head, site)
 
 
-def walk(
-    start: int, top: int, whole: Callable[[tuple], bool], anchored: Callable[[tuple], bool]
-) -> Iterator[tuple[tuple[int, ...], list[int], Callable]]:
+def walk(start: int, top: int, whole: Callable, anchored: Callable) -> Iterator[tuple]:
     """
     The members of sizes `start` to `top` of a pattern class, depth first, each
-    with the sites its parent left open and the test that decides its children:
-    a generating tree (West 1995) whose roots are all of B_start, every site
-    open.  `whole` decides the roots' children and `anchored` every deeper one,
-    whose parent sits in it re-ranked at its first positions and in the middle
-    of its mirror word: a pattern occurs in the child of an avoider only through
-    the appended entry.  If the child at a site contains a pattern, so does each
-    grandchild at a matching site, as deleting the middle entry leaves that
-    child; so each child tries only the sites its parent left open, as in
-    Vatter's enumeration schemes (2008).
+    with the sites its parent left open, the node test that decides its children
+    there and, below `top`, the sites it opened (else None): a generating tree
+    (West 1995) whose roots are all of B_start, every site open.  `whole` decides
+    the roots' children and `anchored` every deeper one, a child of an avoider,
+    which holds a pattern only through its appended entry.  If the child at a
+    site contains a pattern, so does each grandchild at a matching site, as
+    deleting the middle entry leaves that child; so each child tries only the
+    sites its parent left open, as in Vatter's enumeration schemes (2008).
     """
     every = [site for a in range(1, start + 2) for site in (a, -a)]
     for root in iter_windows(start):
         yield from _descend(root, every, top, whole, anchored)
 
 
-def _descend(window: tuple[int, ...], sites: list[int], top: int, test: Callable,
-             anchored: Callable) -> Iterator[tuple[tuple[int, ...], list[int], Callable]]:
-    """`walk` from the member `window`, whose children `test` decides at `sites`."""
-    yield window, sites, test
-    if len(window) == top:
-        return
-    children = list(filter(test, grown_at(window, sites)))
-    opened = [child[-1] for child in children]
-    for child in children:
+def step(window: tuple[int, ...], sites: list[int], test: Callable) -> tuple[list[int], list]:
+    """
+    One step down the tree: the sites of `window` that the node test opens,
+    and those children alone, each with the sites it inherits.
+    """
+    opened = test(window, sites)
+    children = []
+    for child in grown_at(window, opened):
         # The child's site b matches its parent's b if b <= a, b - 1 if b > a.
         a = abs(child[-1])
-        inherited = ([site for site in opened if abs(site) <= a]
-                     + [site + 1 if site > 0 else site - 1 for site in opened if abs(site) >= a])
+        inherited = [site for site in opened if abs(site) <= a]
+        inherited += [site + 1 if site > 0 else site - 1 for site in opened if abs(site) >= a]
+        children.append((child, inherited))
+    return opened, children
+
+
+def _descend(window: tuple[int, ...], sites: list[int], top: int, test: Callable,
+             anchored: Callable) -> Iterator[tuple]:
+    """`walk` from the member `window`, whose children `test` decides at `sites`, by `step`."""
+    opened, children = step(window, sites, test) if len(window) < top else (None, [])
+    yield window, sites, test, opened
+    for child, inherited in children:
         yield from _descend(child, inherited, top, anchored, anchored)
 
 

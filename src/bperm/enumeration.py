@@ -10,13 +10,13 @@ nothing is grown or searched.
 
 Both walk the class depth first (`core.walk`, a generating tree) from
 B_(m-1), m the first size at which some pattern fits, to the avoiders one
-size below the top, and filter the children of those avoiders at their sites.
-Counts store no avoider.  A window's site a or -a is where its child appends
-a or -a.  Unsigned counts walk S_n as the classical class of -1, whose
-negative sites close at the root.  From size 5 the count can hand the nodes
-one size below the top to a process pool and still merge deterministically
-(an integer sum).  An optional on-disk memo keyed by normalized pattern set,
-order, and size caches counts between runs.
+size below the top; their node tests give the sites of the children that
+avoid, which a count adds up and `avoiders` builds.  A window's site a or
+-a is where its child appends a or -a.  Unsigned counts walk S_n as the
+classical class of -1, whose negative sites close at the root.  From size 5
+the count can hand the nodes one size below the top to a process pool and
+still merge deterministically (an integer sum).  An optional on-disk memo
+keyed by normalized pattern set, order, and size caches counts between runs.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -165,11 +165,11 @@ def avoiders(
     m = next(k for k in range(top + 1) if _fits(patterns, k))
     whole, anchored = _avoidance_test(patterns), _avoidance_test(patterns, anchored=True)
     members = {n: [] for n in wanted}
-    for window, sites, test in walk(m - 1, top - 1, whole, anchored):
+    for window, sites, test, _ in walk(m - 1, top - 1, whole, anchored):
         if len(window) in members:
             members[len(window)].append(window)
         if len(window) == top - 1:
-            members[top] += filter(test, grown_at(window, sites))
+            members[top] += grown_at(window, test(window, sites))
     # Below the walk's roots, B_(m-1), no pattern fits.
     return {n: frozenset(iter_windows(n) if n < m - 1 else found) for n, found in members.items()}
 
@@ -177,11 +177,11 @@ def avoiders(
 def _branch_count(task: tuple) -> int:
     """
     The number of avoiders among the children of the task's nodes at their sites,
-    by a test built here: pool tasks are pickled, and avoidance tests are closures.
+    by a node test built here: pool tasks are pickled, and node tests are closures.
     """
     n, patterns, nodes = task
     test = _avoidance_test(patterns, anchored=_fits(patterns, n - 1))
-    return sum(sum(map(test, grown_at(window, sites))) for window, sites in nodes)
+    return sum(len(test(window, sites)) for window, sites in nodes)
 
 
 def _count_exhaustive(
@@ -213,7 +213,7 @@ def _count_exhaustive(
 
 def _tally(nodes: Iterator[tuple], top: int, counts: list[int]) -> Iterator:
     """The `nodes` of size `top` with their sites, adding those of each size k to `counts[k]`."""
-    for window, sites, _ in nodes:
+    for window, sites, _, _ in nodes:
         counts[len(window)] += 1
         if len(window) == top:
             yield window, sites
@@ -284,9 +284,7 @@ def store_cache(path: str, cache: dict[str, int]) -> None:
         os.chmod(tmp_path, mode)
         os.replace(tmp_path, path)
     except OSError as exc:
-        raise ValueError(
-            f"memo {path}: cannot write to {directory} ({exc.strerror})"
-        ) from exc
+        raise ValueError(f"memo {path}: cannot write to {directory} ({exc.strerror})") from exc
     finally:
         if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)

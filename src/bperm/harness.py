@@ -51,6 +51,7 @@ from .core import (
     DihedralSymmetry,
     Permutation,
     SignedPermutation,
+    rank_word,
     signed_group_order,
     signed_permutations,
 )
@@ -74,6 +75,7 @@ from .patterns import (
     global_basis,
     global_contains,
     rc_reduce,
+    word_contains,
 )
 from .tableaux import domino_count, domino_tableaux, is_domino_tileable, partitions
 
@@ -177,10 +179,7 @@ def _check_family(
     rows = [_basis_row(classical_patterns, global_basis(global_patterns))]
     sizes = list(structural)
     reference = avoiders(global_patterns, sizes)
-    alternates = {
-        "classical": avoiders(classical_patterns, sizes),
-        structural_name: structural,
-    }
+    alternates = {"classical": avoiders(classical_patterns, sizes), structural_name: structural}
     return rows + _set_rows(reference, alternates)
 
 
@@ -219,9 +218,7 @@ def _check_vexillary(max_n: int) -> list[CheckRow]:
 @_check("thm-smooth-bc", 5, "global {3412,4231} = classical 11-list = smooth in both types")
 def _check_smooth_bc(max_n: int) -> list[CheckRow]:
     smooth = _members(range(1, max_n + 1), is_smooth_BC)
-    rows = _check_family(
-        fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL, "B-and-C", smooth
-    )
+    rows = _check_family(fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL, "B-and-C", smooth)
     # Smoothness in one type alone does not persist: each witness below is
     # smooth on one side yet globally contains a forbidden pattern.
     w_c = SignedPermutation((-2, -1))
@@ -281,10 +278,7 @@ def _check_greene_counts(max_n: int) -> list[CheckRow]:
         ks = range(1, 2 * n + 1)
         for label, _, extent in sides:
             observed = [counts[label, k][n] for k in ks]
-            sums = [
-                sum(c * c for shape, c in by_shape.items() if extent(shape) <= k)
-                for k in ks
-            ]
+            sums = [sum(c * c for shape, c in by_shape.items() if extent(shape) <= k) for k in ks]
             rows.append(CheckRow(n, _labelled(label, sums), _labelled(label, observed)))
     return rows
 
@@ -375,9 +369,7 @@ def _check_es_unsigned(max_kj: int) -> list[CheckRow]:
     return _check_es(max_kj, signed=False)
 
 
-@_check(
-    "prop-es-signed", 6, "extremal monotone global avoiders counted by squared domino tableaux"
-)
+@_check("prop-es-signed", 6, "extremal monotone global avoiders counted by squared domino tableaux")
 def _check_es_signed(max_kj: int) -> list[CheckRow]:
     return _check_es(max_kj, signed=True)
 
@@ -403,22 +395,24 @@ def _check_symmetry(max_n: int) -> list[CheckRow]:
 
 @_check("cor-iota", 4, "the doubling embedding hits exactly the rc-invariant permutations")
 def _check_iota(max_n: int) -> list[CheckRow]:
-    test_patterns = [Permutation(p) for p in iter_permutations((1, 2, 3))]
-    test_patterns += [Permutation(p) for p in iter_permutations((1, 2, 3, 4))]
-    zero_based = [(p, tuple(v - 1 for v in p.oneline)) for p in test_patterns]
+    zero_based = [(tuple(v + 1 for v in q), q) for k in (3, 4) for q in iter_permutations(range(k))]
+    # Each 0-based pattern of size 4 to its deletions, ranked in place alike.
+    deletions = {q: {tuple(map(sorted(d).index, d)) for d in combinations(q, 3)}
+                 for _, q in zero_based if len(q) == 4}
     rows = []
     for n in range(1, max_n + 1):
         image, transport_ok = set(), True
         for w in signed_permutations(n):
-            iota = w.iota().oneline
+            mirror = w.mirror_word()
+            iota = rank_word(mirror)
             image.add(iota)
-            # iota(w)'s patterns of sizes 3 and 4, read off its index subsets
-            # with 0-based ranks counted in place: not by the kernel, which the
-            # global side uses, nor by rank_word, which builds iota.
-            subsets = (s for k in (3, 4) for s in combinations(iota, k))
-            in_iota = {tuple(map(sorted(s).index, s)) for s in subsets}
+            # iota(w)'s patterns of size 4 read off its index subsets, 0-based ranks
+            # counted in place (not by the kernel, nor by rank_word, which builds
+            # iota), and of size 3 their deletions: a 4-subset holds each 3-subset.
+            fours = {tuple(map(sorted(s).index, s)) for s in combinations(iota, 4)}
+            in_iota = fours.union(*map(deletions.__getitem__, fours))
             transport_ok = transport_ok and all(
-                global_contains(w, p) == (ranks in in_iota) for p, ranks in zero_based
+                word_contains(mirror, p) == (ranks in in_iota) for p, ranks in zero_based
             )
         # A word is rc-invariant iff its second half is the reversed complement
         # of its first: each is drawn from its first half, not from all of S_2n.
@@ -427,8 +421,7 @@ def _check_iota(max_n: int) -> list[CheckRow]:
             word = head + tuple(2 * n + 1 - v for v in reversed(head))
             if len(set(word)) == 2 * n:
                 rc_invariant.add(word)
-        order = signed_group_order(n)
-        expected = f"image:{order};transport:ok"
+        expected = f"image:{signed_group_order(n)};transport:ok"
         observed = (
             f"image:{len(image)};transport:{'ok' if transport_ok else 'broken'}"
             if image == rc_invariant

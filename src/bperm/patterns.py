@@ -22,10 +22,10 @@ coincides with the global avoidance class of P.
 One search decides or counts in both orders: `_compiled` builds, on first
 use, a function of nested loops, one `for` loop per entry, bounding each
 entry by its nearest smaller and larger earlier entries.  `word_contains`
-and `signed_word_contains` search a whole word.  An avoidance test of a
-child of an avoider in a walk of its class (`core.walk`) calls functions
-fetched once, pinned on its last letter, for the occurrences through its
-appended entry.
+and `signed_word_contains` search a whole word.  A node test decides the
+children of a window at its sites; for an avoider in a walk of its class
+(`core.walk`) it builds none, and searches its doubled word by functions
+fetched once, pinned on the appended letter.
 
 Pattern-set text grammar (shared with the CLI): patterns separated by ";",
 entries by ",", e.g. "3,4,1,2;4,2,3,1" (unsigned) or "-2,1;-1,-2" (signed).
@@ -166,9 +166,7 @@ def count_global_occurrences(w: SignedPermutation, p: Permutation) -> int:
     return _compiled(p.oneline, False, False, True)(word, 0, len(word))
 
 
-def _containment_order(
-    patterns: Iterable[Permutation] | Iterable[SignedPermutation],
-) -> str:
+def _containment_order(patterns: Iterable[Permutation] | Iterable[SignedPermutation]) -> str:
     """
     "global" for unsigned patterns (and the empty set), "classical" for
     signed ones; a set mixing the two has no order.
@@ -193,21 +191,24 @@ def _fits(patterns: tuple[Permutation, ...] | tuple[SignedPermutation, ...], k: 
 
 def _avoidance_test(
     patterns: Iterable[Permutation] | Iterable[SignedPermutation], anchored: bool = False
-) -> Callable[[Sequence[int]], bool]:
+) -> Callable[[Sequence[int], Iterable[int]], list[int]]:
     """
-    A test telling whether a window avoids every pattern.  The pattern type
-    picks the order once per call: unsigned patterns are sought in the
-    window's mirror word, signed ones in the window itself.
+    A node test: (window, sites) to the sites whose child (`core.grown_at`)
+    avoids every pattern, sought in the child's mirror word if the patterns
+    are unsigned, in the child if signed.  Without `anchored`, each child is
+    built and searched whole, one `word_contains` or `signed_word_contains`
+    call per probe.
 
-    `anchored` is for the children of windows that avoid every pattern, as
-    in `core.walk`.  A child's first entries re-ranked are its parent, which
-    sits in the middle of the child's mirror word, so an occurrence must use
-    the appended entry: w(k) or -w(k) globally, the last position
-    classically.  The mirror word is its own reverse-complement, so an
-    occurrence of p through -w(k) is one of rc(p) through w(k): the test
-    calls pinned `_compiled` searches on the last letter only, for each
-    pattern rotated (last entry first), globally of P and rc(P),
-    classically only if its sign matches.
+    `anchored` is for windows avoiding every pattern, as in `core.walk`, whose
+    children contain one only through the appended entry.  It builds no child:
+    it doubles the window and reads the site s as z = +-(2|s| - 1), between
+    the doubled values where the child puts s (also where the window's values
+    have a gap), so the doubled window ending in z, or its mirror word between
+    -z and z, is order-isomorphic to the child's.  The mirror word is its own
+    reverse-complement, so an occurrence of p through -z is one of rc(p)
+    through z: pinned `_compiled` searches run on z only, for each pattern
+    rotated (last entry first), globally of P and rc(P), classically only if
+    its sign matches.
     """
     patterns = tuple(patterns)
     globally = _containment_order(patterns) == "global"
@@ -215,30 +216,38 @@ def _avoidance_test(
     if not anchored:
         contains = word_contains if globally else signed_word_contains
 
-        def avoids(window: Sequence[int]) -> bool:
-            word = mirror_of_window(window) if globally else window
-            for pattern in words:
-                if contains(word, pattern):
-                    return False
-            return True
+        def opens(window: Sequence[int], sites: Iterable[int]) -> list[int]:
+            children = ((child, mirror_of_window(child) if globally else child)
+                        for child in grown_at(window, sites))
+            return [child[-1] for child, word in children
+                    if not any(contains(word, p) for p in words)]
 
-        return avoids
+        return opens
     if () in words:  # the empty pattern occurs in every child
-        return lambda window: False
+        return lambda window, sites: []
     if globally:
         words = tuple(dict.fromkeys((*words, *map(_reverse_complement, words))))
     lasts = [tuple(_compiled((word[-1], *word[:-1]), not globally, True, False) for word in words
                    if globally or (word[-1] > 0) == positive) for positive in (False, True)]
 
-    def avoids_anchored(window: Sequence[int]) -> bool:
-        word = mirror_of_window(window) if globally else window
-        z, end = word[-1], len(word) - 1
-        for search in lasts[z > 0]:
-            if search(z, word, 0, end):
-                return False
-        return True
+    def opens_anchored(window: Sequence[int], sites: Iterable[int]) -> list[int]:
+        # The doubled child's word, its letters -z and z 0 until each site
+        # writes them (classically both are the last letter, and z is written last).
+        doubled = [*(v + v for v in window), 0]
+        word = list(mirror_of_window(doubled)) if globally else doubled
+        front, end = word.index(0), len(word) - 1
+        opened = []
+        for site in sites:
+            z = site + site - 1 if site > 0 else site + site + 1
+            word[front], word[end] = -z, z
+            for search in lasts[z > 0]:
+                if search(z, word, 0, end):
+                    break
+            else:
+                opened.append(site)
+        return opened
 
-    return avoids_anchored
+    return opens_anchored
 
 
 def global_basis(patterns: Iterable[Permutation]) -> tuple[SignedPermutation, ...]:
@@ -248,15 +257,15 @@ def global_basis(patterns: Iterable[Permutation]) -> tuple[SignedPermutation, ..
 
     The class is walked (`core.walk`) up to size m - 1, m the largest
     pattern size.  A member's child at a site it left open that contains a
-    pattern is minimal under classical containment iff each single-entry
-    deletion, which is exactly one-step classical containment, avoids every
-    pattern.  Its last deletion is its parent, which does; every other
-    deletion ends in the appended entry, and its first entries are a
-    deletion of the parent, which avoids, so the anchored test decides it.
-    The child at a closed site contains the child at the matching site of
-    its grandparent, one of its deletions.  Deleting an entry needs no
-    re-ranking, as order-isomorphism decides containment.  Output is ordered
-    by size, then lexicographically.
+    pattern (a site its node test closed) is minimal under classical
+    containment iff each single-entry deletion, which is exactly one-step
+    classical containment, avoids every pattern.  Its last deletion is its
+    parent, which does; every other deletion d ends in the appended entry,
+    and its first entries are a deletion of the parent, which avoids, so the
+    anchored test decides it as the node (d[:-1], [d[-1]]).  The child at a
+    closed site contains the child at the matching site of its grandparent,
+    one of its deletions.  No deletion is re-ranked, as order-isomorphism
+    decides containment.  Output is ordered by size, then lexicographically.
     """
     patterns = tuple(patterns)
     if not patterns:
@@ -265,19 +274,17 @@ def global_basis(patterns: Iterable[Permutation]) -> tuple[SignedPermutation, ..
         return (SignedPermutation(()),)
     m = max(len(p.oneline) for p in patterns)
     if m > MAX_BASIS_PATTERN_SIZE:
-        raise PatternTooLargeError(
-            f"pattern size {m} exceeds basis cap {MAX_BASIS_PATTERN_SIZE}"
-        )
+        raise PatternTooLargeError(f"pattern size {m} exceeds basis cap {MAX_BASIS_PATTERN_SIZE}")
     first = next(k for k in range(m + 1) if _fits(patterns, k))
     whole, anchored = _avoidance_test(patterns), _avoidance_test(patterns, anchored=True)
     basis = []
-    for window, sites, test in walk(first - 1, m - 1, whole, anchored):
-        # At the roots `test` is `whole`: their children's deletions, of size
-        # first - 1, all avoid.
-        for child in grown_at(window, sites):
-            if not test(child) and (test is whole or all(
-                    anchored(child[:j] + child[j + 1:]) for j in range(len(window)))):
-                basis.append(child)
+    for window, sites, test, opened in walk(first - 1, m - 1, whole, anchored):
+        # Below m - 1 the walk's step has tested each child.  At the roots
+        # `test` is `whole`: their children's deletions, of size first - 1, all avoid.
+        opened = set(test(window, sites) if opened is None else opened)
+        closed = grown_at(window, [site for site in sites if site not in opened])
+        basis += (child for child in closed if test is whole or all(
+            anchored(child[:j] + child[j + 1:-1], child[-1:]) for j in range(len(window))))
     return tuple(SignedPermutation(window) for window in sorted(basis, key=lambda w: (len(w), w)))
 
 
@@ -293,9 +300,7 @@ def rc_reduce(patterns: Iterable[Permutation]) -> frozenset[Permutation]:
     avoidance class is unchanged because an occurrence of p in a mirror word
     reflects to an occurrence of its reverse-complement.
     """
-    return frozenset(
-        min(p, p.reverse_complement(), key=lambda q: q.oneline) for p in patterns
-    )
+    return frozenset(min(p, p.reverse_complement(), key=lambda q: q.oneline) for p in patterns)
 
 
 def parse_unsigned_patterns(text: str) -> tuple[Permutation, ...]:
@@ -310,7 +315,5 @@ def parse_signed_patterns(text: str) -> tuple[SignedPermutation, ...]:
     return tuple(SignedPermutation(parse_window(part)) for part in parts)
 
 
-def format_pattern_set(
-    patterns: Iterable[Permutation] | Iterable[SignedPermutation],
-) -> str:
+def format_pattern_set(patterns: Iterable[Permutation] | Iterable[SignedPermutation]) -> str:
     return ";".join(str(p) for p in patterns)

@@ -417,32 +417,38 @@ class TestWalk:
     def test_every_child_that_inheritance_skips_contains_a_pattern(self, patterns):
         # The walk from B_(m-1), m the first size at which a pattern fits,
         # yields each avoider of sizes m - 1 to 4 once, with its open sites.
-        # Each yields the test that decides its children: `whole` at the
-        # roots, `anchored` below them.
+        # Each yields the node test that decides its children: `whole` at the
+        # roots, `anchored` below them; below the top, the walk's step has
+        # opened exactly the sites whose child the whole kernels find avoiding.
         contains = whole_containment(patterns)
         m = next(k for k in range(5) if _fits(patterns, k))
         whole, anchored = _avoidance_test(patterns), _avoidance_test(patterns, anchored=True)
         nodes = list(walk(m - 1, 4, whole, anchored))
-        assert sorted(window for window, _, _ in nodes) == sorted(
+        assert sorted(window for window, _, _, _ in nodes) == sorted(
             window for k in range(m - 1, 5) for window in whole_group(k) if not contains(window))
-        for window, sites, test in nodes:
+        for window, sites, test, opened in nodes:
             assert test is (whole if len(window) == m - 1 else anchored)
-            tried = set(grown_at(window, sites))
-            assert len(tried) == len(sites)
+            tried = list(grown_at(window, sites))
+            assert len(set(tried)) == len(sites)
             assert all(contains(child) for child in every_child(window) if child not in tried)
+            assert opened == (None if len(window) == 4
+                              else [child[-1] for child in tried if not contains(child)])
 
     @pytest.mark.parametrize("family", [is_grassmannian, is_bigrassmannian])
     def test_a_family_closed_under_deletion_walks_with_its_predicate(self, family):
-        # `list` walks the two families with no stored pattern list this way:
-        # each member of sizes 0 to 5 once, and every child that inheritance
-        # skips is outside the family.
+        # A node test may be any predicate closed under deletion: each member
+        # of sizes 0 to 5 once, and every child that inheritance skips is
+        # outside the family.
         def member(window):
             return family(SignedPermutation(window))
 
-        nodes = list(walk(0, 5, member, member))
-        assert sorted(window for window, _, _ in nodes) == sorted(
+        def opens(window, sites):
+            return [child[-1] for child in grown_at(window, sites) if member(child)]
+
+        nodes = list(walk(0, 5, opens, opens))
+        assert sorted(window for window, _, _, _ in nodes) == sorted(
             window for k in range(6) for window in whole_group(k) if member(window))
-        for window, sites, _ in nodes:
+        for window, sites, _, _ in nodes:
             tried = set(grown_at(window, sites))
             assert not any(member(child) for child in every_child(window) if child not in tried)
 

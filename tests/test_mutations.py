@@ -72,10 +72,17 @@ def _classical_anchor_ignoring_its_sign(monkeypatch):
 
     def avoidance_test(patterns_, anchored=False):
         patterns_ = tuple(patterns_)
-        avoids = original(patterns_, anchored=anchored)
+        opens = original(patterns_, anchored=anchored)
         if not anchored or patterns._containment_order(patterns_) == "global":
-            return avoids
-        return lambda window: avoids(window) and avoids((*window[:-1], -window[-1]))
+            return opens
+
+        def opens_either_sign(window, sites):
+            # A site opens only if its child with the last entry negated avoids too.
+            sites = list(sites)
+            both = set(opens(window, [site for s in sites for site in (s, -s)]))
+            return [site for site in sites if site in both and -site in both]
+
+        return opens_either_sign
 
     return _patch_everywhere(monkeypatch, original, avoidance_test)
 

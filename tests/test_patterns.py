@@ -16,6 +16,7 @@ from bperm.core import (
     DihedralSymmetry,
     Permutation,
     SignedPermutation,
+    grown_at,
     iter_windows,
     mirror_of_window,
     rank_word,
@@ -43,7 +44,7 @@ from bperm.patterns import (
 from bperm.tableaux import domino_count, domino_tableaux, standard_tableaux
 import bperm
 from bperm import fixtures
-from growth import every_child
+from growth import every_child, every_site
 
 
 def contains_oracle(word, pattern):
@@ -194,8 +195,10 @@ class TestProbeGarbage:
             assert signed_word_contains((-2, 1, 3), (1, 2))
             assert len(SignedPermutation((-3, -2, -1)).all_reduced_words()) == 2
             assert min(avoiders(smooth, [5])[5]) == (-5, 1, 2, 3, 4)
-            tests = (patterns_module._avoidance_test(smooth, anchored=a) for a in (False, True))
-            assert len(list(islice(walk(1, 4, *tests), 10))) == 10  # a walk left part way
+            whole, anchored = (patterns_module._avoidance_test(smooth, anchored=a)
+                               for a in (False, True))
+            assert len(list(islice(walk(1, 4, whole, anchored), 10))) == 10  # a walk left part way
+            assert anchored((1, 2), [3, -3]) == whole((1, 2), [3, -3]) == [3]
             assert domino_count((4, 2, 2)) == len(list(domino_tableaux((4, 2, 2))))
             assert next(domino_tableaux((4, 2))) == ((1, 1, 2, 2), (3, 3))
             assert len(list(standard_tableaux((2, 1)))) == 2
@@ -358,14 +361,13 @@ class TestCompiledLoops:
         ids=["global", "classical"],
     )
     def test_a_built_test_probes_without_the_cache(self, patterns):
-        # Each avoidance test holds its searches, so an evicted entry costs
+        # Each node test holds its searches, so an evicted entry costs
         # nothing to a test already built.
         test = patterns_module._avoidance_test(patterns, anchored=True)
-        avoiding = avoiders(patterns, [4])[4]
-        children = [child for window in avoiding for child in every_child(window)]
+        avoiding = sorted(avoiders(patterns, [4])[4])
         before = patterns_module._compiled.cache_info()
-        for window in islice(cycle(children), 1000):
-            test(window)
+        for window in islice(cycle(avoiding), 100):  # 1,000 children
+            test(window, every_site(window))
         assert patterns_module._compiled.cache_info() == before
 
     def test_the_caches_are_bounded(self):
@@ -729,11 +731,68 @@ def grown_child_and_pattern(draw):
     return signed, parent, draw(st.sampled_from(list(every_child(parent)))), pattern
 
 
+def _contains_any(window, patterns):
+    """Whether `window` contains a pattern, by the whole-window kernels."""
+    return any(signed_word_contains(window, q.window) if isinstance(q, SignedPermutation)
+               else word_contains(mirror_of_window(window), q.oneline) for q in patterns)
+
+
+@st.composite
+def patterns_and_avoider(draw):
+    """
+    (patterns, window): one to three patterns of size 0 to 4, all unsigned or
+    all signed, and a window of size at most 4 avoiding the nonempty ones.
+    """
+    signed = draw(st.booleans())
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3))
+    patterns = tuple(SignedPermutation(draw_signed_window(draw, n)) if signed
+                     else Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+                     for n in sizes)
+    nonempty = [p for p in patterns if p.size]
+    parents = [w for w in iter_windows(draw(st.integers(min_value=0, max_value=4)))
+               if not _contains_any(w, nonempty)]
+    assume(parents)
+    return patterns, draw(st.sampled_from(parents))
+
+
+class TestNodeTest:
+    """
+    A node test takes an avoider and its sites to the sites whose child
+    avoids.  Both forms must open exactly the sites whose `grown_at` child the
+    whole kernels find avoiding: the empty pattern opens none.
+    """
+
+    @given(case=patterns_and_avoider())
+    @settings(oracle_settings, deadline=None)
+    def test_open_sites_are_those_of_the_avoiding_children(self, nested, case):
+        patterns, parent = case
+        sites = every_site(parent)
+        expected = [child[-1] for child in grown_at(parent, sites)
+                    if not _contains_any(child, patterns)]
+        for anchored in (False, True):
+            assert patterns_module._avoidance_test(patterns, anchored)(parent, sites) == expected
+
+    @given(case=patterns_and_avoider(), data=st.data())
+    @settings(oracle_settings, deadline=None)
+    def test_a_deletion_is_decided_as_a_node_with_a_gap(self, nested, case, data):
+        # global_basis decides a deletion d of a child of an avoider as the
+        # node (d[:-1], [d[-1]]), whose values skip the deleted one.
+        patterns, parent = case
+        assume(parent)
+        child = data.draw(st.sampled_from(list(every_child(parent))))
+        j = data.draw(st.integers(min_value=0, max_value=len(parent) - 1))
+        deletion = child[:j] + child[j + 1:]
+        opens = patterns_module._avoidance_test(patterns, anchored=True)
+        expected = [] if _contains_any(deletion, patterns) else [deletion[-1]]
+        assert opens(deletion[:-1], deletion[-1:]) == expected
+
+
 class TestAnchoredSearch:
     """
     A child of an avoiding window contains a pattern only through its
-    appended entry, so an anchored avoidance test, which finds only the
-    occurrences using that entry, answers as the whole-word kernels do.  Its global half searches the occurrences through -w(k) as
+    appended entry, so an anchored node test, which finds only the
+    occurrences using that entry on the doubled parent, answers as the
+    whole-word kernels do on the child.  Its global half searches the occurrences through -w(k) as
     those of the reverse-complements through w(k), which holds on mirror
     words, so it is checked on the mirror words of grown children, the only
     words it is given; the pinned searches it calls are checked on arbitrary
@@ -752,13 +811,14 @@ class TestAnchoredSearch:
         signed, parent, child, pattern = case
         assert pattern not in _patterns_in(parent, len(pattern), signed)
         assert child in set(every_child(parent))
-        avoids = patterns_module._avoidance_test(
+        opens = patterns_module._avoidance_test(
             [SignedPermutation(pattern) if signed else Permutation(pattern)], anchored=True
         )
+        avoids = opens(parent, [child[-1]]) == [child[-1]]
         if signed:
-            assert avoids(child) == (not signed_word_contains(child, pattern))
+            assert avoids == (not signed_word_contains(child, pattern))
         else:
-            assert avoids(child) == (not word_contains(mirror_of_window(child), pattern))
+            assert avoids == (not word_contains(mirror_of_window(child), pattern))
 
     @given(pair=word_and_pattern())
     @oracle_settings
@@ -782,14 +842,15 @@ class TestAnchoredSearch:
         assume(window)
         through_last = (signed_occurrence_oracle(window, pattern)
                         - signed_occurrence_oracle(window[:-1], pattern))
-        avoids = patterns_module._avoidance_test([SignedPermutation(pattern)], anchored=True)
-        assert avoids(window) == (through_last == 0)
+        # The node of the window's first entries, which may leave a gap.
+        opens = patterns_module._avoidance_test([SignedPermutation(pattern)], anchored=True)
+        assert opens(window[:-1], window[-1:]) == ([window[-1]] if through_last == 0 else [])
 
     def test_the_empty_pattern_occurs_at_the_ends_of_every_word(self, nested):
         for empty in (Permutation(()), SignedPermutation(())):
-            avoids = patterns_module._avoidance_test([empty], anchored=True)
+            opens = patterns_module._avoidance_test([empty], anchored=True)
             for window in [(1,), (-1, 2), (2, -1, 3)]:
-                assert not avoids(window)
+                assert opens(window[:-1], window[-1:]) == []
 
     @given(pair=window_and_unsigned_pattern())
     def test_first_letter_occurrences_reflect_to_last_letter_ones_of_the_rc(self, pair):
