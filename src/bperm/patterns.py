@@ -51,7 +51,7 @@ from .core import (
 # peak RSS on a 2-vCPU VM); B_8 is 16 times B_7, so m = 8 would take minutes.
 MAX_BASIS_PATTERN_SIZE = 7
 # Compiled searches kept per process.  verify compiles about 200, and one
-# holds about 3.5 KB; an avoidance test holds its own.
+# holds about 3.5 KB; a node test holds its own.
 _CACHE_SIZE = 4096
 _NESTED = 16  # entries per generated function: Python nests at most 20 loops
 
@@ -194,21 +194,19 @@ def _avoidance_test(
 ) -> Callable[[Sequence[int], Iterable[int]], list[int]]:
     """
     A node test: (window, sites) to the sites whose child (`core.grown_at`)
-    avoids every pattern, sought in the child's mirror word if the patterns
-    are unsigned, in the child if signed.  Without `anchored`, each child is
-    built and searched whole, one `word_contains` or `signed_word_contains`
-    call per probe.
+    avoids every pattern, sought in the child's mirror word for unsigned
+    patterns, in the child for signed ones.  Without `anchored`, each child
+    is built and searched whole, one `word_contains` or
+    `signed_word_contains` call per probe.
 
-    `anchored` is for windows avoiding every pattern, as in `core.walk`, whose
-    children contain one only through the appended entry.  It builds no child:
-    it doubles the window and reads the site s as z = +-(2|s| - 1), between
-    the doubled values where the child puts s (also where the window's values
-    have a gap), so the doubled window ending in z, or its mirror word between
-    -z and z, is order-isomorphic to the child's.  The mirror word is its own
-    reverse-complement, so an occurrence of p through -z is one of rc(p)
-    through z: pinned `_compiled` searches run on z only, for each pattern
-    rotated (last entry first), globally of P and rc(P), classically only if
-    its sign matches.
+    With `anchored`, for a window avoiding every pattern, no child is built:
+    a pattern occurs in a child only through the appended entry, and the
+    doubled window with the site s read as z = +-(2|s| - 1) between the
+    doubled values (a gap in the window's values is kept) is order-isomorphic
+    to the child.  The mirror word is its own reverse-complement, so an
+    occurrence of p through -z is one of rc(p) through z: pinned `_compiled`
+    searches run on z only, rotated (last entry first), globally for P and
+    rc(P), classically for the patterns whose last entry has z's sign.
     """
     patterns = tuple(patterns)
     globally = _containment_order(patterns) == "global"
@@ -233,7 +231,8 @@ def _avoidance_test(
     def opens_anchored(window: Sequence[int], sites: Iterable[int]) -> list[int]:
         # The doubled child's word, its letters -z and z 0 until each site
         # writes them (classically both are the last letter, and z is written last).
-        doubled = [*(v + v for v in window), 0]
+        doubled = [v + v for v in window]
+        doubled.append(0)
         word = list(mirror_of_window(doubled)) if globally else doubled
         front, end = word.index(0), len(word) - 1
         opened = []

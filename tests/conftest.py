@@ -8,8 +8,8 @@ def probes(monkeypatch):
     """
     Every containment probe made while the test runs, in order, as (search,
     word): calls to `word_contains` and `signed_word_contains`, by name, and
-    calls to the pinned `_compiled` searches that an anchored avoidance test
-    fetched, as "anchored".
+    calls to the pinned `_compiled` searches that an anchored node test
+    fetched, as "anchored", with a copy of the word as that probe saw it.
     """
     calls = []
     for name in ("word_contains", "signed_word_contains"):
@@ -26,7 +26,7 @@ def probes(monkeypatch):
             return search
 
         def anchored(v0, word, start, end):
-            calls.append(("anchored", word))
+            calls.append(("anchored", tuple(word)))  # a node test rewrites its word per site
             return search(v0, word, start, end)
 
         return anchored

@@ -303,8 +303,9 @@ MUTATIONS = {
         BASELINE | {"conj-grassmannian"},
     ),
     "rank_word reverses ranks": (_rank_word_reversed, BASELINE | {"cor-iota", "thm-binomial-sum"}),
-    # Growth serves both sides of most pattern comparisons: the walk
-    # (`core.walk`) builds every child through `grown_at`.  The bug is caught
+    # Growth serves both sides of most pattern comparisons: the walk's step
+    # (`core.step`) builds every child it keeps, and the roots' whole node
+    # test every child it searches, through `grown_at`.  The bug is caught
     # against formulas, stored terms, predicate scans and unsigned counts
     # (unsigned windows never end in -k, so prop-es-unsigned is unharmed), and
     # by lemma-symmetry, as dropping -k is not symmetric.

@@ -772,6 +772,25 @@ class TestNodeTest:
         for anchored in (False, True):
             assert patterns_module._avoidance_test(patterns, anchored)(parent, sites) == expected
 
+    @pytest.mark.parametrize(
+        "patterns", [fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL],
+        ids=["global", "classical"],
+    )
+    def test_each_probe_sees_the_doubled_child(self, probes, patterns):
+        # Each pinned search gets a word of the child's length, in the order
+        # and signs of the child's mirror word (globally) or of the child.
+        globally = isinstance(patterns[0], Permutation)
+        opens = patterns_module._avoidance_test(patterns, anchored=True)
+        for parent in sorted(avoiders(patterns, [3])[3]):
+            for child in every_child(parent):
+                probes.clear()
+                opens(parent, [child[-1]])
+                word = mirror_of_window(child) if globally else child
+                assert probes
+                for _, seen in probes:
+                    assert rank_word(seen) == rank_word(word)
+                    assert [v > 0 for v in seen] == [v > 0 for v in word]
+
     @given(case=patterns_and_avoider(), data=st.data())
     @settings(oracle_settings, deadline=None)
     def test_a_deletion_is_decided_as_a_node_with_a_gap(self, nested, case, data):
