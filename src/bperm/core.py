@@ -146,12 +146,14 @@ def walk(start: int, top: int, whole: Callable, anchored: Callable) -> Iterator[
     The members of sizes `start` to `top` of a pattern class, depth first, each
     with the sites its parent left open, the node test that decides its children
     there and, below `top`, the sites it opened (else None): a generating tree
-    (West 1995) whose roots are all of B_start, every site open.  `whole` decides
-    the roots' children and `anchored` every deeper one, a child of an avoider,
-    which holds a pattern only through its appended entry.  If the child at a
-    site contains a pattern, so does each grandchild at a matching site, as
+    (West 1995) whose roots are all of B_start, every site open.  If the child
+    at a site contains a pattern, so does each grandchild at a matching site, as
     deleting the middle entry leaves that child; so each child tries only the
     sites its parent left open, as in Vatter's enumeration schemes (2008).
+    `whole` decides the roots' children and `anchored` every deeper one: a
+    child of an avoider at a site whose child, without the avoider's last
+    entry, was opened one level up, so a pattern occurs in it only through
+    its last two entries.
     """
     every = [site for a in range(1, start + 2) for site in (a, -a)]
     for root in iter_windows(start):

@@ -25,7 +25,7 @@ entry by its nearest smaller and larger earlier entries.  `word_contains`
 and `signed_word_contains` search a whole word.  A node test decides the
 children of a window at its sites; for an avoider in a walk of its class
 (`core.walk`) it builds none, and searches its doubled word by functions
-fetched once, pinned on the appended letter.
+fetched once, pinned on the appended letter and on the window's last one.
 
 Pattern-set text grammar (shared with the CLI): patterns separated by ";",
 entries by ",", e.g. "3,4,1,2;4,2,3,1" (unsigned) or "-2,1;-1,-2" (signed).
@@ -47,10 +47,10 @@ from .core import (
 )
 
 # global_basis walks the class to size m - 1 and tests each child at an open
-# site.  For the identity, m = 7 tests nearly all of B_7 (3.2-3.7 s CPU at 18 MB
-# peak RSS on a 2-vCPU VM); B_8 is 16 times B_7, so m = 8 would take minutes.
+# site.  For the identity, m = 7 tests nearly all of B_7 (1.4-1.9 s CPU at 18 MB
+# peak RSS on a 2-vCPU VM); B_8 is 16 times B_7, so m = 8 would take 16 times as long or more.
 MAX_BASIS_PATTERN_SIZE = 7
-# Compiled searches kept per process.  verify compiles about 200, and one
+# Compiled searches kept per process.  A serial verify compiles 236, and one
 # holds about 3.5 KB; a node test holds its own.
 _CACHE_SIZE = 4096
 _NESTED = 16  # entries per generated function: Python nests at most 20 loops
@@ -61,7 +61,7 @@ class PatternTooLargeError(ValueError):
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
+def _compiled(pattern: tuple[int, ...], signed: bool, pinned: int, count: bool,
               first: int = 0) -> Callable:
     """
     Nested `for` loops, one per entry, matching index subsets of a word
@@ -73,14 +73,15 @@ def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
     the floor or sys.maxsize times the entry's sign, which swaps the two
     bounds if -1.  Under signs the floor 0 rejects a wrong sign, so one test
     serves both orders.
-    The function takes (word, start, end), or (v0, word, start, end) if
-    `pinned`, which matches entry 0 on the letter v0 alone, unchecked: the
-    caller passes a v0 of entry 0's sign if `signed`; the other entries
-    match in word[start:end].  It returns the number of matches if `count`,
-    else whether there is one.  It holds at most `_NESTED` entries from
-    `first`, taking the letters v0..v(first - 1) of the earlier entries as
-    more arguments, and its innermost loop hands the later entries to the next
-    such function.  The source holds only integers and fixed names, never
+    The function takes the letters v0..v(pinned - 1) of the first `pinned`
+    entries, then (word, start, end).  Entry 0 matches v0 unchecked: the
+    caller passes a v0 of entry 0's sign if `signed`.  Each later pinned
+    entry is checked against its bounds in one guard line, and the other
+    entries match in word[start:end].  It returns the number of matches if
+    `count`, else whether there is one.  It holds the pinned entries and at
+    most `_NESTED` entries from `first`, taking the letters v0..v(first - 1)
+    of the earlier entries as more arguments, and its innermost loop hands
+    the later entries to the next such function.  The source holds only integers and fixed names, never
     pattern text.
 
     The cuts: when no later entry reads entry d as its upper (lower) bound,
@@ -95,17 +96,20 @@ def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
     larger = [min((j for j in range(d) if keys[j] > key), key=keys.__getitem__, default=None)
               for d, key in enumerate(keys)]
     floor = 0 if signed else -sys.maxsize
-    last = min(first + _NESTED, len(pattern))
-    params = ["v0"] * pinned + ["word", "start", "end"] + [f"v{j}" for j in range(first)]
+    last = min(max(first + _NESTED, pinned), len(pattern))
+    params = [f"v{j}" for j in range(pinned)] + ["word", "start", "end"]
+    params += [f"v{j}" for j in range(first)]
     lines, closers, pad, begin = [f"def f({', '.join(params)}):"], [], " ", "start"
     if count:
         lines.append(" found = 0")
     for d in range(first, last):
-        if pinned and d == 0:
-            continue
         sign, rest = signs[d], len(pattern) - 1 - d
         low, high = (str(sign * bound) if j is None else f"{'-' * (signs[j] != sign)}v{j}"
                      for j, bound in ((smaller[d], floor), (larger[d], sys.maxsize))[::sign])
+        if d < pinned:
+            if d:
+                lines.append(f" if not {low} < v{d} < {high}: return {'0' if count else 'False'}")
+            continue
         cut_low, cut_high = (d not in reads for reads in (smaller, larger)[::sign])
         lines += [f"{pad}lo{d}, hi{d} = {low}, {high}",
                   f"{pad}for i{d} in range({begin}, {f'end - {rest}' if rest else 'end'}):",
@@ -120,7 +124,7 @@ def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
             closers.append(pad + cuts)
     namespace = {}
     if last < len(pattern):
-        namespace["g"] = _compiled(pattern, signed, False, count, last)
+        namespace["g"] = _compiled(pattern, signed, 0, count, last)
         below = f"g(word, {begin}, end, {', '.join(f'v{j}' for j in range(last))})"
         lines += ([f"{pad}found += {below}"] if count
                   else [f"{pad}if {below}:", f"{pad} return True"])
@@ -134,12 +138,12 @@ def _compiled(pattern: tuple[int, ...], signed: bool, pinned: bool, count: bool,
 
 def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff some subsequence of `word` is order-isomorphic to `pattern`."""
-    return _compiled(tuple(pattern), False, False, False)(word, 0, len(word))
+    return _compiled(tuple(pattern), False, 0, False)(word, 0, len(word))
 
 
 def signed_word_contains(window: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff a subsequence of `window` matches `pattern` in absolute-value order and sign."""
-    return _compiled(tuple(pattern), True, False, False)(window, 0, len(window))
+    return _compiled(tuple(pattern), True, 0, False)(window, 0, len(window))
 
 
 def _reverse_complement(pattern: tuple[int, ...]) -> tuple[int, ...]:
@@ -163,7 +167,7 @@ def global_contains(w: SignedPermutation, p: Permutation) -> bool:
 def count_global_occurrences(w: SignedPermutation, p: Permutation) -> int:
     """Number of distinct global occurrences of p in w (by index subset)."""
     word = w.mirror_word()
-    return _compiled(p.oneline, False, False, True)(word, 0, len(word))
+    return _compiled(p.oneline, False, 0, True)(word, 0, len(word))
 
 
 def _containment_order(patterns: Iterable[Permutation] | Iterable[SignedPermutation]) -> str:
@@ -199,14 +203,22 @@ def _avoidance_test(
     is built and searched whole, one `word_contains` or
     `signed_word_contains` call per probe.
 
-    With `anchored`, for a window avoiding every pattern, no child is built:
-    a pattern occurs in a child only through the appended entry, and the
-    doubled window with the site s read as z = +-(2|s| - 1) between the
-    doubled values (a gap in the window's values is kept) is order-isomorphic
-    to the child.  The mirror word is its own reverse-complement, so an
-    occurrence of p through -z is one of rc(p) through z: pinned `_compiled`
-    searches run on z only, rotated (last entry first), globally for P and
-    rc(P), classically for the patterns whose last entry has z's sign.
+    With `anchored`, no child is built.  The window must avoid every
+    pattern, and so must each site's child with the window's last entry w(k)
+    deleted, as in a walk of the class (`core.walk`), where each site is one
+    the window's parent left open.  An occurrence in the child then passes
+    through the appended entry z or -z, else the window holds it, and through
+    w(k) or -w(k), else the child without w(k) does.  The doubled window with
+    the site s read as z = +-(2|s| - 1) between the doubled values (a gap in
+    the window's values is kept) is order-isomorphic to the child; pinned
+    `_compiled` searches run on it, rotated so that the pinned entries come
+    first.  Classically each pattern q whose last entry has z's sign pins
+    q[-1] on z and q[-2] on w(k).  Globally, the mirror word being its own
+    reverse-complement, an occurrence through -z is one of rc(p) through z,
+    so for each p in P and rc(P) one search pins p[-1] on z and p[-2] on
+    w(k), and another p[-1] on z and p[0] on -w(k), the word's second letter,
+    when w(k) is not used.  A pattern of fewer than two entries occurs
+    through no two letters, so it is not searched.
     """
     patterns = tuple(patterns)
     globally = _containment_order(patterns) == "global"
@@ -221,12 +233,13 @@ def _avoidance_test(
                     if not any(contains(word, p) for p in words)]
 
         return opens
-    if () in words:  # the empty pattern occurs in every child
-        return lambda window, sites: []
     if globally:
         words = tuple(dict.fromkeys((*words, *map(_reverse_complement, words))))
-    lasts = [tuple(_compiled((word[-1], *word[:-1]), not globally, True, False) for word in words
-                   if globally or (word[-1] > 0) == positive) for positive in (False, True)]
+    words = [word for word in words if len(word) > 1]
+    lasts = [[_compiled((word[-1], word[-2], *word[:-2]), not globally, 2, False) for word in words
+              if globally or (word[-1] > 0) == positive] for positive in (False, True)]
+    firsts = [_compiled((word[-1], word[0], *word[1:-1]), False, 2, False)
+              for word in words] if globally else []
 
     def opens_anchored(window: Sequence[int], sites: Iterable[int]) -> list[int]:
         # The doubled child's word, its letters -z and z 0 until each site
@@ -235,15 +248,20 @@ def _avoidance_test(
         doubled.append(0)
         word = list(mirror_of_window(doubled)) if globally else doubled
         front, end = word.index(0), len(word) - 1
+        last = word[end - 1]
         opened = []
         for site in sites:
             z = site + site - 1 if site > 0 else site + site + 1
             word[front], word[end] = -z, z
             for search in lasts[z > 0]:
-                if search(z, word, 0, end):
+                if search(z, last, word, 0, end - 1):
                     break
             else:
-                opened.append(site)
+                for search in firsts:
+                    if search(z, -last, word, 2, end):
+                        break
+                else:
+                    opened.append(site)
         return opened
 
     return opens_anchored
@@ -259,11 +277,13 @@ def global_basis(patterns: Iterable[Permutation]) -> tuple[SignedPermutation, ..
     pattern (a site its node test closed) is minimal under classical
     containment iff each single-entry deletion, which is exactly one-step
     classical containment, avoids every pattern.  Its last deletion is its
-    parent, which does; every other deletion d ends in the appended entry,
-    and its first entries are a deletion of the parent, which avoids, so the
-    anchored test decides it as the node (d[:-1], [d[-1]]).  The child at a
-    closed site contains the child at the matching site of its grandparent,
-    one of its deletions.  No deletion is re-ranked, as order-isomorphism
+    parent, which does, and the one before it, of the member's last entry, is
+    the child of the member's parent at the matching site, which the walk
+    opened.  Every other deletion d ends in the appended entry; d[:-1] is a
+    deletion of the member and d without its second-to-last entry one of that
+    opened child, both avoiders, so the anchored test decides d as the node
+    (d[:-1], [d[-1]]).  The child at a closed site contains the child at the
+    matching site of its grandparent, one of its deletions.  No deletion is re-ranked, as order-isomorphism
     decides containment.  Output is ordered by size, then lexicographically.
     """
     patterns = tuple(patterns)
@@ -283,7 +303,7 @@ def global_basis(patterns: Iterable[Permutation]) -> tuple[SignedPermutation, ..
         opened = set(test(window, sites) if opened is None else opened)
         closed = grown_at(window, [site for site in sites if site not in opened])
         basis += (child for child in closed if test is whole or all(
-            anchored(child[:j] + child[j + 1:-1], child[-1:]) for j in range(len(window))))
+            anchored(child[:j] + child[j + 1:-1], child[-1:]) for j in range(len(window) - 1)))
     return tuple(SignedPermutation(window) for window in sorted(basis, key=lambda w: (len(w), w)))
 
 

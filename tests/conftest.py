@@ -25,9 +25,10 @@ def probes(monkeypatch):
         if not pinned:
             return search
 
-        def anchored(v0, word, start, end):
-            calls.append(("anchored", tuple(word)))  # a node test rewrites its word per site
-            return search(v0, word, start, end)
+        def anchored(*args):
+            # The word follows the pinned letters; a node test rewrites it per site.
+            calls.append(("anchored", tuple(args[pinned])))
+            return search(*args)
 
         return anchored
 

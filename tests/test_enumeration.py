@@ -327,9 +327,9 @@ class TestSequenceEngine:
     @pytest.mark.parametrize(
         "patterns, expected",
         [
-            (fixtures.SMOOTH_BC_GLOBAL, {("word_contains", 2): 15, ("anchored", 3): 53,
-                                         ("anchored", 4): 214, ("anchored", 5): 902,
-                                         ("anchored", 6): 3864}),
+            (fixtures.SMOOTH_BC_GLOBAL, {("word_contains", 2): 15, ("anchored", 3): 97,
+                                         ("anchored", 4): 391, ("anchored", 5): 1638,
+                                         ("anchored", 6): 6979}),
             (fixtures.SMOOTH_BC_CLASSICAL, {("signed_word_contains", 2): 69,
                                             ("anchored", 3): 148, ("anchored", 4): 634,
                                             ("anchored", 5): 2792, ("anchored", 6): 12304}),
@@ -342,10 +342,12 @@ class TestSequenceEngine:
         # a site the parent closed changes these counts (by size of the
         # searched window).  The children of B_1, where no pattern fits one
         # size down, are searched whole; deeper children anchored on their
-        # last entry, one probe per pinned search called: globally only at
-        # w(k), as both patterns are their own reverse-complement, and
-        # classically only the patterns ending in the sign of the child's
-        # last entry.  Trying every site (the levels) made 9,255 and 32,779.
+        # last two entries, one probe per pinned search called: globally
+        # each pattern through z and w(k), then, if none is found, through z
+        # and -w(k) (both patterns are their own reverse-complement), and
+        # classically only the patterns ending in the sign of z.  Pinning z
+        # alone made 53, 214, 902 and 3,864 global probes, each one loop
+        # deeper; trying every site (the levels) made 9,255 and 32,779.
         assert sequence(patterns, range(1, 7), jobs=1) == dict(zip(range(1, 7), SMOOTH_BC_COUNTS))
         globally = isinstance(patterns[0], Permutation)
         sizes = Counter((search, len(word) // 2 if globally else len(word))

@@ -83,7 +83,7 @@ def nested(request, monkeypatch):
 
 def count_matches(word, pattern, signed):
     """The compiled search's count of the index subsets of `word` matching `pattern`."""
-    return patterns_module._compiled(tuple(pattern), signed, False, True)(word, 0, len(word))
+    return patterns_module._compiled(tuple(pattern), signed, 0, True)(word, 0, len(word))
 
 
 TOP = str(sys.maxsize)  # the ceiling in generated sources
@@ -385,7 +385,7 @@ class TestCompiledLoops:
     @pytest.mark.parametrize(
         "key, nested, sources",
         [
-            (((2, -3, 1), True, False, False), None, [[
+            (((2, -3, 1), True, 0, False), None, [[
                 "def f(word, start, end):",
                 f" lo0, hi0 = 0, {TOP}",
                 " for i0 in range(start, end - 2):",
@@ -403,7 +403,7 @@ class TestCompiledLoops:
                 "     lo1 = v1; hi1 = v1",
                 " return False",
             ]]),
-            (((-2, 3, -1, 4), True, False, True), None, [[
+            (((-2, 3, -1, 4), True, 0, True), None, [[
                 "def f(word, start, end):",
                 " found = 0",
                 f" lo0, hi0 = -{TOP}, 0",
@@ -429,7 +429,7 @@ class TestCompiledLoops:
                 "     if found == c1: hi1 = v1",
                 " return found",
             ]]),
-            (((1, 3, 2), False, True, False), None, [[
+            (((1, 3, 2), False, 1, False), None, [[
                 "def f(v0, word, start, end):",
                 f" lo1, hi1 = v0, {TOP}",
                 " for i1 in range(start, end - 1):",
@@ -443,7 +443,23 @@ class TestCompiledLoops:
                 "   lo1 = v1",
                 " return False",
             ]]),
-            (((1, 2, 3, 4), False, False, True), 2, [[
+            # 2143's search through its last two entries, the later pinned one guarded.
+            (((3, 4, 2, 1), False, 2, False), None, [[
+                "def f(v0, v1, word, start, end):",
+                f" if not v0 < v1 < {TOP}: return False",
+                f" lo2, hi2 = -{TOP}, v0",
+                " for i2 in range(start, end - 1):",
+                "  v2 = word[i2]",
+                "  if lo2 < v2 < hi2:",
+                f"   lo3, hi3 = -{TOP}, v2",
+                "   for i3 in range(i2 + 1, end):",
+                "    v3 = word[i3]",
+                "    if lo3 < v3 < hi3:",
+                "     return True",
+                "   lo2 = v2",
+                " return False",
+            ]]),
+            (((1, 2, 3, 4), False, 0, True), 2, [[
                 "def f(word, start, end, v0, v1):",
                 " found = 0",
                 f" lo2, hi2 = v1, {TOP}",
@@ -477,7 +493,8 @@ class TestCompiledLoops:
                 " return found",
             ]]),
         ],
-        ids=["signed-decide", "signed-count", "unsigned-pinned", "unsigned-count-chained"],
+        ids=["signed-decide", "signed-count", "unsigned-pinned", "unsigned-two-pins",
+             "unsigned-count-chained"],
     )
     def test_the_generated_source_is_pinned(self, monkeypatch, key, nested, sources):
         captured = []
@@ -713,22 +730,53 @@ class TestPrunedWalk:
             assert sorted(filter(test, (c for w in below for c in every_child(w)))) == filtered
 
 
+@functools.lru_cache(maxsize=None)  # the tests rank windows of at most 5 entries
+def _ranked_patterns_in(window, k, signed):
+    return _patterns_in(window, k, signed)
+
+
+def _holds_any(window, patterns):
+    """Whether `window` contains one of `patterns`, by `_patterns_in` (no bperm kernel)."""
+    ranked = _signed_rank(window)  # a gap in the values changes no pattern
+    return any((p.window if isinstance(p, SignedPermutation) else p.oneline)
+               in _ranked_patterns_in(ranked, p.size, isinstance(p, SignedPermutation))
+               for p in patterns)
+
+
+def _anchorable(patterns, window, sites):
+    """
+    The anchored node test's precondition, by brute force: `window` is
+    nonempty and avoids every pattern, and so does the child at each site
+    with the window's last entry deleted, as in a walk of the class.
+    """
+    return bool(window) and not _holds_any(window, patterns) and not any(
+        _holds_any(child[:-2] + child[-1:], patterns) for child in grown_at(window, sites))
+
+
+def _anchorable_sites(patterns, window):
+    """The sites of `window` that meet the anchored test's precondition."""
+    if not window or _holds_any(window, patterns):
+        return []
+    return [site for site in every_site(window) if _anchorable(patterns, window, [site])]
+
+
 @st.composite
 def grown_child_and_pattern(draw):
     """
-    (signed, parent, child, pattern): a pattern, unsigned or signed, a window
-    of size at most 3 avoiding it (by `_patterns_in`, no bperm kernel), and
-    one of the parent's children, at any site.
+    (signed, parent, child, pattern): a pattern, unsigned or signed, a
+    nonempty window of size at most 3 and one of its children, at a site
+    meeting the anchored test's precondition for the pattern (`_anchorable`).
     """
     signed = draw(st.booleans())
     size = draw(st.integers(min_value=1, max_value=5 if signed else 6))
     pattern = (draw_signed_window(draw, size) if signed
                else tuple(draw(st.permutations(range(1, size + 1)))))
-    k = draw(st.integers(min_value=1, max_value=4))
-    parents = [w for w in iter_windows(k - 1) if pattern not in _patterns_in(w, size, signed)]
-    assume(parents)
-    parent = draw(st.sampled_from(parents))
-    return signed, parent, draw(st.sampled_from(list(every_child(parent)))), pattern
+    patterns = [SignedPermutation(pattern) if signed else Permutation(pattern)]
+    k = draw(st.integers(min_value=2, max_value=4))
+    nodes = [(w, sites) for w in iter_windows(k - 1) if (sites := _anchorable_sites(patterns, w))]
+    assume(nodes)
+    parent, sites = draw(st.sampled_from(nodes))
+    return signed, parent, next(grown_at(parent, [draw(st.sampled_from(sites))])), pattern
 
 
 def _contains_any(window, patterns):
@@ -738,38 +786,45 @@ def _contains_any(window, patterns):
 
 
 @st.composite
-def patterns_and_avoider(draw):
+def patterns_and_node(draw):
     """
-    (patterns, window): one to three patterns of size 0 to 4, all unsigned or
-    all signed, and a window of size at most 4 avoiding the nonempty ones.
+    (patterns, window, sites): one to three patterns, all unsigned of size 2
+    to 4 or all signed of size 1 to 4, a window of size 1 to 4 reached by a
+    descent through avoiders, and some of its sites, each meeting the
+    anchored test's precondition (`_anchorable`), in any order.  No window
+    meets it for the empty pattern, nor for an unsigned one of size 1.
     """
     signed = draw(st.booleans())
-    sizes = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.integers(min_value=1 if signed else 2, max_value=4),
+                          min_size=1, max_size=3))
     patterns = tuple(SignedPermutation(draw_signed_window(draw, n)) if signed
                      else Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
                      for n in sizes)
-    nonempty = [p for p in patterns if p.size]
-    parents = [w for w in iter_windows(draw(st.integers(min_value=0, max_value=4)))
-               if not _contains_any(w, nonempty)]
-    assume(parents)
-    return patterns, draw(st.sampled_from(parents))
+    window = ()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        children = [child for child in every_child(window) if not _holds_any(child, patterns)]
+        assume(children)
+        window = draw(st.sampled_from(children))
+    sites = _anchorable_sites(patterns, window)
+    assume(sites)
+    return patterns, window, draw(st.lists(st.sampled_from(sites), min_size=1, unique=True))
 
 
 class TestNodeTest:
     """
-    A node test takes an avoider and its sites to the sites whose child
-    avoids.  Both forms must open exactly the sites whose `grown_at` child the
-    whole kernels find avoiding: the empty pattern opens none.
+    A node test takes a window and its sites to the sites whose child
+    avoids.  On the inputs the anchored form accepts (`_anchorable`), both
+    forms must open exactly the sites whose `grown_at` child the whole
+    kernels find avoiding; the whole form also at every site.
     """
 
-    @given(case=patterns_and_avoider())
+    @given(case=patterns_and_node())
     @settings(oracle_settings, deadline=None)
     def test_open_sites_are_those_of_the_avoiding_children(self, nested, case):
-        patterns, parent = case
-        sites = every_site(parent)
-        expected = [child[-1] for child in grown_at(parent, sites)
-                    if not _contains_any(child, patterns)]
-        for anchored in (False, True):
+        patterns, parent, sites = case
+        for anchored, sites in ((True, sites), (False, sites), (False, every_site(parent))):
+            expected = [child[-1] for child in grown_at(parent, sites)
+                        if not _contains_any(child, patterns)]
             assert patterns_module._avoidance_test(patterns, anchored)(parent, sites) == expected
 
     @pytest.mark.parametrize(
@@ -780,9 +835,11 @@ class TestNodeTest:
         # Each pinned search gets a word of the child's length, in the order
         # and signs of the child's mirror word (globally) or of the child.
         globally = isinstance(patterns[0], Permutation)
-        opens = patterns_module._avoidance_test(patterns, anchored=True)
-        for parent in sorted(avoiders(patterns, [3])[3]):
-            for child in every_child(parent):
+        whole, opens = (patterns_module._avoidance_test(patterns, a) for a in (False, True))
+        for parent, sites, _, _ in walk(1, 3, whole, opens):
+            if len(parent) < 3:
+                continue
+            for child in grown_at(parent, sites):
                 probes.clear()
                 opens(parent, [child[-1]])
                 word = mirror_of_window(child) if globally else child
@@ -791,48 +848,73 @@ class TestNodeTest:
                     assert rank_word(seen) == rank_word(word)
                     assert [v > 0 for v in seen] == [v > 0 for v in word]
 
-    @given(case=patterns_and_avoider(), data=st.data())
+    @given(case=patterns_and_node(), data=st.data())
     @settings(oracle_settings, deadline=None)
     def test_a_deletion_is_decided_as_a_node_with_a_gap(self, nested, case, data):
-        # global_basis decides a deletion d of a child of an avoider as the
-        # node (d[:-1], [d[-1]]), whose values skip the deleted one.
-        patterns, parent = case
-        assume(parent)
-        child = data.draw(st.sampled_from(list(every_child(parent))))
-        j = data.draw(st.integers(min_value=0, max_value=len(parent) - 1))
+        # global_basis decides a deletion d of a child of a walk's member,
+        # other than of the member's last entry, as the node
+        # (d[:-1], [d[-1]]), whose values skip the deleted one.
+        patterns, parent, sites = case
+        assume(len(parent) > 1)
+        child = next(grown_at(parent, [data.draw(st.sampled_from(sites))]))
+        j = data.draw(st.integers(min_value=0, max_value=len(parent) - 2))
         deletion = child[:j] + child[j + 1:]
+        assert _anchorable(patterns, deletion[:-1], deletion[-1:])
         opens = patterns_module._avoidance_test(patterns, anchored=True)
         expected = [] if _contains_any(deletion, patterns) else [deletion[-1]]
         assert opens(deletion[:-1], deletion[-1:]) == expected
 
+    @pytest.mark.parametrize(
+        "patterns",
+        [fixtures.SMOOTH_BC_GLOBAL, fixtures.SMOOTH_BC_CLASSICAL, [Permutation((2, 1, 4, 3))],
+         [Permutation((1, 3, 2))], [Permutation((1, 2, 3, 4, 5))],
+         [SignedPermutation((2, -3, 1))], [SignedPermutation((-1,)), SignedPermutation((2, 1))]],
+        ids=["smooth-global", "smooth-classical", "2143", "132", "12345", "(2,-3,1)",
+             "unsigned-21"],
+    )
+    def test_the_walk_meets_the_anchored_precondition(self, patterns):
+        # Below its roots, every node a walk hands its anchored test meets the
+        # precondition, checked by brute force.
+        patterns = tuple(patterns)
+        m = next(k for k in range(6) if patterns_module._fits(patterns, k))
+        whole, anchored = (patterns_module._avoidance_test(patterns, a) for a in (False, True))
+        nodes = 0
+        for window, sites, test, _ in walk(m - 1, 5, whole, anchored):
+            assert (test is anchored) == (len(window) > m - 1)
+            if test is anchored:
+                assert _anchorable(patterns, window, sites)
+                nodes += 1
+        assert nodes
+
 
 class TestAnchoredSearch:
     """
-    A child of an avoiding window contains a pattern only through its
-    appended entry, so an anchored node test, which finds only the
-    occurrences using that entry on the doubled parent, answers as the
-    whole-word kernels do on the child.  Its global half searches the occurrences through -w(k) as
-    those of the reverse-complements through w(k), which holds on mirror
-    words, so it is checked on the mirror words of grown children, the only
-    words it is given; the pinned searches it calls are checked on arbitrary
-    words.
+    A node of a walk below its roots holds an avoider whose children, without
+    its last entry w(k), avoid at the sites it is asked about, so a pattern
+    occurs in such a child only through the appended entry z and through
+    w(k) (or, in the mirror word, their negatives).  An anchored node test,
+    which finds only those occurrences on the doubled parent, answers as the
+    whole-word kernels do on the child.  Its global half searches the
+    occurrences through -z as those of the reverse-complements through z,
+    which holds on mirror words, so it is checked on the mirror words of
+    grown children, the only words it is given; the pinned searches it calls
+    are checked on arbitrary words.
     """
 
     @given(case=grown_child_and_pattern())
-    # Every occurrence uses both mirror ends, -w(k) and w(k): one, then two.
+    # Every occurrence uses both mirror ends, -z and z: one, then two.
     @example(case=(False, (-2, 1), (-2, 1, 3), (1, 2, 4, 3, 5)))
     @example(case=(False, (-3, -2, -1), (-3, -2, -1, 4), (1, 2, 3, 4, 5)))
     # Patterns longer than the child's mirror word, or than the child.
-    @example(case=(False, (), (-1,), (2, 1, 3)))
+    @example(case=(False, (1,), (1, 2), (2, 1, 3, 4, 5)))
     @example(case=(True, (1,), (1, -2), (1, -2, 3)))
     @settings(oracle_settings, deadline=None)
     def test_anchored_equals_whole_on_grown_children(self, nested, case):
         signed, parent, child, pattern = case
-        assert pattern not in _patterns_in(parent, len(pattern), signed)
+        patterns = [SignedPermutation(pattern) if signed else Permutation(pattern)]
+        assert _anchorable(patterns, parent, child[-1:])
         assert child in set(every_child(parent))
-        opens = patterns_module._avoidance_test(
-            [SignedPermutation(pattern) if signed else Permutation(pattern)], anchored=True
-        )
+        opens = patterns_module._avoidance_test(patterns, anchored=True)
         avoids = opens(parent, [child[-1]]) == [child[-1]]
         if signed:
             assert avoids == (not signed_word_contains(child, pattern))
@@ -848,28 +930,76 @@ class TestAnchoredSearch:
         def occurrences(word):
             return Counter(rank_word(sub) for sub in combinations(word, len(pattern)))[pattern]
 
-        first = patterns_module._compiled(pattern, False, True, False)
-        last = patterns_module._compiled((pattern[-1], *pattern[:-1]), False, True, False)
+        first = patterns_module._compiled(pattern, False, 1, False)
+        last = patterns_module._compiled((pattern[-1], *pattern[:-1]), False, 1, False)
         assert first(word[0], word, 1, len(word)) == (occurrences(word) > occurrences(word[1:]))
         assert (last(word[-1], word, 0, len(word) - 1)
                 == (occurrences(word) > occurrences(word[:-1])))
+
+    # Fewer examples than the other oracles: each runs under four `nested` values.
+    @given(pair=word_and_pattern(), count=st.booleans())
+    @settings(oracle_settings, max_examples=100)
+    def test_two_pins_find_the_occurrences_through_both(self, nested, pair, count):
+        # By inclusion-exclusion, the occurrences through the letters i and j.
+        word, pattern = pair
+        assume(len(word) > 1 and len(pattern) > 1)
+
+        def through(word, i, j):
+            def occurrences(kept):
+                subwords = combinations([word[k] for k in kept], len(pattern))
+                return Counter(map(rank_word, subwords))[pattern]
+
+            every = range(len(word))
+            return (occurrences(every) - occurrences([k for k in every if k != i])
+                    - occurrences([k for k in every if k != j])
+                    + occurrences([k for k in every if k not in (i, j)]))
+
+        def answer(found):
+            return found if count else found > 0
+
+        last_two = patterns_module._compiled(
+            (pattern[-1], pattern[-2], *pattern[:-2]), False, 2, count)
+        assert (last_two(word[-1], word[-2], word, 0, len(word) - 2)
+                == answer(through(word, len(word) - 2, len(word) - 1)))
+        if len(word) > 2:  # through word[1] and word[-1], not word[0]
+            ends = patterns_module._compiled(
+                (pattern[-1], pattern[0], *pattern[1:-1]), False, 2, count)
+            assert (ends(word[-1], word[1], word, 2, len(word) - 1)
+                    == answer(through(word[1:], 0, len(word) - 2)))
+
+    @given(pair=window_and_signed_pattern(), count=st.booleans())
+    @settings(oracle_settings, max_examples=100)
+    def test_signed_two_pins_find_the_occurrences_through_both(self, nested, pair, count):
+        window, q = pair
+        assume(len(window) > 1 and len(q) > 1)
+        q = (*q[:-1], abs(q[-1]) if window[-1] > 0 else -abs(q[-1]))  # the caller's sign match
+        through = (signed_occurrence_oracle(window, q) - signed_occurrence_oracle(window[:-1], q)
+                   - signed_occurrence_oracle(window[:-2] + window[-1:], q)
+                   + signed_occurrence_oracle(window[:-2], q))
+        last_two = patterns_module._compiled((q[-1], q[-2], *q[:-2]), True, 2, count)
+        found = last_two(window[-1], window[-2], window, 0, len(window) - 2)
+        assert found == (through if count else through > 0)
 
     @given(pair=window_and_signed_pattern())
     @oracle_settings
     def test_classical_anchor_finds_the_occurrences_through_the_last_entry(self, nested, pair):
         window, pattern = pair
-        assume(window)
+        # The node of the window's first entries, which may leave a gap.
+        node = window[:-1], window[-1:]
+        assume(len(window) > 1 and _anchorable([SignedPermutation(pattern)], *node))
         through_last = (signed_occurrence_oracle(window, pattern)
                         - signed_occurrence_oracle(window[:-1], pattern))
-        # The node of the window's first entries, which may leave a gap.
         opens = patterns_module._avoidance_test([SignedPermutation(pattern)], anchored=True)
-        assert opens(window[:-1], window[-1:]) == ([window[-1]] if through_last == 0 else [])
+        assert opens(*node) == ([window[-1]] if through_last == 0 else [])
 
-    def test_the_empty_pattern_occurs_at_the_ends_of_every_word(self, nested):
+    def test_the_empty_pattern_occurs_in_every_child(self):
+        # Every window holds it, so no node meets the anchored test's
+        # precondition and no walk asks that test; the whole test opens no site.
         for empty in (Permutation(()), SignedPermutation(())):
-            opens = patterns_module._avoidance_test([empty], anchored=True)
-            for window in [(1,), (-1, 2), (2, -1, 3)]:
-                assert opens(window[:-1], window[-1:]) == []
+            opens = patterns_module._avoidance_test([empty])
+            for window in [(), (1,), (-1, 2), (2, -1, 3)]:
+                assert not _anchorable([empty], window, every_site(window))
+                assert opens(window, every_site(window)) == []
 
     @given(pair=window_and_unsigned_pattern())
     def test_first_letter_occurrences_reflect_to_last_letter_ones_of_the_rc(self, pair):
@@ -896,7 +1026,7 @@ class TestAnchoredSearch:
     )
     def test_sets_closed_under_rc_walk_as_the_whole_group_filters(self, patterns):
         # Every pattern's reverse-complement is in the set, so the anchored
-        # test searches the set itself at w(k).
+        # test searches the set itself at the appended entry.
         patterns = parse_unsigned_patterns(patterns)
         filtered = {n: frozenset(w for w in iter_windows(n) if not any(
                         word_contains(mirror_of_window(w), p.oneline) for p in patterns))
@@ -912,7 +1042,8 @@ class TestAnchoredSearch:
     )
     def test_reverse_pairs_walk_as_the_whole_group_filters(self, pair):
         # {p, reverse(p)} without rc(p): the anchored test must search the
-        # reverse-complements at w(k), which reverses alone would not give.
+        # reverse-complements at the appended entry, which reverses alone
+        # would not give.
         patterns = [Permutation(p) for p in pair]
         filtered = {n: frozenset(w for w in iter_windows(n) if not any(
                         word_contains(mirror_of_window(w), p) for p in pair))
